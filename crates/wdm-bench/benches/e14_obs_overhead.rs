@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdm_bench::sparse_instance;
 use wdm_graph::NodeId;
 use wdm_obs::MetricsRegistry;
-use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+use wdm_rwa::{Policy, ProvisioningEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e14_obs_overhead");
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         .collect();
     let registry = MetricsRegistry::new();
     for (label, instrumented) in [("baseline", false), ("instrumented", true)] {
-        let mut engine = ProvisioningEngine::with_mode(&base, RoutingMode::Masked);
+        let mut engine = ProvisioningEngine::new(&base);
         if instrumented {
             engine.attach_metrics(&registry);
         }

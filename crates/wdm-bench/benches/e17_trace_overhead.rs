@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdm_bench::sparse_instance;
 use wdm_graph::NodeId;
 use wdm_obs::trace::FlightRecorder;
-use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+use wdm_rwa::{Policy, ProvisioningEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e17_trace_overhead");
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
     // so every span really is written (no drop-path shortcut).
     let recorder = FlightRecorder::new(1, 1 << 16);
     for (label, traced) in [("detached", false), ("recording", true)] {
-        let mut engine = ProvisioningEngine::with_mode(&base, RoutingMode::Masked);
+        let mut engine = ProvisioningEngine::new(&base);
         if traced {
             engine.attach_tracer(&recorder);
         }

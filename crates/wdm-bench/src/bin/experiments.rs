@@ -142,18 +142,20 @@ fn main() {
 /// * `legacy` — what the engine did before the persistent structure:
 ///   clone the residual network (`restrict`) and run the full Theorem-1
 ///   construction + search per request;
-/// * `rebuild` — the engine's [`wdm_rwa::RoutingMode::RebuildPerRequest`]
-///   reference: reconstruct the persistent structure per request, then
-///   run the identical masked search (the bit-identity baseline of the
-///   conformance suite);
-/// * `masked` — the hot path: one persistent auxiliary graph, busy bits
-///   flipped in place, one masked Dijkstra per request.
+/// * `rebuild` — the test-only [`wdm_conformance::SpecEngine`]:
+///   reconstruct the persistent structure from a plain busy matrix per
+///   request, then run the identical masked search (the bit-identity
+///   reference of the conformance suite);
+/// * `masked` — the hot path, [`wdm_rwa::ProvisioningEngine`]: one
+///   persistent auxiliary graph, busy bits flipped in place, one masked
+///   Dijkstra per request.
 ///
 /// Returns record lines for `BENCH_provisioning.json` (written by
 /// `main` together with E14's).
 fn e13(quick: bool) -> Vec<String> {
+    use wdm_conformance::SpecEngine;
     use wdm_core::Semilightpath;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine};
     println!("\n## E13 — provisioning hot path: masked vs rebuild-per-request\n");
     println!("| n | k | legacy µs/req | rebuild µs/req | masked µs/req | speedup vs legacy | legacy allocs/req | masked allocs/req | alloc ratio |");
     println!("|---|---|---|---|---|---|---|---|---|");
@@ -186,6 +188,18 @@ fn e13(quick: bool) -> Vec<String> {
                 engine.release(id).expect("active");
             }
         };
+        // The same cycle on the spec.
+        let spec_churn = |spec: &mut SpecEngine| {
+            let mut ids = Vec::new();
+            for &(s, t) in &pairs {
+                if let Ok(id) = spec.provision(s, t, Policy::Optimal) {
+                    ids.push(id);
+                }
+            }
+            for id in ids {
+                spec.release(id).expect("active");
+            }
+        };
         // The pre-refactor hot path, reproduced verbatim: per request,
         // clone the residual network and rebuild the router's structures.
         let mut busy = vec![vec![false; net.k()]; net.link_count()];
@@ -206,23 +220,23 @@ fn e13(quick: bool) -> Vec<String> {
                 }
             }
         };
-        // slots: 0 = legacy, 1 = rebuild mode, 2 = masked mode.
+        // slots: 0 = legacy, 1 = rebuild spec, 2 = masked engine.
         let mut secs_of = [0.0f64; 3];
         let mut allocs_of = [0.0f64; 3];
         secs_of[0] = min_time(iters, || legacy_churn(&mut busy));
         let before = alloc_counter::count();
         legacy_churn(&mut busy);
         allocs_of[0] = (alloc_counter::count() - before) as f64 / requests as f64;
-        for (slot, mode) in [
-            (1, RoutingMode::RebuildPerRequest),
-            (2, RoutingMode::Masked),
-        ] {
-            let mut engine = ProvisioningEngine::with_mode(&net, mode);
-            secs_of[slot] = min_time(iters, || churn(&mut engine));
-            let before = alloc_counter::count();
-            churn(&mut engine);
-            allocs_of[slot] = (alloc_counter::count() - before) as f64 / requests as f64;
-        }
+        let mut spec = SpecEngine::new(&net);
+        secs_of[1] = min_time(iters, || spec_churn(&mut spec));
+        let before = alloc_counter::count();
+        spec_churn(&mut spec);
+        allocs_of[1] = (alloc_counter::count() - before) as f64 / requests as f64;
+        let mut engine = ProvisioningEngine::new(&net);
+        secs_of[2] = min_time(iters, || churn(&mut engine));
+        let before = alloc_counter::count();
+        churn(&mut engine);
+        allocs_of[2] = (alloc_counter::count() - before) as f64 / requests as f64;
         let per_req = |s: f64| s * 1e6 / requests as f64;
         let speedup = secs_of[0] / secs_of[2].max(f64::MIN_POSITIVE);
         let alloc_ratio = allocs_of[0] / allocs_of[2].max(f64::MIN_POSITIVE);
@@ -254,8 +268,9 @@ fn e13(quick: bool) -> Vec<String> {
         "\nshape check: masked beats the legacy clone-and-rebuild hot path by well over 5x in \
          throughput and 10x in allocations per request, and the gap widens with n·k — one \
          bounded Dijkstra per request vs a network clone plus the full O(k²n + km) \
-         construction. The rebuild column is the engine's bit-identity reference \
-         (provisioning_conformance pins masked == rebuild hop for hop)."
+         construction. The rebuild column is the test-only spec the engine is checked \
+         against (wdm-conformance's provisioning_conformance pins masked == rebuild hop \
+         for hop)."
     );
     records
 }
@@ -272,7 +287,7 @@ fn e13(quick: bool) -> Vec<String> {
 /// `BENCH_provisioning.json`.
 fn e14(quick: bool) -> Vec<String> {
     use wdm_obs::MetricsRegistry;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine};
     println!("\n## E14 — observability overhead on the masked hot path\n");
     println!("| n | k | baseline µs/req | instrumented µs/req | overhead |");
     println!("|---|---|---|---|---|");
@@ -305,9 +320,9 @@ fn e14(quick: bool) -> Vec<String> {
                 engine.release(id).expect("active");
             }
         };
-        let mut baseline = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut baseline = ProvisioningEngine::new(&net);
         let registry = MetricsRegistry::new();
-        let mut instrumented = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut instrumented = ProvisioningEngine::new(&net);
         instrumented.attach_metrics(&registry);
         // Interleave the two series so slow frequency / scheduler drift
         // hits both equally instead of biasing whichever ran second.
@@ -353,18 +368,20 @@ fn e14(quick: bool) -> Vec<String> {
     records
 }
 
-/// E15 — concurrent-engine contention cost. The sharded optimistic
-/// engine must not tax the uncontended path: one `ConcurrentHandle`
-/// driven from one thread runs the full claim/validate/publish protocol
-/// with zero conflicts, and its throughput must sit within ±10% of the
-/// single-threaded masked engine on the same churn. A second series
-/// drives 4 real threads over disjoint request quarters — the host has
-/// **one CPU**, so that column is an honest protocol-cost measurement
-/// (conflicts + yields under forced interleaving), not a speedup claim.
-/// Records append to `BENCH_provisioning.json`.
+/// E15 — the cost of shards and of contention. Both single-thread
+/// columns run the same transaction code, since there is one engine:
+/// `masked` is [`wdm_rwa::ProvisioningEngine`], one handle on a private
+/// one-shard engine; `concurrent(1T)` is one handle on an engine with
+/// the default `min(k, 8)` shards, so the ratio column prices the extra
+/// shard-version reads, claims and validation scans. It must sit within
+/// ±10%. A second series drives 4 real threads over disjoint request
+/// quarters — the host has few CPUs, so that column is an honest
+/// protocol-cost measurement (conflicts + yields under forced
+/// interleaving), not a speedup claim. Records append to
+/// `BENCH_provisioning.json`.
 fn e15(quick: bool) -> Vec<String> {
-    use wdm_rwa::{ConcurrentEngine, Policy, ProvisioningEngine, RoutingMode};
-    println!("\n## E15 — sharded concurrent engine vs single-threaded masked path\n");
+    use wdm_rwa::{ConcurrentEngine, Policy, ProvisioningEngine};
+    println!("\n## E15 — one-shard handle vs default-shard handle, and 4 threads\n");
     println!(
         "| n | k | masked µs/req | concurrent(1T) µs/req | ratio | 4T µs/req | conflicts(4T) |"
     );
@@ -387,7 +404,7 @@ fn e15(quick: bool) -> Vec<String> {
             })
             .collect();
 
-        let mut masked = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut masked = ProvisioningEngine::new(&net);
         let conc = ConcurrentEngine::new(&net, 0);
         let mut handle = conc.handle();
         // Interleave the two series (same rationale as E14).
@@ -448,6 +465,7 @@ fn e15(quick: bool) -> Vec<String> {
 
         let ratio_pct = (conc_secs / masked_secs.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
         let per_req = |s: f64| s * 1e6 / requests as f64;
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
         println!(
             "| {n} | {k} | {:.1} | {:.1} | {ratio_pct:+.1}% | {:.1} | {conflicts} |",
             per_req(masked_secs),
@@ -459,21 +477,21 @@ fn e15(quick: bool) -> Vec<String> {
              \"requests\": {requests}, \"masked_secs_per_req\": {:.9}, \
              \"concurrent_1t_secs_per_req\": {:.9}, \"ratio_pct\": {ratio_pct:.4}, \
              \"threads\": 4, \"threads4_secs_per_req\": {:.9}, \
-             \"conflicts_4t\": {conflicts}, \"cpus\": 1}}",
+             \"conflicts_4t\": {conflicts}, \"cpus\": {cpus}}}",
             masked_secs / requests as f64,
             conc_secs / requests as f64,
             four_secs / requests as f64,
         ));
     }
     println!(
-        "shape check: at one thread the protocol adds a fixed per-request cost — the \
-         shard-version reads, one CAS per touched shard, the post-route validation \
-         scan, and the per-hop transaction stepping — a few hundred ns against \
-         multi-µs routes, so the ratio column sits inside the ±10% acceptance band \
+        "shape check: at one thread extra shards add a fixed per-request cost — more \
+         shard-version reads, one CAS per touched shard instead of one in all, and a \
+         longer validation scan — a few hundred ns at most against multi-µs routes, \
+         so the ratio column sits inside the ±10% acceptance band \
          (on the n = 32 toy instance, ≈ 4 µs/request, the fixed cost and timer noise \
          dominate the ratio; it tightens with size exactly like E14's budget). The \
-         4-thread column shares one CPU: expect ~1x wall time with occasional \
-         conflicts/yields — it demonstrates the protocol stays correct and cheap \
+         4-thread column shares the host's one or two CPUs: expect ~1x wall time with \
+         conflicts and yields — it demonstrates the protocol stays correct and cheap \
          under forced interleaving, not parallel speedup; the linearizability \
          evidence lives in `wdm-conformance`, not here."
     );
@@ -498,7 +516,7 @@ fn e15(quick: bool) -> Vec<String> {
 /// `BENCH_provisioning.json`.
 fn e17(quick: bool) -> Vec<String> {
     use wdm_obs::trace::FlightRecorder;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine};
     println!("\n## E17 — tracing overhead on the masked hot path\n");
     println!("| n | k | detached µs/req | recording µs/req | recording tax |");
     println!("|---|---|---|---|---|");
@@ -530,9 +548,9 @@ fn e17(quick: bool) -> Vec<String> {
                 engine.release(id).expect("active");
             }
         };
-        let mut detached = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut detached = ProvisioningEngine::new(&net);
         let recorder = FlightRecorder::new(1, 1 << 16);
-        let mut recording = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut recording = ProvisioningEngine::new(&net);
         recording.attach_tracer(&recorder);
         // Interleave the two series (same rationale as E14).
         let mut detached_secs = f64::INFINITY;

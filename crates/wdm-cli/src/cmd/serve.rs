@@ -26,7 +26,7 @@ impl Command for Serve {
 
     fn usage(&self) -> &'static str {
         "  wdm serve <file.wdm> --listen <host:port | unix:path>
-      [--policy optimal|lightpath|first-fit] [--mode masked|rebuild]
+      [--policy optimal|lightpath|first-fit]
       [--sharded] [--shards <n>] [--max-conflicts <n>]
       [--max-inflight <n>] [--ready-file <path>]
       [--trace-buffer <records>] [--trace-sample <n>]
@@ -34,8 +34,9 @@ impl Command for Serve {
       stats/trace/drain; one request per line, one reply per line) and
       answers HTTP `GET /metrics` and `GET /trace` on the same
       listener; port 0 picks a free port (printed on stdout and, with
-      --ready-file, published atomically to a file); --sharded runs the
-      lock-free concurrent engine with --shards shards (0 = auto) and a
+      --ready-file, published atomically to a file); requests run one at
+      a time on one engine handle, or with --sharded lock-free on one
+      handle per connection, with --shards shards (0 = auto) and a
       per-request retry budget of --max-conflicts; at most
       --max-inflight requests execute at once, the rest are answered
       `overloaded`; --trace-buffer enables the in-memory flight
@@ -49,7 +50,6 @@ impl Command for Serve {
         let mut path: Option<&String> = None;
         let mut listen: Option<String> = None;
         let mut policy = Policy::Optimal;
-        let mut mode: Option<RoutingMode> = None;
         let mut sharded = false;
         let mut shards = 0usize;
         let mut max_conflicts = 64u64;
@@ -72,13 +72,6 @@ impl Command for Serve {
                         None => {
                             return usage_error(out, "bad --policy (optimal|lightpath|first-fit)")
                         }
-                    }
-                }
-                "--mode" => {
-                    mode = match it.next().map(String::as_str) {
-                        Some("masked") => Some(RoutingMode::Masked),
-                        Some("rebuild") => Some(RoutingMode::RebuildPerRequest),
-                        _ => return usage_error(out, "bad --mode (masked|rebuild)"),
                     }
                 }
                 "--sharded" => sharded = true,
@@ -145,11 +138,6 @@ impl Command for Serve {
         let Some(listen) = listen else {
             return usage_error(out, "serve requires --listen");
         };
-        if sharded && mode.is_some() {
-            // The concurrent engine has no rebuild-per-request reference
-            // mode; refusing beats silently ignoring the flag.
-            return usage_error(out, "--mode applies to the single engine (drop --sharded)");
-        }
         let net = match load(path, out) {
             Ok(n) => n,
             Err(code) => return code,
@@ -157,7 +145,7 @@ impl Command for Serve {
         let backend = if sharded {
             EngineBackend::sharded(&net, shards, max_conflicts, policy)
         } else {
-            EngineBackend::single(&net, mode.unwrap_or(RoutingMode::Masked), policy)
+            EngineBackend::single(&net, RoutingMode::Masked, policy)
         };
         let server = match Server::bind(
             &Listen::parse(&listen),

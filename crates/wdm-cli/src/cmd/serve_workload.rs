@@ -7,7 +7,7 @@ use std::path::Path;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdm_obs::MetricsRegistry;
-use wdm_rwa::{workload, ConnectionId, Policy, ProvisioningEngine, RoutingMode};
+use wdm_rwa::{workload, ConnectionId, Policy, ProvisioningEngine};
 
 use crate::util::{self, parse_policy, usage_error};
 use crate::Command;
@@ -27,7 +27,7 @@ impl Command for ServeWorkload {
     fn usage(&self) -> &'static str {
         "  wdm serve-workload <file.wdm> [--requests <n>] [--load <erlang>]
       [--holding <mean>] [--seed <s>] [--policy optimal|lightpath|first-fit]
-      [--mode masked|rebuild] [--fail-link <id>] [--restore-after <n>]
+      [--fail-link <id>] [--restore-after <n>]
       [--trace <file>]
       [--metrics-out <file>] [--metrics-interval <n>]
       [--trace-out <file>] [--trace-text <file>] [--trace-sample <n>]
@@ -35,8 +35,7 @@ impl Command for ServeWorkload {
       engine; --trace replays a recorded trace file instead (one
       `s t arrival holding` line per request, `#` comments, `inf`
       holding), ignoring --requests/--load/--holding/--seed;
-      --mode rebuild reconstructs the auxiliary graph per request
-      (reference), --fail-link cuts a fibre halfway through the trace
+      --fail-link cuts a fibre halfway through the trace
       (the cut persists until restored), --restore-after n heals that
       fibre again just before request n (must lie past the midpoint
       cut);
@@ -57,7 +56,6 @@ impl Command for ServeWorkload {
         let mut holding = 1.0f64;
         let mut seed = 0u64;
         let mut policy = Policy::Optimal;
-        let mut mode = RoutingMode::Masked;
         let mut fail_link: Option<usize> = None;
         let mut restore_after: Option<usize> = None;
         let mut trace_path: Option<String> = None;
@@ -99,13 +97,6 @@ impl Command for ServeWorkload {
                         None => {
                             return usage_error(out, "bad --policy (optimal|lightpath|first-fit)")
                         }
-                    }
-                }
-                "--mode" => {
-                    mode = match it.next().map(String::as_str) {
-                        Some("masked") => RoutingMode::Masked,
-                        Some("rebuild") => RoutingMode::RebuildPerRequest,
-                        _ => return usage_error(out, "bad --mode (masked|rebuild)"),
                     }
                 }
                 "--fail-link" => {
@@ -234,7 +225,7 @@ impl Command for ServeWorkload {
             return usage_error(out, "--trace-sample requires --trace-out or --trace-text");
         }
         let requests = trace.len();
-        let mut engine = ProvisioningEngine::with_mode(&net, mode);
+        let mut engine = ProvisioningEngine::new(&net);
         let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
         if let Some(registry) = &registry {
             engine.attach_metrics(registry);
@@ -362,14 +353,6 @@ impl Command for ServeWorkload {
             ),
         };
         let _ = writeln!(out, "policy     : {policy}");
-        let _ = writeln!(
-            out,
-            "mode       : {}",
-            match mode {
-                RoutingMode::Masked => "masked (persistent auxiliary graph)",
-                RoutingMode::RebuildPerRequest => "rebuild-per-request (reference)",
-            }
-        );
         if let (Some(e), Some(cut)) = (fail_link, cut_at) {
             let _ = writeln!(
                 out,

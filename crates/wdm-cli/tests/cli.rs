@@ -207,7 +207,7 @@ fn all_pairs_parallel_flags() {
 }
 
 #[test]
-fn serve_workload_masked_matches_rebuild() {
+fn serve_workload_reruns_byte_identical() {
     let dir = std::env::temp_dir().join("wdm-cli-test-serve");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let file = dir.join("sw.wdm");
@@ -225,14 +225,22 @@ fn serve_workload_masked_matches_rebuild() {
     ]);
     assert_eq!(code, 0);
 
-    // The masked hot path and the rebuild-per-request reference must
+    // A seeded trace is a pure function of its arguments: two runs
     // report byte-identical statistics (only the timing line may
-    // differ).
+    // differ), for every policy, with a cut, and with a cut and heal.
     let strip_timing = |s: &str| -> String {
         s.lines()
-            .filter(|l| !l.starts_with("elapsed") && !l.starts_with("mode"))
+            .filter(|l| !l.starts_with("elapsed"))
             .collect::<Vec<_>>()
             .join("\n")
+    };
+    let twice = |args: &[&str]| -> String {
+        let (code, first) = run_args(args);
+        assert_eq!(code, 0, "{first}");
+        let (code, second) = run_args(args);
+        assert_eq!(code, 0, "{second}");
+        assert_eq!(strip_timing(&first), strip_timing(&second), "{args:?}");
+        first
     };
     let common = [
         "serve-workload",
@@ -245,42 +253,27 @@ fn serve_workload_masked_matches_rebuild() {
         "11",
     ];
     for policy in ["optimal", "lightpath", "first-fit"] {
-        let mut masked = common.to_vec();
-        masked.extend(["--policy", policy]);
-        let mut rebuild = masked.clone();
-        rebuild.extend(["--mode", "rebuild"]);
-        let (code, out_m) = run_args(&masked);
-        assert_eq!(code, 0, "{out_m}");
-        assert!(out_m.contains("masked (persistent auxiliary graph)"));
-        let (code, out_r) = run_args(&rebuild);
-        assert_eq!(code, 0, "{out_r}");
-        assert!(out_r.contains("rebuild-per-request"));
-        assert_eq!(strip_timing(&out_m), strip_timing(&out_r), "{policy}");
+        let mut args = common.to_vec();
+        args.extend(["--policy", policy]);
+        let out = twice(&args);
+        assert!(
+            !out.contains("mode"),
+            "the engine has one routing mode: {out}"
+        );
     }
 
-    // Fibre cut halfway through the trace, still mode-agnostic.
+    // Fibre cut halfway through the trace.
     let mut cut = common.to_vec();
     cut.extend(["--fail-link", "0"]);
-    let (code, out_m) = run_args(&cut);
-    assert_eq!(code, 0, "{out_m}");
-    assert!(out_m.contains("fibre cut  : link 0 after request 30"));
-    cut.extend(["--mode", "rebuild"]);
-    let (code, out_r) = run_args(&cut);
-    assert_eq!(code, 0, "{out_r}");
-    assert_eq!(strip_timing(&out_m), strip_timing(&out_r));
+    let out = twice(&cut);
+    assert!(out.contains("fibre cut  : link 0 after request 30"));
 
-    // Cut then heal: the restore is an exact involution, so both modes
-    // still agree and the heal reports the cleared cut.
+    // Cut then heal: the heal reports the cleared cut.
     let mut heal = common.to_vec();
     heal.extend(["--fail-link", "0", "--restore-after", "45"]);
-    let (code, out_m) = run_args(&heal);
-    assert_eq!(code, 0, "{out_m}");
-    assert!(out_m.contains("fibre cut  : link 0 after request 30"));
-    assert!(out_m.contains("fibre heal : link 0 after request 45 (cut cleared: true)"));
-    heal.extend(["--mode", "rebuild"]);
-    let (code, out_r) = run_args(&heal);
-    assert_eq!(code, 0, "{out_r}");
-    assert_eq!(strip_timing(&out_m), strip_timing(&out_r));
+    let out = twice(&heal);
+    assert!(out.contains("fibre cut  : link 0 after request 30"));
+    assert!(out.contains("fibre heal : link 0 after request 45 (cut cleared: true)"));
     std::fs::remove_file(&file).ok();
 }
 
@@ -741,15 +734,14 @@ fn serve_usage_errors() {
             "127.0.0.1:0",
             "--bogus",
         ],
-        // The concurrent engine has no rebuild reference mode.
+        // The engine has one routing mode; --mode is gone.
         vec![
             "serve",
             file_s.as_str(),
             "--listen",
             "127.0.0.1:0",
-            "--sharded",
             "--mode",
-            "rebuild",
+            "masked",
         ],
     ] {
         let (code, out) = run_args(&bad);

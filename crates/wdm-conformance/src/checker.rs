@@ -4,13 +4,12 @@
 //! serial order of its operations that (a) respects real time — an
 //! operation whose response preceded another's invocation stays before
 //! it — and (b) reproduces every observed response *exactly* when
-//! replayed through a fresh single-threaded
-//! [`ProvisioningEngine`](wdm_rwa::ProvisioningEngine): accept/block
-//! verdicts, hop-for-hop paths, blocked-cause counts, and fibre-cut
-//! restoration outcomes.
+//! replayed through a fresh [`SpecEngine`]: accept/block verdicts,
+//! hop-for-hop paths, blocked-cause counts, and fibre-cut restoration
+//! outcomes.
 //!
-//! Exact matching is sound here because both engines run the same
-//! deterministic router: the concurrent engine only commits a path
+//! Exact matching is sound here because engine and spec run the same
+//! deterministic wavelength scan: the concurrent engine only commits a path
 //! after validating that *every* shard version is unchanged since its
 //! route, so its commit order is itself a serial execution the
 //! reference reproduces bit-for-bit. The checker merely has to find
@@ -25,20 +24,15 @@
 //! id mapping through and compares operations structurally.
 
 use crate::history::{History, OpKind, OpRecord, OpResponse};
+use crate::spec::SpecEngine;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use wdm_core::WdmNetwork;
-use wdm_rwa::{BlockCause, ConnectionId, ProvisioningEngine, RoutingMode, RwaError};
+use wdm_rwa::{BlockCause, ConnectionId, RwaError};
 
 /// Checker tuning.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Reference engine mode. [`RoutingMode::RebuildPerRequest`] replays
-    /// every candidate step through the from-scratch Theorem-1
-    /// construction (maximal independence, slower);
-    /// [`RoutingMode::Masked`] is bit-identical (the conformance suite
-    /// of `wdm-rwa` holds the two equal) and fast enough for soak runs.
-    pub mode: RoutingMode,
     /// Abort after this many replay attempts (guards pathological
     /// histories; aborts are reported, never silently passed).
     pub max_replays: u64,
@@ -47,7 +41,6 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            mode: RoutingMode::RebuildPerRequest,
             max_replays: 2_000_000,
         }
     }
@@ -100,7 +93,7 @@ pub fn check_history(net: &WdmNetwork, history: &History, cfg: &CheckConfig) -> 
         best_prefix: 0,
         witness: Vec::with_capacity(n),
     };
-    let engine = ProvisioningEngine::with_mode(net, cfg.mode);
+    let engine = SpecEngine::new(net);
     let mut done = vec![false; n];
     match search.dfs(&engine, &mut done, 0, &HashMap::new()) {
         Outcome::Found => Verdict::Linearizable {
@@ -135,7 +128,7 @@ struct Search<'a> {
 impl<'a> Search<'a> {
     fn dfs(
         &mut self,
-        engine: &ProvisioningEngine,
+        engine: &SpecEngine,
         done: &mut Vec<bool>,
         done_count: usize,
         idmap: &HashMap<ConnectionId, ConnectionId>,
@@ -207,7 +200,7 @@ fn done_words(done: &[bool]) -> Vec<u64> {
 /// steer routing). Omitting the failed set would be unsound: the same
 /// active paths with different links cut route — and block — very
 /// differently.
-fn fingerprint(engine: &ProvisioningEngine, idmap: &HashMap<ConnectionId, ConnectionId>) -> u64 {
+fn fingerprint(engine: &SpecEngine, idmap: &HashMap<ConnectionId, ConnectionId>) -> u64 {
     let mut entries: Vec<(ConnectionId, Vec<(usize, usize)>)> = idmap
         .iter()
         .filter_map(|(&conc, &serial)| {
@@ -229,10 +222,10 @@ fn fingerprint(engine: &ProvisioningEngine, idmap: &HashMap<ConnectionId, Connec
     hasher.finish()
 }
 
-/// Replays one record on the reference engine; `true` iff the reference
+/// Replays one record on the spec; `true` iff the reference
 /// reproduces the observed response exactly.
 fn replay(
-    engine: &mut ProvisioningEngine,
+    engine: &mut SpecEngine,
     idmap: &mut HashMap<ConnectionId, ConnectionId>,
     rec: &OpRecord,
 ) -> bool {
@@ -305,7 +298,7 @@ fn replay(
     }
 }
 
-/// Whether the reference's blocked-cause counters moved by exactly the
+/// Whether the spec's blocked-cause counters moved by exactly the
 /// observed causes.
 fn cause_delta_matches(before: (u64, u64), after: (u64, u64), observed: &[BlockCause]) -> bool {
     let want_no_path = observed

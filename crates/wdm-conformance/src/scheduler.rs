@@ -149,7 +149,7 @@ pub fn run_workload(net: &WdmNetwork, cfg: &WorkloadConfig) -> History {
                 } else if !pool.is_empty() && rng.gen_bool(cfg.release_bias) {
                     let id = pool.swap_remove(rng.gen_range(0..pool.len()));
                     let op = OpKind::Release { id };
-                    th.slot = Slot::Release(ReleaseTxn::new(id), op, invoked_at);
+                    th.slot = Slot::Release(ReleaseTxn::new(&engine, id), op, invoked_at);
                 } else {
                     let &(s, t) = &pairs[rng.gen_range(0..pairs.len())];
                     let op = OpKind::Provision {
@@ -166,7 +166,12 @@ pub fn run_workload(net: &WdmNetwork, cfg: &WorkloadConfig) -> History {
             Slot::Provision(txn, op, invoked_at) => match txn.step(&engine, &mut th.scratch) {
                 Step::Done(outcome) => {
                     let response = match outcome {
-                        ProvisionOutcome::Accepted { id, path } => {
+                        ProvisionOutcome::Accepted { id, .. } => {
+                            // No other step ran since the commit, so the
+                            // connection is still active on its route.
+                            let Some(path) = engine.path_of(id) else {
+                                unreachable!("a just-committed connection is active")
+                            };
                             pool.push(id);
                             OpResponse::Provisioned { id, path }
                         }

@@ -1,5 +1,5 @@
 //! The conformance gate: concurrent histories must linearize against
-//! the rebuild-per-request reference engine, and the checker must catch
+//! the rebuild-per-request reference spec, and the checker must catch
 //! a deliberately injected race.
 //!
 //! All randomized cases run from fixed seeds; set `WDM_TEST_SEED` to
@@ -9,7 +9,7 @@
 use wdm_conformance::{check_history, run_workload, CheckConfig, Verdict, WorkloadConfig};
 use wdm_core::{ConversionPolicy, Cost, WdmNetwork};
 use wdm_graph::DiGraph;
-use wdm_rwa::{Policy, RaceInjection, RoutingMode};
+use wdm_rwa::{Policy, RaceInjection};
 
 /// A 5-node diamond-with-tail: alternate routes 0→4 exist, so requests
 /// contend without instantly exhausting the network.
@@ -200,15 +200,13 @@ fn injected_race_double_books_the_resource() {
     );
 }
 
-/// Soak variant of the gate: larger workloads, masked reference mode
-/// (bit-identical to rebuild, far faster), more seeds. Run with
+/// Soak variant of the gate: larger workloads, more seeds. Run with
 /// `cargo test -- --include-ignored` (CI schedules it via `WDM_SOAK=1`).
 #[test]
 #[ignore = "soak: run with --include-ignored or WDM_SOAK=1"]
 fn soak_large_mixed_workloads_linearize() {
     let net = diamond();
     let check = CheckConfig {
-        mode: RoutingMode::Masked,
         max_replays: 20_000_000,
     };
     for seed in seeds(&[101, 102, 103, 104, 105, 106, 107, 108, 109, 110]) {

@@ -1,15 +1,21 @@
-//! The sharded concurrent provisioning engine: optimistic provisioning
-//! over one shared [`ResidualState`], serialized per wavelength class by
-//! seqlock version counters.
+//! The provisioning engine: optimistic transactions over one shared
+//! [`ResidualState`], serialized per wavelength class by seqlock version
+//! counters.
 //!
 //! wdm-lint: protocol: seqlock
 //!
+//! This module is the only implementation of provision, release,
+//! fail_link, restore_link and set_converter, of blocked-cause
+//! classification and its memo, of the failed-link set, and of the
+//! engine's metrics and tracing. The `&mut self`
+//! [`ProvisioningEngine`](crate::ProvisioningEngine) is a thin wrapper
+//! that owns one [`ConcurrentHandle`] over a private one-shard engine.
+//!
 //! # Design
 //!
-//! The single-threaded [`ProvisioningEngine`](crate::ProvisioningEngine)
-//! owns its residual structure outright; this engine instead shares one
-//! [`ResidualState`] (whose busy masks are atomic words) among any number
-//! of threads and layers a **sharded seqlock** on top:
+//! Any number of threads share one [`ResidualState`] (whose busy masks
+//! are atomic words) through their own handles, and a **sharded
+//! seqlock** orders their commits:
 //!
 //! * wavelengths are partitioned into `S` shards (`shard = λ mod S`),
 //!   each guarded by one version counter (`AtomicU64`, odd = writer in
@@ -19,7 +25,7 @@
 //!   `v → v + 1`, ascending shard order) and *validates* that every
 //!   untouched shard still holds its original version. Success proves
 //!   the mask the route saw was a consistent global snapshot and is
-//!   still current, so the path is exactly what the sequential engine
+//!   still current, so the path is exactly what a serial execution
 //!   would have picked at that instant; the bits are flipped and the
 //!   claimed shards published at `v + 2`. Any version mismatch —
 //!   somebody committed or is mid-commit — rolls back the claims,
@@ -29,14 +35,16 @@
 //!   provably existed at the validation instant;
 //! * a **release** only claims the shards of the connection it owns (no
 //!   global validation — freeing owned bits commutes with everything
-//!   that cannot see them), and a **fibre cut** claims *all* shards for
-//!   its teardown–restore transaction.
+//!   that cannot see them), and a **fibre cut** or **repair** claims
+//!   *all* shards for its transaction.
 //!
 //! Because both accepted and blocked commits validate *every* shard,
 //! commits are globally serialized at their validation instants — the
 //! linearization witness — while routing (the expensive part) runs fully
 //! in parallel and releases interleave freely. Connection ids are
-//! allocated at commit time, so id order equals commit order.
+//! allocated at commit time, so id order equals commit order. A single
+//! handle never conflicts, so one uncontended caller pays only the
+//! version reads, one CAS per touched shard and the validation scan.
 //!
 //! The memory-ordering protocol (acquire version reads, the
 //! [`fence_acquire`] between racy mask loads and validation, acq-rel
@@ -46,43 +54,68 @@
 //! # Stepped execution
 //!
 //! Every operation is a state machine ([`ProvisionTxn`], [`ReleaseTxn`],
-//! [`FailLinkTxn`]) advanced by `step()` calls; the blocking methods on
-//! [`ConcurrentHandle`] just drive the machine to completion. The
-//! `wdm-conformance` harness instead interleaves many machines from one
-//! real thread under a seeded scheduler, which is what makes concurrent
-//! histories replayable: no step ever holds an OS lock or spins
-//! internally — contention is reported as [`Step::Contended`] and
-//! retried on the next step.
+//! [`FailLinkTxn`], [`RestoreLinkTxn`]) advanced by `step()` calls; the
+//! blocking methods on [`ConcurrentHandle`] are the one set of retry
+//! drivers that run a machine to completion. The `wdm-conformance`
+//! harness instead interleaves many machines from one real thread under
+//! a seeded scheduler, which is what makes concurrent histories
+//! replayable: no step ever holds an OS lock across steps or spins —
+//! contention is reported as [`Step::Contended`] and retried on the
+//! next step.
 //!
-//! On a blocked verdict the engine classifies the cause exactly like the
-//! single-threaded engine, memoized in an **epoch/snapshot** map: the
-//! epoch advances whenever the failed-link set changes (a fibre is cut
-//! by [`FailLinkTxn`] or repaired by [`RestoreLinkTxn`]), entries are
-//! tagged with the epoch they were probed under, and readers clone an
-//! `Arc` snapshot of the map so the hot path never holds the map lock
-//! across a probe.
+//! # Blocked causes
+//!
+//! A blocked request is topology-blocked (`no_path`) when the pair
+//! cannot be routed even with every resource free under the policy's
+//! capabilities — on the free network *minus the currently failed
+//! links* — and occupancy-blocked (`capacity`) otherwise. Verdicts are
+//! memoized per `(s, t, conversion-capable)` and tagged with an
+//! **epoch** that advances whenever the failed-link set or the
+//! conversion layout changes, so a verdict probed under one regime is
+//! never trusted under another.
 
-use crate::metrics::BlockCause;
+use crate::metrics::{BlockCause, EngineMetrics};
 use crate::policy::Policy;
 use crate::{ConnectionId, RwaError};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 use wdm_core::{
-    AcquireOutcome, ResidualState, SearchScratch, Semilightpath, Wavelength, WdmNetwork,
+    AcquireOutcome, ConversionPolicy, Cost, ResidualState, SearchScratch, Semilightpath,
+    Wavelength, WdmNetwork,
 };
 use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::{fence_acquire, ACQUIRE, ACQ_REL, RELAXED, RELEASE};
 use wdm_obs::trace::{FlightRecorder, RootVerdict, TraceEventKind, TraceId, TraceWriter};
+use wdm_obs::MetricsRegistry;
 
 /// Locks a mutex, recovering the data from a poisoned lock. Every
-/// guarded section in this module performs a single map operation (an
-/// insert, remove, or clone-out), so a panic mid-section cannot leave
-/// partial state behind and the data stays usable.
+/// guarded section in this module performs a single map or set
+/// operation (or a read-only probe), so a panic mid-section cannot
+/// leave partial state behind and the data stays usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Nanoseconds since `t0`, saturating at `u64::MAX`.
+fn ns_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A collection size as a gauge value, saturating at `i64::MAX`.
+fn gauge_len(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
+}
+
+/// The trace code of a blocked cause (`Blocked` instant, `a` field).
+fn cause_code(cause: BlockCause) -> u64 {
+    match cause {
+        BlockCause::NoPath => 0,
+        BlockCause::Capacity => 1,
     }
 }
 
@@ -143,24 +176,28 @@ struct Shared {
     released: AtomicU64,
     /// Optimistic commits that failed validation and retried.
     conflicts: AtomicU64,
-    /// Advances every time the failed-link set changes; tags memo
-    /// entries so verdicts probed under another regime are re-probed.
+    /// Advances every time the failed-link set or the conversion layout
+    /// changes; tags memo entries so verdicts probed under another
+    /// regime are re-probed.
     memo_epoch: AtomicU64,
     /// Links currently cut and not yet repaired, kept sorted. Mutated
     /// only by [`FailLinkTxn`] / [`RestoreLinkTxn`] while they hold
-    /// every shard; read by blocked-cause classification (which locks
-    /// only long enough to copy the set out).
+    /// every shard; read by blocked-cause classification for the
+    /// duration of one probe.
     failed: Mutex<Vec<LinkId>>,
-    /// Blocked-cause memo behind a snapshot pointer: readers briefly
-    /// lock, clone the `Arc`, and probe against the immutable snapshot.
-    memo: Mutex<Arc<HashMap<MemoKey, MemoEntry>>>,
+    /// The blocked-cause memo. Locked only to copy one entry out or put
+    /// one in, never across a probe.
+    memo: Mutex<HashMap<MemoKey, MemoEntry>>,
     /// Base (link, λ) resource count, for utilization.
     total_resources: usize,
     race: RaceInjection,
     /// The flight recorder, once attached. Write-once so transactions
     /// can read it with a single lock-free load; unset engines pay one
-    /// branch per transaction, same discipline as detached metrics.
+    /// branch per transaction.
     tracer: OnceLock<Arc<FlightRecorder>>,
+    /// The metric instruments, once attached; same write-once,
+    /// one-branch discipline as `tracer`.
+    metrics: OnceLock<EngineMetrics>,
 }
 
 impl Shared {
@@ -168,22 +205,27 @@ impl Shared {
         lambda.index() % self.shards.len()
     }
 
-    /// Sorted, deduplicated shard indices touched by `path`.
-    fn touched_shards(&self, path: &Semilightpath) -> Vec<usize> {
-        let mut touched: Vec<usize> = path
-            .hops()
-            .iter()
-            .map(|h| self.shard_of(h.wavelength))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched
+    /// The sorted, deduplicated shard indices `path` touches, written
+    /// into `out`'s reused capacity (never more than one slot per
+    /// shard).
+    fn touched_shards(&self, path: &Semilightpath, mut out: Vec<usize>) -> Vec<usize> {
+        out.clear();
+        for hop in path.hops() {
+            let sh = self.shard_of(hop.wavelength);
+            if !out.contains(&sh) {
+                out.push(sh);
+            }
+        }
+        out.sort_unstable();
+        out
     }
 
     /// Classifies a blocked request against the free network (minus the
-    /// currently failed links), through the epoch-tagged snapshot memo.
+    /// currently failed links), through the epoch-tagged memo. The
+    /// probe's search work is discarded so it never pollutes request
+    /// metering.
     ///
-    /// The epoch is read *before* the failed set is copied out: a
+    /// The epoch is read *before* the failed set is consulted: a
     /// concurrent cut/repair between the two bumps the epoch, so the
     /// entry this probe writes is already stale and will be re-probed —
     /// a harmless extra probe, never a wrong cached verdict.
@@ -195,35 +237,35 @@ impl Shared {
         policy: Policy,
     ) -> BlockCause {
         if s == t {
-            // The engine rejects s == t; capacity is irrelevant.
+            // The engine rejects s == t (an empty path carries nothing);
+            // no amount of capacity changes that.
             return BlockCause::NoPath;
         }
+        // LightpathOnly and FirstFit both route on a single wavelength
+        // end-to-end, so they share one memo class.
         let converts = matches!(policy, Policy::Optimal);
         let epoch = self.memo_epoch.load(ACQUIRE);
         let key = (s, t, converts);
-        let snapshot = Arc::clone(&lock(&self.memo));
-        let reachable = match snapshot.get(&key) {
-            Some(&(e, hit)) if e == epoch => hit,
+        let cached = lock(&self.memo).get(&key).copied();
+        let reachable = match cached {
+            Some((e, hit)) if e == epoch => hit,
             _ => {
-                let failed = lock(&self.failed).clone();
-                let probed = match (converts, failed.is_empty()) {
-                    (true, true) => self.state.reachable_when_free(scratch, s, t),
-                    (true, false) => self
-                        .state
-                        .reachable_when_free_excluding(scratch, s, t, &failed),
-                    (false, true) => self
-                        .state
-                        .reachable_when_free_single_wavelength(scratch, s, t),
-                    (false, false) => self
-                        .state
-                        .reachable_when_free_single_wavelength_excluding(scratch, s, t, &failed),
+                let probed = {
+                    let failed = lock(&self.failed);
+                    let state = &self.state;
+                    match (converts, failed.is_empty()) {
+                        (true, true) => state.reachable_when_free(scratch, s, t),
+                        (true, false) => {
+                            state.reachable_when_free_excluding(scratch, s, t, &failed)
+                        }
+                        (false, true) => state.reachable_when_free_single_wavelength(scratch, s, t),
+                        (false, false) => state.reachable_when_free_single_wavelength_excluding(
+                            scratch, s, t, &failed,
+                        ),
+                    }
                 };
                 let _ = scratch.take_search_totals();
-                let mut guard = lock(&self.memo);
-                // Clone-on-write: concurrent readers keep their snapshot.
-                let mut next: HashMap<MemoKey, MemoEntry> = (**guard).clone();
-                next.insert(key, (epoch, probed));
-                *guard = Arc::new(next);
+                lock(&self.memo).insert(key, (epoch, probed));
                 probed
             }
         };
@@ -234,12 +276,144 @@ impl Shared {
         }
     }
 
-    fn note_blocked(&self, cause: BlockCause) {
+    /// `Some(now)` when metrics are attached: the start stamp of a
+    /// metered operation.
+    fn started(&self) -> Option<Instant> {
+        self.metrics.get().map(|_| Instant::now())
+    }
+
+    /// The trace of a new operation, recorded under `wire` or a fresh
+    /// id; `None` when no recorder is attached.
+    fn start_trace(&self, wire: Option<TraceId>) -> Option<TxnTrace> {
+        self.tracer.get().map(|rec| {
+            let writer = rec.writer();
+            let id = wire.unwrap_or_else(|| rec.next_trace_id());
+            let start_ns = writer.now_ns();
+            TxnTrace {
+                writer,
+                id,
+                start_ns,
+            }
+        })
+    }
+
+    /// Drains the search work `scratch` did since the last drain into
+    /// the search counters (when attached).
+    fn flush_search(&self, scratch: &mut SearchScratch) {
+        let search = scratch.take_search_totals();
+        if let Some(m) = self.metrics.get() {
+            m.flush_search(&search);
+        }
+    }
+
+    /// Accounts one accepted request (restorations included); `active`
+    /// is the active-connection count right after the insert.
+    fn note_accepted(&self, active: usize, started: Option<Instant>) {
+        self.accepted.fetch_add(1, RELAXED);
+        if let Some(m) = self.metrics.get() {
+            m.requests.inc();
+            m.accepted.inc();
+            m.active.set(gauge_len(active));
+            if let Some(t0) = started {
+                m.provision_latency.observe(ns_since(t0));
+            }
+        }
+    }
+
+    /// Accounts one blocked request (restorations included): totals,
+    /// the cause split and, when attached, the request series.
+    fn note_blocked(&self, cause: BlockCause, started: Option<Instant>) {
         self.blocked.fetch_add(1, RELAXED);
         match cause {
             BlockCause::NoPath => self.blocked_no_path.fetch_add(1, RELAXED),
             BlockCause::Capacity => self.blocked_capacity.fetch_add(1, RELAXED),
         };
+        if let Some(m) = self.metrics.get() {
+            m.requests.inc();
+            m.record_blocked(cause);
+            if let Some(t0) = started {
+                m.provision_latency.observe(ns_since(t0));
+            }
+        }
+    }
+
+    /// Accounts one released connection (fibre-cut teardowns included);
+    /// `active` is the active-connection count right after the removal.
+    fn note_released(&self, active: usize, started: Option<Instant>) {
+        self.released.fetch_add(1, RELAXED);
+        if let Some(m) = self.metrics.get() {
+            m.released.inc();
+            m.active.set(gauge_len(active));
+            if let Some(t0) = started {
+                m.release_latency.observe(ns_since(t0));
+            }
+        }
+    }
+
+    /// Marks `(link, λ)` busy and accounts the flip when it takes
+    /// effect (metrics, and a `MaskFlip` instant under `trace`).
+    fn acquire(
+        &self,
+        link: LinkId,
+        lambda: Wavelength,
+        trace: Option<&TxnTrace>,
+    ) -> AcquireOutcome {
+        let got = self.state.try_acquire_shared(link, lambda);
+        if got == AcquireOutcome::Acquired {
+            self.note_flip(link, lambda, 1, trace);
+        }
+        got
+    }
+
+    /// Frees an owned `(link, λ)` and accounts the flip; `false` when
+    /// the base does not carry the resource (nothing changed).
+    fn free(&self, link: LinkId, lambda: Wavelength, trace: Option<&TxnTrace>) -> bool {
+        let freed = self.state.release_shared(link, lambda);
+        if freed {
+            self.note_flip(link, lambda, -1, trace);
+        }
+        freed
+    }
+
+    /// Accounts one effective busy-bit transition (`delta` = +1 busy,
+    /// −1 free) in the flip counter and occupancy gauges, and records it
+    /// as a `MaskFlip` instant.
+    fn note_flip(&self, link: LinkId, lambda: Wavelength, delta: i64, trace: Option<&TxnTrace>) {
+        if let Some(m) = self.metrics.get() {
+            m.mask_flips.inc();
+            m.occupied.add(delta);
+            m.link_occupancy[link.index()].add(delta);
+        }
+        if let Some(tr) = trace {
+            tr.instant(
+                TraceEventKind::MaskFlip,
+                link.index() as u64,
+                lambda.index() as u64,
+            );
+        }
+    }
+}
+
+/// The trace one traced operation carries: its writer, its id, and when
+/// the operation started.
+#[derive(Debug)]
+struct TxnTrace {
+    writer: TraceWriter,
+    id: TraceId,
+    start_ns: u64,
+}
+
+impl TxnTrace {
+    fn instant(&self, kind: TraceEventKind, a: u64, b: u64) {
+        self.writer.instant(self.id, kind, a, b);
+    }
+
+    /// Emits the operation's root span and feeds the tail sampler.
+    fn finish(&self, kind: TraceEventKind, verdict: RootVerdict, a: u64, b: u64) {
+        let dur = self
+            .writer
+            .span(self.id, kind, self.start_ns, verdict.code(), a, b);
+        self.writer.recorder().note_root(self.id, dur, verdict);
     }
 }
 
@@ -258,18 +432,22 @@ pub enum Step<T> {
 /// How one provision request concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProvisionOutcome {
-    /// The request was accepted: the connection is active on `path`.
+    /// The request was accepted: the connection is active on the
+    /// committed route (retrievable via [`ConcurrentEngine::path_of`]
+    /// while active), summarized here.
     Accepted {
         /// Handle for releasing the connection.
         id: ConnectionId,
-        /// The committed route (also retrievable via
-        /// [`ConcurrentEngine::path_of`] while active).
-        path: Semilightpath,
+        /// Hops on the committed route.
+        hops: usize,
+        /// Wavelength conversions on the committed route.
+        conversions: usize,
+        /// The committed route's cost.
+        cost: Cost,
     },
     /// The request was blocked, with its cause classification.
     Blocked {
-        /// Topology- vs capacity-blocked, per the same rules as
-        /// [`ProvisioningEngine::blocked_by_cause`](crate::ProvisioningEngine::blocked_by_cause).
+        /// Topology- vs capacity-blocked; see the module docs.
         cause: BlockCause,
     },
 }
@@ -286,8 +464,8 @@ pub struct RestorationOutcome {
     pub cause: Option<BlockCause>,
 }
 
-/// The sharded concurrent provisioning engine. Cheaply cloneable; all
-/// clones share the same state. Each thread works through its own
+/// The sharded provisioning engine. Cheaply cloneable; all clones share
+/// the same state. Each thread works through its own
 /// [`ConcurrentHandle`] (see [`ConcurrentEngine::handle`]).
 #[derive(Debug, Clone)]
 pub struct ConcurrentEngine {
@@ -333,20 +511,27 @@ impl ConcurrentEngine {
                 conflicts: AtomicU64::new(0),
                 memo_epoch: AtomicU64::new(0),
                 failed: Mutex::new(Vec::new()),
-                memo: Mutex::new(Arc::new(HashMap::new())),
+                memo: Mutex::new(HashMap::new()),
                 total_resources,
                 race,
                 tracer: OnceLock::new(),
+                metrics: OnceLock::new(),
             }),
         }
     }
 
-    /// Attaches a flight recorder: every provision transaction from now
-    /// on records a per-request trace — the routing query as a span,
-    /// one instant per shard claim, the validation verdict, every
-    /// conflict retry, and a root span carrying the outcome. This is
-    /// what makes seqlock conflict churn visible *per request* instead
-    /// of only as the aggregate [`conflicts`](Self::conflicts) counter.
+    /// Attaches a flight recorder: every operation from now on records a
+    /// per-request trace under a [`TraceId`] that is either supplied by
+    /// the caller (the daemon threads wire `trace_id`s through
+    /// [`ConcurrentHandle::provision_outcome`] and
+    /// [`ConcurrentHandle::release_traced`]) or allocated from the
+    /// recorder. A provision records the routing query as a span, one
+    /// instant per shard claim, the validation verdict, every conflict
+    /// retry, one instant per mask flip, the blocked cause, and a root
+    /// span carrying the outcome; releases, fibre cuts and repairs
+    /// record their flips under a root span of their own. This is what
+    /// makes seqlock conflict churn visible *per request* instead of
+    /// only as the aggregate [`conflicts`](Self::conflicts) counter.
     ///
     /// Write-once: the first recorder wins and later calls are ignored
     /// (transactions read the cell lock-free mid-flight, so swapping
@@ -361,12 +546,46 @@ impl ConcurrentEngine {
         self.shared.tracer.get()
     }
 
+    /// Attaches a metrics registry: from now on every operation reports
+    /// into `registry`'s shared instruments (see the crate docs for the
+    /// series and their invariants). Gauges are seeded from the current
+    /// state (exact at quiescence), so attaching mid-run is coherent.
+    /// Write-once, like [`attach_tracer`](Self::attach_tracer): the
+    /// first registry wins. Detached engines pay one branch per
+    /// operation; attached ones a few relaxed atomics.
+    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
+        let shared = &self.shared;
+        if shared.metrics.get().is_some() {
+            return;
+        }
+        let m = EngineMetrics::resolve(registry, shared.base.link_count());
+        m.active.set(gauge_len(self.active_count()));
+        let mut occupied = 0i64;
+        for (e, _) in shared.base.graph().links() {
+            let busy = shared
+                .base
+                .wavelengths_on(e)
+                .iter()
+                .filter(|&(w, _)| shared.state.is_busy(e, w))
+                .count();
+            m.link_occupancy[e.index()].set(gauge_len(busy));
+            occupied += gauge_len(busy);
+        }
+        m.occupied.set(occupied);
+        let _ = shared.metrics.set(m);
+    }
+
     /// A per-thread handle bundling this engine with its own search
-    /// scratch.
+    /// scratch and transaction buffers.
     pub fn handle(&self) -> ConcurrentHandle {
+        let shards = self.num_shards();
         ConcurrentHandle {
             engine: self.clone(),
             scratch: self.handle_scratch(),
+            bufs: TxnBuffers {
+                versions: Vec::with_capacity(shards),
+                touched: Vec::with_capacity(shards),
+            },
         }
     }
 
@@ -383,7 +602,7 @@ impl ConcurrentEngine {
         self.shared.state.busy_count()
     }
 
-    /// The base network the engine was created from.
+    /// The base network the engine routes on.
     pub fn base(&self) -> &WdmNetwork {
         &self.shared.base
     }
@@ -393,7 +612,9 @@ impl ConcurrentEngine {
         self.shared.shards.len()
     }
 
-    /// Totals so far: `(accepted, blocked, released)`.
+    /// Totals so far: `(accepted, blocked, released)`. Fibre-cut
+    /// restorations count as accepted or blocked requests and cut
+    /// teardowns as releases.
     pub fn totals(&self) -> (u64, u64, u64) {
         (
             self.shared.accepted.load(RELAXED),
@@ -402,8 +623,9 @@ impl ConcurrentEngine {
         )
     }
 
-    /// Blocked totals split by cause: `(no_path, capacity)`; same
-    /// semantics as the single-threaded engine's split.
+    /// Blocked totals split by cause: `(no_path, capacity)`. The two
+    /// always sum to the blocked total; see the module docs for the
+    /// classification.
     pub fn blocked_by_cause(&self) -> (u64, u64) {
         (
             self.shared.blocked_no_path.load(RELAXED),
@@ -428,7 +650,13 @@ impl ConcurrentEngine {
         lock(&self.shared.active).get(&id).map(|c| c.path.clone())
     }
 
-    /// Fraction of base (link, wavelength) resources currently busy.
+    /// Ids of the active connections, in unspecified order (copied out).
+    pub fn active_connections(&self) -> Vec<ConnectionId> {
+        lock(&self.shared.active).keys().copied().collect()
+    }
+
+    /// Fraction of base (link, wavelength) resources currently busy,
+    /// cut markers included.
     pub fn utilization(&self) -> f64 {
         if self.shared.total_resources == 0 {
             0.0
@@ -455,14 +683,43 @@ impl ConcurrentEngine {
     }
 }
 
-/// A per-thread handle: the engine plus this thread's [`SearchScratch`].
-/// The blocking methods drive the transaction state machines to
-/// completion, yielding on contention (the host has few cores; a
-/// spinning waiter on the holder's core is pure waste).
+/// Scratch vectors a provision or release fills per request: shard
+/// versions and the shard set its path touches. A handle keeps one set
+/// and lends it to every transaction it drives, so steady-state
+/// requests allocate nothing here.
+#[derive(Debug, Default)]
+struct TxnBuffers {
+    /// Per shard: the version read before routing (provision) or the
+    /// even version a claim advanced from (release).
+    versions: Vec<u64>,
+    /// Sorted, deduplicated shards the path touches.
+    touched: Vec<usize>,
+}
+
+impl TxnBuffers {
+    /// Both buffers emptied, `versions` sized for `shards` shards.
+    fn reset(self, shards: usize) -> (Vec<u64>, Vec<usize>) {
+        let TxnBuffers {
+            mut versions,
+            mut touched,
+        } = self;
+        versions.clear();
+        versions.resize(shards, 0);
+        touched.clear();
+        (versions, touched)
+    }
+}
+
+/// A per-thread handle: the engine plus this thread's [`SearchScratch`]
+/// and transaction buffers. Its blocking methods are the one set of
+/// retry drivers: they step a transaction to completion, yielding on
+/// contention (the host has few cores; a spinning waiter on the
+/// holder's core is pure waste).
 #[derive(Debug)]
 pub struct ConcurrentHandle {
     engine: ConcurrentEngine,
     scratch: SearchScratch,
+    bufs: TxnBuffers,
 }
 
 impl ConcurrentHandle {
@@ -471,9 +728,7 @@ impl ConcurrentHandle {
         &self.engine
     }
 
-    /// Routes and, on success, locks `s → t` under `policy` — the
-    /// concurrent counterpart of
-    /// [`ProvisioningEngine::provision`](crate::ProvisioningEngine::provision).
+    /// Routes and, on success, locks `s → t` under `policy`.
     ///
     /// # Errors
     ///
@@ -486,17 +741,7 @@ impl ConcurrentHandle {
         t: NodeId,
         policy: Policy,
     ) -> Result<ConnectionId, RwaError> {
-        let mut txn = ProvisionTxn::new(&self.engine, s, t, policy)?;
-        loop {
-            match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(ProvisionOutcome::Accepted { id, .. }) => return Ok(id),
-                Step::Done(ProvisionOutcome::Blocked { .. }) => {
-                    return Err(RwaError::Blocked { s, t })
-                }
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
-            }
-        }
+        self.provision_bounded(s, t, policy, u64::MAX)
     }
 
     /// [`provision`](Self::provision) with a bounded retry budget: the
@@ -510,8 +755,8 @@ impl ConcurrentHandle {
     /// engine was busy — the request was never decided, engine totals
     /// are untouched, and the caller may retry it verbatim. Long-lived
     /// callers that must not stall behind a hot engine (the
-    /// control-plane daemon) use this and surface the distinction to
-    /// their clients.
+    /// control-plane daemon) use a budget and surface the distinction
+    /// to their clients.
     ///
     /// # Errors
     ///
@@ -527,13 +772,37 @@ impl ConcurrentHandle {
         policy: Policy,
         max_conflicts: u64,
     ) -> Result<ConnectionId, RwaError> {
-        let mut txn = ProvisionTxn::new(&self.engine, s, t, policy)?;
-        loop {
+        match self.provision_outcome(s, t, policy, None, max_conflicts)? {
+            ProvisionOutcome::Accepted { id, .. } => Ok(id),
+            ProvisionOutcome::Blocked { .. } => Err(RwaError::Blocked { s, t }),
+        }
+    }
+
+    /// The provision driver behind [`provision`](Self::provision) and
+    /// [`provision_bounded`](Self::provision_bounded), returning the
+    /// full outcome (route summary or blocked cause). With a recorder
+    /// attached, the request's trace records under `wire` (or a fresh
+    /// id when `None`); `max_conflicts` is the retry budget
+    /// (`u64::MAX` retries until decided).
+    ///
+    /// # Errors
+    ///
+    /// * [`RwaError::NodeOutOfRange`] for invalid endpoints;
+    /// * [`RwaError::Contended`] when the retry budget is exhausted
+    ///   before any verdict commits.
+    pub fn provision_outcome(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+        wire: Option<TraceId>,
+        max_conflicts: u64,
+    ) -> Result<ProvisionOutcome, RwaError> {
+        let bufs = std::mem::take(&mut self.bufs);
+        let mut txn = ProvisionTxn::start(self.engine.shared(), s, t, policy, wire, bufs)?;
+        let result = loop {
             match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(ProvisionOutcome::Accepted { id, .. }) => return Ok(id),
-                Step::Done(ProvisionOutcome::Blocked { .. }) => {
-                    return Err(RwaError::Blocked { s, t })
-                }
+                Step::Done(outcome) => break Ok(outcome),
                 Step::Progress => {}
                 Step::Contended => {
                     // A contended step never leaves shard claims behind,
@@ -541,7 +810,7 @@ impl ConcurrentHandle {
                     // [`ProvisionTxn::conflicts`]).
                     if txn.conflicts() >= max_conflicts {
                         txn.trace_abandon();
-                        return Err(RwaError::Contended {
+                        break Err(RwaError::Contended {
                             s,
                             t,
                             conflicts: txn.conflicts(),
@@ -550,7 +819,12 @@ impl ConcurrentHandle {
                     std::thread::yield_now();
                 }
             }
-        }
+        };
+        self.bufs = TxnBuffers {
+            versions: txn.versions,
+            touched: txn.touched,
+        };
+        result
     }
 
     /// Releases an active connection, freeing its resources.
@@ -559,21 +833,47 @@ impl ConcurrentHandle {
     ///
     /// [`RwaError::UnknownConnection`] if `id` is not active.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), RwaError> {
-        let mut txn = ReleaseTxn::new(id);
-        loop {
+        self.release_traced(id, None)
+    }
+
+    /// [`release`](Self::release) with an explicit wire trace id: with
+    /// a recorder attached, the release records under `wire` (or a
+    /// fresh id when `None`). A release of an unknown connection still
+    /// records a root span, with the `failed` verdict.
+    ///
+    /// # Errors
+    ///
+    /// [`RwaError::UnknownConnection`] if `id` is not active.
+    pub fn release_traced(
+        &mut self,
+        id: ConnectionId,
+        wire: Option<TraceId>,
+    ) -> Result<(), RwaError> {
+        let bufs = std::mem::take(&mut self.bufs);
+        let mut txn = ReleaseTxn::start(self.engine.shared(), id, wire, bufs);
+        let result = loop {
             match txn.step(&self.engine) {
-                Step::Done(r) => return r,
+                Step::Done(r) => break r,
                 Step::Progress => {}
                 Step::Contended => std::thread::yield_now(),
             }
-        }
+        };
+        self.bufs = TxnBuffers {
+            versions: txn.versions,
+            touched: txn.touched,
+        };
+        result
     }
 
-    /// Simulates a fibre cut with restoration, like
-    /// [`ProvisioningEngine::fail_link`](crate::ProvisioningEngine::fail_link):
-    /// tears down every connection crossing `link`, restores each on the
-    /// residual network with the cut excluded, and returns the outcomes
-    /// in connection-id order.
+    /// Simulates a fibre cut with restoration: tears down every
+    /// connection crossing `link`, restores each on the residual network
+    /// with the cut excluded, and returns the outcomes in connection-id
+    /// order (`Some(new_id)` when restored, `None` when lost). The cut
+    /// is **persistent**: the link's wavelengths stay marked busy — and
+    /// count as occupied in
+    /// [`utilization`](ConcurrentEngine::utilization) — until
+    /// [`restore_link`](Self::restore_link) repairs it. Failing an
+    /// already-failed link is an idempotent no-op with no outcomes.
     ///
     /// # Panics
     ///
@@ -598,11 +898,11 @@ impl ConcurrentHandle {
         }
     }
 
-    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link),
-    /// like
-    /// [`ProvisioningEngine::restore_link`](crate::ProvisioningEngine::restore_link):
+    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link):
     /// returns `true` when the link was failed and is now restored,
-    /// `false` for the no-op repair of a healthy link.
+    /// `false` for the no-op repair of a healthy link (a blind unmark
+    /// would free resources held by active connections). Existing
+    /// connections are untouched either way.
     ///
     /// # Panics
     ///
@@ -616,6 +916,55 @@ impl ConcurrentHandle {
                 Step::Contended => std::thread::yield_now(),
             }
         }
+    }
+
+    /// Replaces the conversion policy at `node` — an exclusive
+    /// operation, valid only while this handle is the engine's sole
+    /// owner (the private engine of a
+    /// [`ProvisioningEngine`](crate::ProvisioningEngine)).
+    ///
+    /// On change the base network's policy is swapped, the routing state
+    /// is rebuilt from it with every busy bit — cut markers included —
+    /// replayed, so occupancy survives bit-for-bit, and the memo epoch
+    /// advances: verdicts probed under the old conversion layout are
+    /// never trusted again. Active connections are grandfathered.
+    /// Returns `Ok(false)` for a no-op (the node already had exactly
+    /// this policy).
+    ///
+    /// # Errors
+    ///
+    /// [`RwaError::NodeOutOfRange`] if `node` is not a node of the base
+    /// network.
+    pub(crate) fn set_converter_policy(
+        &mut self,
+        node: NodeId,
+        policy: ConversionPolicy,
+    ) -> Result<bool, RwaError> {
+        let Some(shared) = Arc::get_mut(&mut self.engine.shared) else {
+            unreachable!("set_converter_policy runs only on a handle that owns its engine")
+        };
+        if node.index() >= shared.base.node_count() {
+            return Err(RwaError::NodeOutOfRange(node));
+        }
+        if *shared.base.conversion_at(node) == policy {
+            return Ok(false);
+        }
+        shared.base.set_conversion_at(node, policy);
+        // Conversion gadgets are baked into the auxiliary graph at
+        // construction, so the state is rebuilt and the busy bits
+        // replayed.
+        let mut state = ResidualState::new(&shared.base);
+        for (e, _) in shared.base.graph().links() {
+            for (w, _) in shared.base.wavelengths_on(e).iter() {
+                if shared.state.is_busy(e, w) {
+                    state.set_busy(e, w, true);
+                }
+            }
+        }
+        shared.state = state;
+        *shared.memo_epoch.get_mut() += 1;
+        self.scratch = SearchScratch::for_state(&shared.state);
+        Ok(true)
     }
 }
 
@@ -642,8 +991,9 @@ pub struct ProvisionTxn {
     policy: Policy,
     /// Every shard's version at [`ProvisionPhase::ReadVersions`].
     versions: Vec<u64>,
-    path: Option<Semilightpath>,
+    /// The shards the routed path touches, sorted.
     touched: Vec<usize>,
+    path: Option<Semilightpath>,
     claimed: usize,
     flipped: usize,
     /// Validation conflicts this transaction has absorbed (each one a
@@ -653,32 +1003,8 @@ pub struct ProvisionTxn {
     phase: ProvisionPhase,
     /// Per-request trace state when the engine has a recorder attached.
     trace: Option<TxnTrace>,
-}
-
-/// The trace bookkeeping one traced transaction carries: its writer,
-/// its id, when the request started, and when the current routing
-/// attempt started.
-#[derive(Debug)]
-struct TxnTrace {
-    writer: TraceWriter,
-    id: TraceId,
-    start_ns: u64,
-    route_start: u64,
-}
-
-impl TxnTrace {
-    /// Emits the root span and feeds the tail sampler.
-    fn finish(&self, s: NodeId, t: NodeId, verdict: RootVerdict) {
-        let dur = self.writer.span(
-            self.id,
-            TraceEventKind::Provision,
-            self.start_ns,
-            verdict.code(),
-            s.index() as u64,
-            t.index() as u64,
-        );
-        self.writer.recorder().note_root(self.id, dur, verdict);
-    }
+    /// Start stamp when the engine has metrics attached.
+    started: Option<Instant>,
 }
 
 impl ProvisionTxn {
@@ -711,34 +1037,37 @@ impl ProvisionTxn {
         policy: Policy,
         wire: Option<TraceId>,
     ) -> Result<Self, RwaError> {
+        Self::start(engine.shared(), s, t, policy, wire, TxnBuffers::default())
+    }
+
+    /// [`new_traced`](Self::new_traced) on lent buffers.
+    fn start(
+        shared: &Shared,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+        wire: Option<TraceId>,
+        bufs: TxnBuffers,
+    ) -> Result<Self, RwaError> {
         for v in [s, t] {
-            if v.index() >= engine.shared().base.node_count() {
+            if v.index() >= shared.base.node_count() {
                 return Err(RwaError::NodeOutOfRange(v));
             }
         }
-        let trace = engine.shared().tracer.get().map(|rec| {
-            let writer = rec.writer();
-            let id = wire.unwrap_or_else(|| rec.next_trace_id());
-            let start_ns = writer.now_ns();
-            TxnTrace {
-                writer,
-                id,
-                start_ns,
-                route_start: 0,
-            }
-        });
+        let (versions, touched) = bufs.reset(shared.shards.len());
         Ok(ProvisionTxn {
             s,
             t,
             policy,
-            versions: vec![0; engine.shared().shards.len()],
+            versions,
+            touched,
             path: None,
-            touched: Vec::new(),
             claimed: 0,
             flipped: 0,
             conflicts: 0,
             phase: ProvisionPhase::ReadVersions,
-            trace,
+            trace: shared.start_trace(wire),
+            started: shared.started(),
         })
     }
 
@@ -749,9 +1078,7 @@ impl ProvisionTxn {
     /// The driver must only call this after a [`Step::Contended`], when
     /// the transaction holds no shard claims.
     pub fn trace_abandon(&self) {
-        if let Some(tr) = &self.trace {
-            tr.finish(self.s, self.t, RootVerdict::Contended);
-        }
+        self.finish_trace(RootVerdict::Contended);
     }
 
     /// Validation conflicts absorbed so far. After any
@@ -763,6 +1090,27 @@ impl ProvisionTxn {
         self.conflicts
     }
 
+    fn finish_trace(&self, verdict: RootVerdict) {
+        if let Some(tr) = &self.trace {
+            tr.finish(
+                TraceEventKind::Provision,
+                verdict,
+                self.s.index() as u64,
+                self.t.index() as u64,
+            );
+        }
+    }
+
+    /// Counts one validation conflict and restarts the optimistic loop.
+    fn note_conflict(&mut self, shared: &Shared) {
+        shared.conflicts.fetch_add(1, RELAXED);
+        self.conflicts += 1;
+        if let Some(tr) = &self.trace {
+            tr.instant(TraceEventKind::ShardRetry, self.conflicts, 0);
+        }
+        self.phase = ProvisionPhase::ReadVersions;
+    }
+
     /// Rolls claimed shards back to their pre-claim versions (no bits
     /// were flipped yet, so restoring the even value is exact) and
     /// restarts the optimistic loop.
@@ -770,16 +1118,25 @@ impl ProvisionTxn {
         for &sh in &self.touched[..self.claimed] {
             shared.shards[sh].store(self.versions[sh], RELEASE);
         }
-        shared.conflicts.fetch_add(1, RELAXED);
-        self.conflicts += 1;
-        if let Some(tr) = &self.trace {
-            tr.writer
-                .instant(tr.id, TraceEventKind::ShardRetry, self.conflicts, 0);
-        }
         self.claimed = 0;
         self.path = None;
         self.touched.clear();
-        self.phase = ProvisionPhase::ReadVersions;
+        self.note_conflict(shared);
+    }
+
+    /// Whether every shard outside the claimed set still holds the
+    /// version read before routing.
+    fn versions_unchanged(&self, shared: &Shared) -> bool {
+        // Order the route's relaxed mask loads before the validating
+        // version loads (see wdm_obs::ordering).
+        fence_acquire();
+        shared.race != RaceInjection::ForceValidationConflict
+            && shared
+                .shards
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !self.touched.contains(i))
+                .all(|(i, shard)| shard.load(RELAXED) == self.versions[i])
     }
 
     /// Advances the transaction by one step. Call until [`Step::Done`];
@@ -804,51 +1161,13 @@ impl ProvisionTxn {
                 Step::Progress
             }
             ProvisionPhase::Route => {
-                if let Some(tr) = &mut self.trace {
-                    tr.route_start = tr.writer.now_ns();
-                }
-                let path = self
-                    .policy
-                    .route_shared(&shared.state, scratch, self.s, self.t);
-                if let Some(tr) = &self.trace {
-                    tr.writer.span(
-                        tr.id,
-                        TraceEventKind::Route,
-                        tr.route_start,
-                        0,
-                        self.s.index() as u64,
-                        self.t.index() as u64,
-                    );
-                }
-                match path {
-                    Some(p) if !p.is_empty() => {
-                        self.touched = shared.touched_shards(&p);
-                        self.path = Some(p);
-                        self.claimed = 0;
-                        self.phase = if shared.race == RaceInjection::SkipShardLock {
-                            // Injected race: commit on the racy read.
-                            ProvisionPhase::Flip
-                        } else {
-                            ProvisionPhase::Claim
-                        };
-                    }
-                    _ => {
-                        // Empty paths (s == t) block like the
-                        // single-threaded engine.
-                        self.phase = if shared.race == RaceInjection::SkipShardLock {
-                            ProvisionPhase::Done
-                        } else {
-                            ProvisionPhase::CommitBlocked
-                        };
-                        if matches!(self.phase, ProvisionPhase::Done) {
-                            let cause = shared.classify(scratch, self.s, self.t, self.policy);
-                            shared.note_blocked(cause);
-                            if let Some(tr) = &self.trace {
-                                tr.finish(self.s, self.t, RootVerdict::Blocked);
-                            }
-                            return Step::Done(ProvisionOutcome::Blocked { cause });
-                        }
-                    }
+                self.route(shared, scratch);
+                if shared.race == RaceInjection::SkipShardLock
+                    && matches!(self.phase, ProvisionPhase::CommitBlocked)
+                {
+                    // Injected race: commit the blocked verdict on the
+                    // racy read, in the routing step itself.
+                    return self.commit_blocked(shared, scratch);
                 }
                 Step::Progress
             }
@@ -863,8 +1182,7 @@ impl ProvisionTxn {
                     Ok(_) => {
                         self.claimed += 1;
                         if let Some(tr) = &self.trace {
-                            tr.writer
-                                .instant(tr.id, TraceEventKind::ShardClaim, sh as u64, v);
+                            tr.instant(TraceEventKind::ShardClaim, sh as u64, v);
                         }
                         Step::Progress
                     }
@@ -875,20 +1193,9 @@ impl ProvisionTxn {
                 }
             }
             ProvisionPhase::Validate => {
-                // Order the route's relaxed mask loads before the
-                // validating version loads (see wdm_obs::ordering).
-                fence_acquire();
-                let consistent = shared.race != RaceInjection::ForceValidationConflict
-                    && shared
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !self.touched.contains(i))
-                        .all(|(i, shard)| shard.load(RELAXED) == self.versions[i]);
-                if consistent {
+                if self.versions_unchanged(shared) {
                     if let Some(tr) = &self.trace {
-                        tr.writer
-                            .instant(tr.id, TraceEventKind::ShardValidate, 1, 0);
+                        tr.instant(TraceEventKind::ShardValidate, 1, 0);
                     }
                     self.phase = ProvisionPhase::Flip;
                     Step::Progress
@@ -902,7 +1209,7 @@ impl ProvisionTxn {
                     unreachable!("flip phase always holds a path")
                 };
                 let hop = path.hops()[self.flipped];
-                let outcome = shared.state.try_acquire_shared(hop.link, hop.wavelength);
+                let outcome = shared.acquire(hop.link, hop.wavelength, self.trace.as_ref());
                 // With the shards claimed and validated the bit must be
                 // free; only the injected race can lose it (and ignores
                 // the loss — that is the bug the harness must catch).
@@ -923,53 +1230,90 @@ impl ProvisionTxn {
                 let Some(path) = self.path.take() else {
                     unreachable!("publish phase always holds a path")
                 };
+                let (hops, conversions, cost) = (path.len(), path.conversion_count(), path.cost());
                 let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                lock(&shared.active).insert(id, Connection { path: path.clone() });
-                shared.accepted.fetch_add(1, RELAXED);
+                let active = {
+                    let mut active = lock(&shared.active);
+                    active.insert(id, Connection { path });
+                    active.len()
+                };
                 if shared.race != RaceInjection::SkipShardLock {
                     for &sh in &self.touched {
                         shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
                     }
                 }
-                if let Some(tr) = &self.trace {
-                    tr.finish(self.s, self.t, RootVerdict::Ok);
-                }
+                shared.note_accepted(active, self.started);
+                self.finish_trace(RootVerdict::Ok);
                 self.phase = ProvisionPhase::Done;
-                Step::Done(ProvisionOutcome::Accepted { id, path })
+                Step::Done(ProvisionOutcome::Accepted {
+                    id,
+                    hops,
+                    conversions,
+                    cost,
+                })
             }
-            ProvisionPhase::CommitBlocked => {
-                fence_acquire();
-                let consistent = shared.race != RaceInjection::ForceValidationConflict
-                    && shared
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .all(|(i, shard)| shard.load(RELAXED) == self.versions[i]);
-                if !consistent {
-                    shared.conflicts.fetch_add(1, RELAXED);
-                    self.conflicts += 1;
-                    if let Some(tr) = &self.trace {
-                        tr.writer
-                            .instant(tr.id, TraceEventKind::ShardRetry, self.conflicts, 0);
-                    }
-                    self.phase = ProvisionPhase::ReadVersions;
-                    return Step::Contended;
-                }
-                let cause = shared.classify(scratch, self.s, self.t, self.policy);
-                shared.note_blocked(cause);
-                if let Some(tr) = &self.trace {
-                    let code = match cause {
-                        BlockCause::NoPath => 0,
-                        BlockCause::Capacity => 1,
-                    };
-                    tr.writer.instant(tr.id, TraceEventKind::Blocked, code, 0);
-                    tr.finish(self.s, self.t, RootVerdict::Blocked);
-                }
-                self.phase = ProvisionPhase::Done;
-                Step::Done(ProvisionOutcome::Blocked { cause })
-            }
+            ProvisionPhase::CommitBlocked => self.commit_blocked(shared, scratch),
             ProvisionPhase::Done => unreachable!("stepped a finished transaction"),
         }
+    }
+
+    /// One routing attempt: the masked search on the shared state, then
+    /// the commit plan for what it found — claim the touched shards, or
+    /// commit a blocked verdict. Every request's route runs here.
+    // wdm-lint: hot-path
+    fn route(&mut self, shared: &Shared, scratch: &mut SearchScratch) {
+        let route_start = self.trace.as_ref().map(|tr| tr.writer.now_ns());
+        let path = self
+            .policy
+            .route_shared(&shared.state, scratch, self.s, self.t);
+        shared.flush_search(scratch);
+        if let (Some(tr), Some(t0)) = (&self.trace, route_start) {
+            tr.writer.span(
+                tr.id,
+                TraceEventKind::Route,
+                t0,
+                0,
+                self.s.index() as u64,
+                self.t.index() as u64,
+            );
+        }
+        match path {
+            Some(p) if !p.is_empty() => {
+                self.touched = shared.touched_shards(&p, std::mem::take(&mut self.touched));
+                self.path = Some(p);
+                self.claimed = 0;
+                self.phase = if shared.race == RaceInjection::SkipShardLock {
+                    // Injected race: commit on the racy read.
+                    ProvisionPhase::Flip
+                } else {
+                    ProvisionPhase::Claim
+                };
+            }
+            // Empty paths (s == t) block: they carry nothing.
+            _ => self.phase = ProvisionPhase::CommitBlocked,
+        }
+    }
+
+    /// Commits a blocked verdict once every shard version is unchanged
+    /// since routing (skipped under the injected race), classifying its
+    /// cause.
+    fn commit_blocked(
+        &mut self,
+        shared: &Shared,
+        scratch: &mut SearchScratch,
+    ) -> Step<ProvisionOutcome> {
+        if shared.race != RaceInjection::SkipShardLock && !self.versions_unchanged(shared) {
+            self.note_conflict(shared);
+            return Step::Contended;
+        }
+        let cause = shared.classify(scratch, self.s, self.t, self.policy);
+        shared.note_blocked(cause, self.started);
+        if let Some(tr) = &self.trace {
+            tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
+        }
+        self.finish_trace(RootVerdict::Blocked);
+        self.phase = ProvisionPhase::Done;
+        Step::Done(ProvisionOutcome::Blocked { cause })
     }
 }
 
@@ -1003,27 +1347,56 @@ enum ReleasePhase {
 #[derive(Debug)]
 pub struct ReleaseTxn {
     id: ConnectionId,
+    /// The removed connection's path, from commit on.
     path: Option<Semilightpath>,
+    /// The shards of the path, sorted.
     touched: Vec<usize>,
-    /// Per touched shard: the even version the claim CAS started from.
-    claim_base: Vec<u64>,
+    /// Per shard: the even version its claim advanced from.
+    versions: Vec<u64>,
+    /// Active connections left right after the removal.
+    active_after: usize,
     claimed: usize,
     flipped: usize,
     phase: ReleasePhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl ReleaseTxn {
     /// Starts a release transaction for `id`.
-    pub fn new(id: ConnectionId) -> Self {
+    pub fn new(engine: &ConcurrentEngine, id: ConnectionId) -> Self {
+        Self::start(engine.shared(), id, None, TxnBuffers::default())
+    }
+
+    /// [`new`](Self::new) on lent buffers, traced under `wire` (or a
+    /// fresh id) when the engine has a recorder attached.
+    fn start(shared: &Shared, id: ConnectionId, wire: Option<TraceId>, bufs: TxnBuffers) -> Self {
+        let (versions, touched) = bufs.reset(shared.shards.len());
         ReleaseTxn {
             id,
             path: None,
-            touched: Vec::new(),
-            claim_base: Vec::new(),
+            touched,
+            versions,
+            active_after: 0,
             claimed: 0,
             flipped: 0,
             phase: ReleasePhase::Lookup,
+            trace: shared.start_trace(wire),
+            started: shared.started(),
         }
+    }
+
+    fn finish(&mut self, result: Result<(), RwaError>) -> Step<Result<(), RwaError>> {
+        if let Some(tr) = &self.trace {
+            let verdict = if result.is_ok() {
+                RootVerdict::Ok
+            } else {
+                RootVerdict::Failed
+            };
+            tr.finish(TraceEventKind::Release, verdict, self.id.as_u64(), 0);
+        }
+        self.phase = ReleasePhase::Done;
+        Step::Done(result)
     }
 
     /// Advances the transaction by one step.
@@ -1031,19 +1404,19 @@ impl ReleaseTxn {
         let shared = engine.shared();
         match self.phase {
             ReleasePhase::Lookup => {
-                let conn = lock(&shared.active).get(&self.id).cloned();
-                match conn {
+                let found = match lock(&shared.active).get(&self.id) {
                     Some(c) => {
-                        self.touched = shared.touched_shards(&c.path);
-                        self.claim_base = vec![0; self.touched.len()];
-                        self.path = Some(c.path);
-                        self.phase = ReleasePhase::Claim;
-                        Step::Progress
+                        self.touched =
+                            shared.touched_shards(&c.path, std::mem::take(&mut self.touched));
+                        true
                     }
-                    None => {
-                        self.phase = ReleasePhase::Done;
-                        Step::Done(Err(RwaError::UnknownConnection(self.id)))
-                    }
+                    None => false,
+                };
+                if found {
+                    self.phase = ReleasePhase::Claim;
+                    Step::Progress
+                } else {
+                    self.finish(Err(RwaError::UnknownConnection(self.id)))
                 }
             }
             ReleasePhase::Claim => {
@@ -1058,7 +1431,7 @@ impl ReleaseTxn {
                 }
                 match shared.shards[sh].compare_exchange(v, v + 1, ACQ_REL, ACQUIRE) {
                     Ok(_) => {
-                        self.claim_base[self.claimed] = v;
+                        self.versions[sh] = v;
                         self.claimed += 1;
                         Step::Progress
                     }
@@ -1066,19 +1439,28 @@ impl ReleaseTxn {
                 }
             }
             ReleasePhase::Commit => {
-                let present = lock(&shared.active).remove(&self.id).is_some();
-                if present {
-                    self.phase = ReleasePhase::Flip;
-                    Step::Progress
-                } else {
-                    // Torn down by a cut that committed between our peek
-                    // and our claim. Nothing was flipped: restore the
-                    // claimed versions untouched.
-                    for (i, &sh) in self.touched.iter().enumerate().take(self.claimed) {
-                        shared.shards[sh].store(self.claim_base[i], RELEASE);
+                // Ids are never reused, so a connection still present
+                // under our claim is the one whose shards we hold.
+                let removed = {
+                    let mut active = lock(&shared.active);
+                    active.remove(&self.id).map(|c| (c.path, active.len()))
+                };
+                match removed {
+                    Some((path, active)) => {
+                        self.path = Some(path);
+                        self.active_after = active;
+                        self.phase = ReleasePhase::Flip;
+                        Step::Progress
                     }
-                    self.phase = ReleasePhase::Done;
-                    Step::Done(Err(RwaError::UnknownConnection(self.id)))
+                    None => {
+                        // Torn down by a cut that committed between our
+                        // peek and our claim. Nothing was flipped:
+                        // restore the claimed versions untouched.
+                        for &sh in &self.touched[..self.claimed] {
+                            shared.shards[sh].store(self.versions[sh], RELEASE);
+                        }
+                        self.finish(Err(RwaError::UnknownConnection(self.id)))
+                    }
                 }
             }
             ReleasePhase::Flip => {
@@ -1086,8 +1468,8 @@ impl ReleaseTxn {
                     unreachable!("flip phase always holds a path")
                 };
                 let hop = path.hops()[self.flipped];
-                let released = shared.state.release_shared(hop.link, hop.wavelength);
-                debug_assert!(released, "released a hop the base does not carry");
+                let freed = shared.free(hop.link, hop.wavelength, self.trace.as_ref());
+                debug_assert!(freed, "released a hop the base does not carry");
                 self.flipped += 1;
                 if self.flipped == path.hops().len() {
                     self.phase = ReleasePhase::Publish;
@@ -1095,12 +1477,11 @@ impl ReleaseTxn {
                 Step::Progress
             }
             ReleasePhase::Publish => {
-                for (i, &sh) in self.touched.iter().enumerate() {
-                    shared.shards[sh].store(self.claim_base[i] + 2, RELEASE);
+                for &sh in &self.touched {
+                    shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
                 }
-                shared.released.fetch_add(1, RELAXED);
-                self.phase = ReleasePhase::Done;
-                Step::Done(Ok(()))
+                shared.note_released(self.active_after, self.started);
+                self.finish(Ok(()))
             }
             ReleasePhase::Done => unreachable!("stepped a finished transaction"),
         }
@@ -1122,14 +1503,14 @@ enum FailLinkPhase {
 /// A stepped fibre-cut transaction. Claims **every** shard (ascending —
 /// the same global order provisions and releases use, so claim cycles
 /// cannot form), then runs the teardown → mark → restore sequence
-/// exclusively, exactly mirroring the single-threaded
-/// [`fail_link`](crate::ProvisioningEngine::fail_link). The cut is
-/// persistent: the link's wavelengths stay marked busy and the link
-/// stays in the failed set until a [`RestoreLinkTxn`] repairs it; the
-/// memo epoch advances with every such regime change so blocked-cause
-/// verdicts probed under one failed-link set are never reused under
-/// another. Cutting an already-failed link is an idempotent no-op (no
-/// teardown, no epoch churn, empty outcomes).
+/// exclusively. The cut is persistent: the link's wavelengths stay
+/// marked busy and the link stays in the failed set until a
+/// [`RestoreLinkTxn`] repairs it; the memo epoch advances with every
+/// such regime change so blocked-cause verdicts probed under one
+/// failed-link set are never reused under another. Teardowns count as
+/// releases and restorations as requests. Cutting an already-failed
+/// link is an idempotent no-op (no teardown, no epoch churn, empty
+/// outcomes).
 #[derive(Debug)]
 pub struct FailLinkTxn {
     link: LinkId,
@@ -1141,6 +1522,8 @@ pub struct FailLinkTxn {
     restored: usize,
     outcomes: Vec<RestorationOutcome>,
     phase: FailLinkPhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl FailLinkTxn {
@@ -1150,20 +1533,23 @@ impl FailLinkTxn {
     ///
     /// Panics if `link` is out of range.
     pub fn new(engine: &ConcurrentEngine, link: LinkId, policy: Policy) -> Self {
+        let shared = engine.shared();
         assert!(
-            link.index() < engine.shared().base.link_count(),
+            link.index() < shared.base.link_count(),
             "link {link} out of range"
         );
         FailLinkTxn {
             link,
             policy,
-            claim_base: vec![0; engine.shared().shards.len()],
+            claim_base: vec![0; shared.shards.len()],
             claimed: 0,
             affected: Vec::new(),
             torn: 0,
             restored: 0,
             outcomes: Vec::new(),
             phase: FailLinkPhase::ClaimAll,
+            trace: shared.start_trace(None),
+            started: shared.started(),
         }
     }
 
@@ -1174,6 +1560,7 @@ impl FailLinkTxn {
         scratch: &mut SearchScratch,
     ) -> Step<Vec<RestorationOutcome>> {
         let shared = engine.shared();
+        let trace = self.trace.as_ref();
         match self.phase {
             FailLinkPhase::ClaimAll => {
                 if self.claimed == shared.shards.len() {
@@ -1232,13 +1619,18 @@ impl FailLinkTxn {
                     self.phase = FailLinkPhase::MarkCut;
                     return Step::Progress;
                 }
+                let started = shared.started();
                 let (id, path) = &self.affected[self.torn];
-                lock(&shared.active).remove(id);
+                let active = {
+                    let mut active = lock(&shared.active);
+                    active.remove(id);
+                    active.len()
+                };
                 for hop in path.hops() {
-                    let released = shared.state.release_shared(hop.link, hop.wavelength);
-                    debug_assert!(released, "active path hop missing from base");
+                    let freed = shared.free(hop.link, hop.wavelength, trace);
+                    debug_assert!(freed, "active path hop missing from base");
                 }
-                shared.released.fetch_add(1, RELAXED);
+                shared.note_released(active, started);
                 self.torn += 1;
                 Step::Progress
             }
@@ -1248,7 +1640,7 @@ impl FailLinkTxn {
                 // markers stay until a RestoreLinkTxn clears them.
                 for lambda in 0..shared.base.k() {
                     let lam = Wavelength::new(lambda);
-                    let got = shared.state.try_acquire_shared(self.link, lam);
+                    let got = shared.acquire(self.link, lam, trace);
                     debug_assert_ne!(
                         got,
                         AcquireOutcome::Busy,
@@ -1264,33 +1656,54 @@ impl FailLinkTxn {
                     self.phase = FailLinkPhase::PublishAll;
                     return Step::Progress;
                 }
-                let (torn_id, old_path) = self.affected[self.restored].clone();
+                let started = shared.started();
+                let (torn, old_path) = &self.affected[self.restored];
+                let torn = *torn;
                 let (Some(s), Some(t)) =
                     (old_path.source(&shared.base), old_path.target(&shared.base))
                 else {
                     unreachable!("active paths are non-empty")
                 };
+                let route_start = trace.map(|tr| tr.writer.now_ns());
                 let routed = self.policy.route_shared(&shared.state, scratch, s, t);
+                shared.flush_search(scratch);
+                if let (Some(tr), Some(t0)) = (trace, route_start) {
+                    tr.writer.span(
+                        tr.id,
+                        TraceEventKind::Route,
+                        t0,
+                        0,
+                        s.index() as u64,
+                        t.index() as u64,
+                    );
+                }
                 let outcome = match routed {
                     Some(path) if !path.is_empty() => {
                         for hop in path.hops() {
-                            let got = shared.state.try_acquire_shared(hop.link, hop.wavelength);
+                            let got = shared.acquire(hop.link, hop.wavelength, trace);
                             debug_assert_eq!(got, AcquireOutcome::Acquired);
                         }
                         let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                        lock(&shared.active).insert(id, Connection { path: path.clone() });
-                        shared.accepted.fetch_add(1, RELAXED);
+                        let active = {
+                            let mut active = lock(&shared.active);
+                            active.insert(id, Connection { path: path.clone() });
+                            active.len()
+                        };
+                        shared.note_accepted(active, started);
                         RestorationOutcome {
-                            torn: torn_id,
+                            torn,
                             restored: Some((id, path)),
                             cause: None,
                         }
                     }
                     _ => {
                         let cause = shared.classify(scratch, s, t, self.policy);
-                        shared.note_blocked(cause);
+                        shared.note_blocked(cause, started);
+                        if let Some(tr) = trace {
+                            tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
+                        }
                         RestorationOutcome {
-                            torn: torn_id,
+                            torn,
                             restored: None,
                             cause: Some(cause),
                         }
@@ -1303,6 +1716,17 @@ impl FailLinkTxn {
             FailLinkPhase::PublishAll => {
                 for (sh, shard) in shared.shards.iter().enumerate() {
                     shard.store(self.claim_base[sh] + 2, RELEASE);
+                }
+                if let (Some(m), Some(t0)) = (shared.metrics.get(), self.started) {
+                    m.fail_link_latency.observe(ns_since(t0));
+                }
+                if let Some(tr) = trace {
+                    tr.finish(
+                        TraceEventKind::FailLink,
+                        RootVerdict::Ok,
+                        self.link.index() as u64,
+                        self.outcomes.len() as u64,
+                    );
                 }
                 self.phase = FailLinkPhase::Done;
                 Step::Done(std::mem::take(&mut self.outcomes))
@@ -1337,6 +1761,8 @@ pub struct RestoreLinkTxn {
     claimed: usize,
     restored: bool,
     phase: RestorePhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl RestoreLinkTxn {
@@ -1346,16 +1772,19 @@ impl RestoreLinkTxn {
     ///
     /// Panics if `link` is out of range.
     pub fn new(engine: &ConcurrentEngine, link: LinkId) -> Self {
+        let shared = engine.shared();
         assert!(
-            link.index() < engine.shared().base.link_count(),
+            link.index() < shared.base.link_count(),
             "link {link} out of range"
         );
         RestoreLinkTxn {
             link,
-            claim_base: vec![0; engine.shared().shards.len()],
+            claim_base: vec![0; shared.shards.len()],
             claimed: 0,
             restored: false,
             phase: RestorePhase::ClaimAll,
+            trace: shared.start_trace(None),
+            started: shared.started(),
         }
     }
 
@@ -1400,9 +1829,7 @@ impl RestoreLinkTxn {
                     // it), so releasing every carried λ un-flips
                     // precisely the bits the cut flipped.
                     for lambda in 0..shared.base.k() {
-                        shared
-                            .state
-                            .release_shared(self.link, Wavelength::new(lambda));
+                        shared.free(self.link, Wavelength::new(lambda), self.trace.as_ref());
                     }
                     // Set first, then epoch — same publication order as
                     // the cut, for the same memo-correctness reason.
@@ -1416,6 +1843,17 @@ impl RestoreLinkTxn {
                 for (sh, shard) in shared.shards.iter().enumerate() {
                     shard.store(self.claim_base[sh] + 2, RELEASE);
                 }
+                if let (Some(m), Some(t0)) = (shared.metrics.get(), self.started) {
+                    m.restore_link_latency.observe(ns_since(t0));
+                }
+                if let Some(tr) = &self.trace {
+                    tr.finish(
+                        TraceEventKind::FailLink,
+                        RootVerdict::Ok,
+                        self.link.index() as u64,
+                        0,
+                    );
+                }
                 self.phase = RestorePhase::Done;
                 Step::Done(self.restored)
             }
@@ -1427,7 +1865,6 @@ impl RestoreLinkTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProvisioningEngine, RoutingMode};
     use wdm_core::{ConversionPolicy, Cost};
     use wdm_graph::DiGraph;
 
@@ -1440,90 +1877,6 @@ mod tests {
             .uniform_conversion(ConversionPolicy::Uniform(Cost::new(1)))
             .build()
             .expect("valid")
-    }
-
-    #[test]
-    fn single_threaded_run_matches_sequential_engine() {
-        // Same script through the concurrent engine (1 handle) and the
-        // single-threaded engine: identical outcomes, paths, totals,
-        // cause splits, and utilization — and zero conflicts.
-        let net = base();
-        let conc = ConcurrentEngine::new(&net, 0);
-        let mut h = conc.handle();
-        let mut seq = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
-        let script = [(0, 3), (0, 2), (3, 0), (1, 3), (0, 3), (2, 2)];
-        let mut pairs = Vec::new();
-        for (s, t) in script {
-            let a = h.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            let b = seq.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            assert_eq!(a.is_ok(), b.is_ok(), "{s}->{t}");
-            if let (Ok(ca), Ok(cb)) = (a, b) {
-                assert_eq!(conc.path_of(ca), seq.path_of(cb).cloned(), "{s}->{t} path");
-                pairs.push((ca, cb));
-            }
-        }
-        assert_eq!(conc.totals(), seq.totals());
-        assert_eq!(conc.blocked_by_cause(), seq.blocked_by_cause());
-        assert!((conc.utilization() - seq.utilization()).abs() < 1e-12);
-        assert_eq!(conc.conflicts(), 0);
-        let (ca, cb) = pairs[0];
-        h.release(ca).expect("active");
-        seq.release(cb).expect("active");
-        assert_eq!(conc.totals(), seq.totals());
-        assert_eq!(
-            h.release(ca),
-            Err(RwaError::UnknownConnection(ca)),
-            "double release"
-        );
-    }
-
-    #[test]
-    fn fail_link_matches_sequential_engine() {
-        let net = base();
-        let conc = ConcurrentEngine::new(&net, 2);
-        let mut h = conc.handle();
-        let mut seq = ProvisioningEngine::new(&net);
-        let a = h
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("routes");
-        let b = seq
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("routes");
-        let cut = conc.path_of(a).expect("active").hops()[1].link;
-        let oa = h.fail_link(cut, Policy::Optimal);
-        let ob = seq.fail_link(cut, Policy::Optimal);
-        assert_eq!(oa.len(), ob.len());
-        assert_eq!(oa[0].0, a);
-        assert_eq!(ob[0].0, b);
-        assert_eq!(oa[0].1.is_some(), ob[0].1.is_some());
-        assert_eq!(conc.totals(), seq.totals());
-        assert_eq!(conc.blocked_by_cause(), seq.blocked_by_cause());
-        assert!((conc.utilization() - seq.utilization()).abs() < 1e-12);
-        // The cut persists identically: the failed set matches, a
-        // double-fail is an empty no-op in both engines, and requests
-        // crossing the cut block in both.
-        assert_eq!(conc.failed_links(), seq.failed_links());
-        assert!(h.fail_link(cut, Policy::Optimal).is_empty());
-        assert!(seq.fail_link(cut, Policy::Optimal).is_empty());
-        let ra = h.provision(0.into(), 3.into(), Policy::Optimal);
-        let rb = seq.provision(0.into(), 3.into(), Policy::Optimal);
-        assert_eq!(ra.is_err(), rb.is_err());
-        assert_eq!(conc.blocked_by_cause(), seq.blocked_by_cause());
-        // Repair: both restore, both report the double-restore no-op,
-        // and the pair routes again in both.
-        assert_eq!(h.restore_link(cut), seq.restore_link(cut));
-        assert!(!h.restore_link(cut));
-        assert!(!seq.restore_link(cut));
-        assert_eq!(conc.failed_links(), seq.failed_links());
-        let ra = h
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("repaired fibre routes");
-        let rb = seq
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("repaired fibre routes");
-        assert_eq!(conc.path_of(ra), seq.path_of(rb).cloned());
-        assert_eq!(conc.totals(), seq.totals());
-        assert!((conc.utilization() - seq.utilization()).abs() < 1e-12);
     }
 
     #[test]
@@ -1589,6 +1942,41 @@ mod tests {
     }
 
     #[test]
+    fn single_threaded_run_matches_sequential_engine() {
+        // Same script through one handle on a default-shard engine and
+        // the `ProvisioningEngine` wrapper (one private shard):
+        // identical ids, paths, totals, cause splits and utilization —
+        // and zero conflicts. The shard count must not show.
+        let net = base();
+        let conc = ConcurrentEngine::new(&net, 0);
+        assert!(conc.num_shards() > 1);
+        let mut h = conc.handle();
+        let mut seq = crate::ProvisioningEngine::new(&net);
+        let mut ids = Vec::new();
+        for (s, t) in [(0, 3), (0, 2), (3, 0), (1, 3), (0, 3), (2, 2)] {
+            let a = h.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
+            let b = seq.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
+            assert_eq!(a, b, "{s}->{t}");
+            if let Ok(id) = a {
+                assert_eq!(conc.path_of(id), seq.path_of(id), "{s}->{t} path");
+                ids.push(id);
+            }
+        }
+        assert_eq!(conc.totals(), seq.totals());
+        assert_eq!(conc.blocked_by_cause(), seq.blocked_by_cause());
+        assert!((conc.utilization() - seq.utilization()).abs() < 1e-12);
+        assert_eq!(conc.conflicts(), 0);
+        h.release(ids[0]).expect("active");
+        seq.release(ids[0]).expect("active");
+        assert_eq!(conc.totals(), seq.totals());
+        assert_eq!(
+            h.release(ids[0]),
+            Err(RwaError::UnknownConnection(ids[0])),
+            "double release"
+        );
+    }
+
+    #[test]
     fn shard_count_is_clamped() {
         let net = base();
         assert_eq!(ConcurrentEngine::new(&net, 0).num_shards(), 2);
@@ -1596,7 +1984,7 @@ mod tests {
         assert_eq!(ConcurrentEngine::new(&net, 64).num_shards(), 2);
     }
 
-    /// The retry-exhaustion audit (ISSUE 7 satellite): when the bounded
+    /// The retry-exhaustion audit: when the bounded
     /// optimistic loop gives up, the caller must see a *contention*
     /// outcome — distinct from `Blocked { cause }` — and no engine
     /// totals may move, because no verdict ever committed.
@@ -1761,5 +2149,43 @@ mod tests {
             .filter(|r| r.kind == TraceEventKind::Route && r.trace_id == root.trace_id)
             .count();
         assert_eq!(routes as u64, budget);
+    }
+
+    #[test]
+    fn traced_release_records_its_flips_under_the_wire_id() {
+        use wdm_obs::trace::{FlightRecorder, RootVerdict, TraceEventKind, TraceId};
+        let net = base();
+        let conc = ConcurrentEngine::new(&net, 2);
+        let recorder = FlightRecorder::new(1, 256);
+        conc.attach_tracer(&recorder);
+        let mut h = conc.handle();
+        let id = h
+            .provision(0.into(), 3.into(), Policy::Optimal)
+            .expect("routes");
+        h.release_traced(id, Some(TraceId::from_u64(77)))
+            .expect("active");
+        assert_eq!(
+            h.release_traced(id, Some(TraceId::from_u64(78))),
+            Err(RwaError::UnknownConnection(id))
+        );
+        let snap = recorder.snapshot();
+        let of = |tid: u64, kind: TraceEventKind| {
+            snap.records
+                .iter()
+                .filter(|r| r.trace_id == tid && r.kind == kind)
+                .count()
+        };
+        assert_eq!(of(77, TraceEventKind::Release), 1);
+        assert_eq!(
+            of(77, TraceEventKind::MaskFlip),
+            3,
+            "one flip per freed hop"
+        );
+        let failed = snap
+            .records
+            .iter()
+            .find(|r| r.trace_id == 78 && r.kind == TraceEventKind::Release)
+            .expect("failed release root");
+        assert_eq!(failed.flags, RootVerdict::Failed.code());
     }
 }

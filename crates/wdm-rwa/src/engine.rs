@@ -1,34 +1,25 @@
-//! The provisioning engine: mutable (link, wavelength) resource state.
+//! The single-caller provisioning API: a `&mut self` wrapper that owns
+//! one [`ConcurrentHandle`] over a private one-shard
+//! [`ConcurrentEngine`]. Every operation runs the transaction code in
+//! [`crate::concurrent`]; this module adds no state of its own.
 
-use crate::metrics::{BlockCause, EngineMetrics};
+use crate::concurrent::{ConcurrentEngine, ConcurrentHandle};
 use crate::policy::Policy;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
-use wdm_core::{PersistentAuxGraph, SearchStats, Semilightpath, Wavelength, WdmNetwork};
+use wdm_core::{ConversionPolicy, Semilightpath, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
-use wdm_obs::trace::{FlightRecorder, RootVerdict, TraceEventKind, TraceId, TraceWriter};
+use wdm_obs::trace::FlightRecorder;
 use wdm_obs::MetricsRegistry;
-
-/// Nanoseconds since `t0`, saturating at `u64::MAX`.
-fn ns_since(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A collection size as a gauge value, saturating at `i64::MAX`.
-fn gauge_len(n: usize) -> i64 {
-    i64::try_from(n).unwrap_or(i64::MAX)
-}
 
 /// Handle of an active connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnectionId(u64);
 
 impl ConnectionId {
-    /// Crate-internal constructor for the concurrent engine's id
-    /// allocator (ids are engine-scoped either way).
+    /// Crate-internal constructor for the engine's commit-time id
+    /// allocator.
     pub(crate) fn from_raw(raw: u64) -> Self {
         ConnectionId(raw)
     }
@@ -100,201 +91,79 @@ impl fmt::Display for RwaError {
 
 impl Error for RwaError {}
 
-/// An accepted connection's bookkeeping.
-#[derive(Debug, Clone)]
-struct Connection {
-    path: Semilightpath,
-}
-
 /// How the engine answers each request's routing query.
 ///
-/// Both modes run the identical masked search over a
-/// [`PersistentAuxGraph`] and therefore make bit-identical routing
-/// decisions; they differ only in whether the structure persists.
+/// One mode is left: the rebuild-per-request reference is a test-only
+/// spec in the `wdm-conformance` crate. The type remains for callers
+/// that name the mode when building a daemon backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
-    /// The hot path: one persistent structure per engine, busy bits
-    /// flipped in place. Per-request work is a single masked Dijkstra.
+    /// One persistent structure per engine, busy bits flipped in place.
+    /// Per-request work is a single masked Dijkstra.
     #[default]
     Masked,
-    /// The reference path: reconstruct the structure and replay the busy
-    /// state from scratch on every request. Exists for conformance
-    /// testing and benchmarking against the masked mode.
-    RebuildPerRequest,
 }
 
-/// Mutable RWA state over a base network.
+/// Mutable RWA state over a base network, for one caller.
 ///
 /// The base network defines topology, the full availability sets `Λ(e)`,
 /// per-wavelength link costs, and conversion policies; the engine tracks
 /// which (link, wavelength) pairs are currently occupied by active
 /// connections and routes each request on the *residual* network.
-#[derive(Debug, Clone)]
+///
+/// This is the `&mut self` face of the sharded engine: it owns one
+/// [`ConcurrentHandle`] over a private one-shard [`ConcurrentEngine`],
+/// so an uncontended caller runs exactly the transaction code a
+/// concurrent caller runs, never conflicts, and never waits. It is not
+/// `Clone`: a wrapper over shared state must not alias.
+#[derive(Debug)]
 pub struct ProvisioningEngine {
-    base: WdmNetwork,
-    /// `busy[link][λ]` — occupied by some active connection.
-    busy: Vec<Vec<bool>>,
-    /// The persistent masked search structure, kept bit-for-bit in sync
-    /// with `busy` for every `(e, λ ∈ Λ(e))` by [`Self::set_resource`].
-    /// Valid as long as `base` is immutable; replacing the base network
-    /// requires a new engine (and thus a full rebuild).
-    residual: PersistentAuxGraph,
-    mode: RoutingMode,
-    active: HashMap<ConnectionId, Connection>,
-    next_id: u64,
-    /// Totals for statistics.
-    accepted: u64,
-    blocked: u64,
-    released: u64,
-    /// Blocked requests whose pair is unroutable even on the free
-    /// network (under the request's policy).
-    blocked_no_path: u64,
-    /// Blocked requests that a free network would have routed.
-    blocked_capacity: u64,
-    /// Memoized free-network reachability, keyed by
-    /// `(s, t, conversion-capable)` and tagged with the
-    /// [`cause_epoch`](Self::cause_epoch) it was probed under. The
-    /// blocked-cause verdict depends only on the free network *minus the
-    /// currently failed links* — never on occupancy — so entries stay
-    /// valid until the failed-link set or the conversion layout changes;
-    /// churn workloads that block the same pairs repeatedly pay the
-    /// probe once per epoch.
-    free_reach_cache: HashMap<(NodeId, NodeId, bool), (u64, bool)>,
-    /// Bumped every time the free-network reachability regime changes —
-    /// a link fails ([`fail_link`](Self::fail_link)), a link is repaired
-    /// ([`restore_link`](Self::restore_link)), or a node's conversion
-    /// capability is mutated ([`set_converter`](Self::set_converter)) —
-    /// invalidating all memoized cause verdicts probed under the
-    /// previous regime.
-    cause_epoch: u64,
-    /// Links currently cut by [`fail_link`] and not yet repaired by
-    /// [`restore_link`], kept sorted by id. Blocked requests are
-    /// classified against the free network *without* these links: a pair
-    /// whose only free-network routes crossed a cut is topology-blocked
-    /// for the duration, not capacity-blocked.
-    ///
-    /// [`fail_link`]: Self::fail_link
-    /// [`restore_link`]: Self::restore_link
-    failed_links: Vec<LinkId>,
-    /// Cause of the most recent blocked request, for callers (the
-    /// control-plane daemon) that answer each request individually and
-    /// want the verdict without re-deriving it from counter deltas.
-    last_block_cause: Option<BlockCause>,
-    /// Shared instruments when a registry is attached; `None` keeps the
-    /// hot path at one branch per operation.
-    metrics: Option<EngineMetrics>,
-    /// Flight-recorder writer when tracing is attached; same one-branch
-    /// discipline as `metrics`.
-    tracer: Option<TraceWriter>,
-    /// The trace the *current* operation records under, so interior
-    /// helpers ([`Self::set_resource`], [`Self::note_blocked`]) can
-    /// attribute their events without parameter plumbing. Set on entry
-    /// to a traced operation, cleared on exit; always `None` between
-    /// operations.
-    active_trace: Option<TraceId>,
+    handle: ConcurrentHandle,
 }
 
 impl ProvisioningEngine {
-    /// Creates an engine with every base resource free, routing on the
-    /// persistent masked structure ([`RoutingMode::Masked`]).
+    /// Creates an engine with every base resource free.
     pub fn new(base: &WdmNetwork) -> Self {
-        Self::with_mode(base, RoutingMode::Masked)
+        ProvisioningEngine {
+            handle: ConcurrentEngine::new(base, 1).handle(),
+        }
     }
 
-    /// Creates an engine with an explicit [`RoutingMode`].
-    ///
-    /// Debug builds additionally run the `wdm-lint` model verifier over
-    /// `base` before the engine routes anything: Theorem 1 node/edge
-    /// counts, gadget shape, tap costs, mask cross-index, and the
-    /// Restriction 1/2 gates are all checked against independent
-    /// recomputation, and any finding aborts construction.
-    pub fn with_mode(base: &WdmNetwork, mode: RoutingMode) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let findings = wdm_lint::verify_network(base, "provisioning-engine");
-            debug_assert!(
-                findings.is_empty(),
-                "auxiliary-graph construction failed static verification:\n{}",
-                wdm_lint::render_text(&findings, std::path::Path::new("."))
-            );
-        }
-        let m = base.link_count();
-        let k = base.k();
-        ProvisioningEngine {
-            base: base.clone(),
-            busy: vec![vec![false; k]; m],
-            residual: PersistentAuxGraph::new(base),
-            mode,
-            active: HashMap::new(),
-            next_id: 0,
-            accepted: 0,
-            blocked: 0,
-            released: 0,
-            blocked_no_path: 0,
-            blocked_capacity: 0,
-            free_reach_cache: HashMap::new(),
-            cause_epoch: 0,
-            failed_links: Vec::new(),
-            last_block_cause: None,
-            metrics: None,
-            tracer: None,
-            active_trace: None,
-        }
+    fn engine(&self) -> &ConcurrentEngine {
+        self.handle.engine()
     }
 
     /// Attaches a metrics registry: from now on every provision /
-    /// release / fail_link reports latency histograms, outcome counters
-    /// (blocked split by cause), search-kernel totals, and occupancy
-    /// gauges into `registry`'s shared instruments (see the crate docs
-    /// for the metric names). Gauges are seeded from the current state,
-    /// so attaching mid-run is coherent; re-attaching replaces the
-    /// handles. Detached engines skip all of it behind one branch.
+    /// release / fail_link / restore_link reports latency histograms,
+    /// outcome counters (blocked split by cause), search-kernel totals,
+    /// and occupancy gauges into `registry`'s shared instruments (see
+    /// the crate docs for the series). Gauges are seeded from the
+    /// current state, so attaching mid-run is coherent. Write-once: the
+    /// first registry wins.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        let m = EngineMetrics::resolve(registry, self.base.link_count());
-        m.active.set(gauge_len(self.active.len()));
-        let mut occupied = 0i64;
-        for (li, per_link) in self.busy.iter().enumerate() {
-            let count = per_link.iter().filter(|&&b| b).count() as i64;
-            m.link_occupancy[li].set(count);
-            occupied += count;
-        }
-        m.occupied.set(occupied);
-        // Search work done before the attach stays unattributed.
-        let _ = self.residual.take_search_totals();
-        self.metrics = Some(m);
+        self.engine().attach_metrics(registry);
     }
 
-    /// Attaches a flight recorder: from now on every provision /
-    /// release / fail_link records a per-request trace — a root span
-    /// with the outcome verdict, the routing query as a nested span,
-    /// one instant per mask flip, and the blocked-cause verdict —
-    /// under a [`TraceId`] that is either supplied by the caller (the
-    /// daemon threads wire `trace_id`s through
-    /// [`provision_traced`](Self::provision_traced)) or allocated from
-    /// the recorder. Detached engines pay one branch per check, the
-    /// same discipline as [`attach_metrics`](Self::attach_metrics).
+    /// Attaches a flight recorder: from now on every operation records
+    /// a per-request trace (see [`ConcurrentEngine::attach_tracer`]).
+    /// Write-once: the first recorder wins.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
-        self.tracer = Some(recorder.writer());
+        self.engine().attach_tracer(recorder);
     }
 
-    /// The base network the engine was created from.
+    /// The base network the engine routes on.
     pub fn base(&self) -> &WdmNetwork {
-        &self.base
-    }
-
-    /// The engine's routing mode.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
+        self.engine().base()
     }
 
     /// Number of currently active connections.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.engine().active_count()
     }
 
     /// Totals so far: `(accepted, blocked, released)`.
     pub fn totals(&self) -> (u64, u64, u64) {
-        (self.accepted, self.blocked, self.released)
+        self.engine().totals()
     }
 
     /// Blocked totals split by cause: `(no_path, capacity)`.
@@ -305,228 +174,17 @@ impl ProvisioningEngine {
     /// would route); `capacity` counts requests a free network would
     /// have carried. The two always sum to the blocked total.
     pub fn blocked_by_cause(&self) -> (u64, u64) {
-        (self.blocked_no_path, self.blocked_capacity)
-    }
-
-    /// Cause of the most recent blocked request (`None` until one
-    /// blocks). Lets a per-request responder report the verdict of the
-    /// [`RwaError::Blocked`] it just received without diffing
-    /// [`blocked_by_cause`](Self::blocked_by_cause) totals.
-    pub fn last_block_cause(&self) -> Option<BlockCause> {
-        self.last_block_cause
+        self.engine().blocked_by_cause()
     }
 
     /// Fraction of base (link, wavelength) resources currently occupied.
     pub fn utilization(&self) -> f64 {
-        let mut total = 0usize;
-        let mut used = 0usize;
-        for (e, _) in self.base.graph().links() {
-            for (w, _) in self.base.wavelengths_on(e).iter() {
-                total += 1;
-                if self.busy[e.index()][w.index()] {
-                    used += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            used as f64 / total as f64
-        }
+        self.engine().utilization()
     }
 
-    /// The residual network: base availability minus busy resources.
-    ///
-    /// This materializes a fresh [`WdmNetwork`] clone — the cost the
-    /// masked hot path avoids. It remains the right tool for batch
-    /// pre-screening and external snapshots.
-    pub fn residual_network(&self) -> WdmNetwork {
-        self.base
-            .restrict(|link, w| !self.busy[link.index()][w.index()])
-    }
-
-    /// Marks `(link, λ)` in both resource views: the `busy` matrix and the
-    /// persistent masked structure. Keeping every flip behind this method
-    /// is what maintains the mask-sync invariant.
-    fn set_resource(&mut self, link: LinkId, wavelength: Wavelength, busy: bool) {
-        let was = self.busy[link.index()][wavelength.index()];
-        self.busy[link.index()][wavelength.index()] = busy;
-        let exists = self.residual.set_busy(link, wavelength, busy);
-        // Only genuine transitions of resources the base actually
-        // carries move the occupancy gauges and the flip counter.
-        if was != busy && exists {
-            if let Some(m) = &self.metrics {
-                m.mask_flips.inc();
-                let delta = if busy { 1 } else { -1 };
-                m.occupied.add(delta);
-                m.link_occupancy[link.index()].add(delta);
-            }
-            if let (Some(w), Some(trace)) = (&self.tracer, self.active_trace) {
-                w.instant(
-                    trace,
-                    TraceEventKind::MaskFlip,
-                    link.index() as u64,
-                    wavelength.index() as u64,
-                );
-            }
-        }
-    }
-
-    /// A from-scratch [`PersistentAuxGraph`] with the current busy state
-    /// replayed — the [`RoutingMode::RebuildPerRequest`] reference.
-    fn rebuild_residual(&self) -> PersistentAuxGraph {
-        let mut fresh = PersistentAuxGraph::new(&self.base);
-        for (e, _) in self.base.graph().links() {
-            for (w, _) in self.base.wavelengths_on(e).iter() {
-                if self.busy[e.index()][w.index()] {
-                    fresh.set_busy(e, w, true);
-                }
-            }
-        }
-        fresh
-    }
-
-    /// Answers one routing query according to [`Self::mode`], returning
-    /// the path and the search-kernel operation totals the query cost
-    /// (drained from whichever structure ran the search, so both modes
-    /// report comparable numbers).
-    // wdm-lint: hot-path (the masked arm; the rebuild arm is the
-    // reference implementation and allocates by design)
-    fn route_request(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-    ) -> (Option<Semilightpath>, SearchStats) {
-        let (path, search) = match self.mode {
-            RoutingMode::Masked => {
-                let p = policy.route_masked(&mut self.residual, s, t);
-                (p, self.residual.take_search_totals())
-            }
-            RoutingMode::RebuildPerRequest => {
-                // wdm-lint: allow(alloc_reach) — reference arm rebuilds state per query by design
-                let mut fresh = self.rebuild_residual();
-                let p = policy.route_masked(&mut fresh, s, t);
-                let stats = fresh.take_search_totals();
-                (p, stats)
-            }
-        };
-        #[cfg(debug_assertions)]
-        // wdm-lint: allow(alloc_reach) — debug-only cross-check against the allocating reference router
-        self.cross_check_route(s, t, policy, &path);
-        (path, search)
-    }
-
-    /// Classifies a blocked request: topology-blocked (`no_path`) when
-    /// the pair cannot be routed even with every resource free under
-    /// `policy`'s capabilities — on the free network *minus the
-    /// currently failed links*, while any cut is outstanding — and
-    /// occupancy-blocked (`capacity`) otherwise. Runs on the cold
-    /// blocked path only; the probe's search work is discarded so it
-    /// never pollutes request metering. Verdicts are memoized per
-    /// `(s, t, conversion-capable)` under the current
-    /// [`cause_epoch`](Self::cause_epoch): stale entries from a
-    /// different failed-link or conversion regime are re-probed, never
-    /// trusted.
-    fn classify_blocked(&mut self, s: NodeId, t: NodeId, policy: Policy) -> BlockCause {
-        let reachable = if s == t {
-            // The engine rejects s == t (an empty path carries nothing);
-            // no amount of capacity changes that.
-            false
-        } else {
-            // LightpathOnly and FirstFit both route on a single
-            // wavelength end-to-end, so they share one cache class.
-            let converts = matches!(policy, Policy::Optimal);
-            let epoch = self.cause_epoch;
-            match self.free_reach_cache.get(&(s, t, converts)) {
-                Some(&(e, hit)) if e == epoch => hit,
-                _ => {
-                    let failed = &self.failed_links;
-                    let (state, scratch) = self.residual.split_mut();
-                    let probed = match (converts, failed.is_empty()) {
-                        (true, true) => state.reachable_when_free(scratch, s, t),
-                        (true, false) => state.reachable_when_free_excluding(scratch, s, t, failed),
-                        (false, true) => state.reachable_when_free_single_wavelength(scratch, s, t),
-                        (false, false) => state
-                            .reachable_when_free_single_wavelength_excluding(scratch, s, t, failed),
-                    };
-                    let _ = self.residual.take_search_totals();
-                    self.free_reach_cache
-                        .insert((s, t, converts), (epoch, probed));
-                    probed
-                }
-            }
-        };
-        if reachable {
-            BlockCause::Capacity
-        } else {
-            BlockCause::NoPath
-        }
-    }
-
-    /// Accounts one blocked request: engine totals, cause split, and
-    /// (when attached) the blocked counters.
-    fn note_blocked(&mut self, s: NodeId, t: NodeId, policy: Policy) {
-        let cause = self.classify_blocked(s, t, policy);
-        self.last_block_cause = Some(cause);
-        self.blocked += 1;
-        match cause {
-            BlockCause::NoPath => self.blocked_no_path += 1,
-            BlockCause::Capacity => self.blocked_capacity += 1,
-        }
-        if let Some(m) = &self.metrics {
-            m.record_blocked(cause);
-        }
-        if let (Some(w), Some(trace)) = (&self.tracer, self.active_trace) {
-            let code = match cause {
-                BlockCause::NoPath => 0,
-                BlockCause::Capacity => 1,
-            };
-            w.instant(trace, TraceEventKind::Blocked, code, 0);
-        }
-    }
-
-    /// Debug-build cross-check of the masked answer against the legacy
-    /// rebuild path (`residual_network()` + [`Policy::route`]): the busy
-    /// mask must match the busy matrix exactly, and both routers must
-    /// agree on the blocked verdict and the optimal cost. (Under cost
-    /// ties the two may pick different equal-cost paths, so hop sequences
-    /// are not compared here; mode-vs-mode hop identity is covered by the
-    /// conformance suite.)
-    #[cfg(debug_assertions)]
-    fn cross_check_route(&self, s: NodeId, t: NodeId, policy: Policy, got: &Option<Semilightpath>) {
-        for (e, _) in self.base.graph().links() {
-            for (w, _) in self.base.wavelengths_on(e).iter() {
-                debug_assert_eq!(
-                    self.residual.is_busy(e, w),
-                    self.busy[e.index()][w.index()],
-                    "mask drift at ({e}, {w})"
-                );
-            }
-        }
-        let legacy = policy.route(&self.residual_network(), s, t);
-        match (got, &legacy) {
-            (Some(a), Some(b)) => {
-                debug_assert_eq!(
-                    a.cost(),
-                    b.cost(),
-                    "masked vs rebuild cost mismatch for {s} -> {t} under {policy}"
-                );
-                debug_assert_eq!(a.is_empty(), b.is_empty());
-            }
-            (None, None) => {}
-            _ => debug_assert!(
-                false,
-                "masked vs rebuild blocked-verdict mismatch for {s} -> {t} under {policy}"
-            ),
-        }
-    }
-
-    /// Routes and, on success, locks the request `s → t` under `policy`.
-    ///
-    /// In [`RoutingMode::Masked`] this is the zero-rebuild hot path: no
-    /// network clone, no graph construction — one masked Dijkstra over
-    /// the persistent structure, then `O(hops)` bit flips.
+    /// Routes and, on success, locks the request `s → t` under `policy`:
+    /// one masked Dijkstra over the persistent structure, then `O(hops)`
+    /// bit flips.
     ///
     /// # Errors
     ///
@@ -539,162 +197,25 @@ impl ProvisioningEngine {
         t: NodeId,
         policy: Policy,
     ) -> Result<ConnectionId, RwaError> {
-        self.provision_traced(s, t, policy, None)
+        self.handle.provision(s, t, policy)
     }
 
-    /// [`provision`](Self::provision) with an explicit wire trace id:
-    /// when a recorder is attached, the request's trace records under
-    /// `wire` (or a freshly allocated id when `None`), so a daemon
-    /// client that tagged its request can find the exact trace in the
-    /// exported Chrome JSON. Without a recorder, `wire` is ignored and
-    /// this is byte-for-byte `provision`.
-    pub fn provision_traced(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-        wire: Option<TraceId>,
-    ) -> Result<ConnectionId, RwaError> {
-        for v in [s, t] {
-            if v.index() >= self.base.node_count() {
-                return Err(RwaError::NodeOutOfRange(v));
-            }
-        }
-        // Requests are metered only past endpoint validation, so
-        // requests_total == accepted_total + blocked_total holds.
-        let started = self.metrics.as_ref().map(|m| {
-            m.requests.inc();
-            Instant::now()
-        });
-        let trace = self.tracer.as_ref().map(|w| {
-            let id = wire.unwrap_or_else(|| w.recorder().next_trace_id());
-            (id, w.now_ns())
-        });
-        if let Some((id, _)) = trace {
-            self.active_trace = Some(id);
-        }
-        let route_started = if trace.is_some() {
-            self.tracer.as_ref().map(|w| w.now_ns())
-        } else {
-            None
-        };
-        let (routed, search) = self.route_request(s, t, policy);
-        if let (Some(w), Some((id, _)), Some(t0)) = (&self.tracer, trace, route_started) {
-            w.span(
-                id,
-                TraceEventKind::Route,
-                t0,
-                0,
-                s.index() as u64,
-                t.index() as u64,
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.flush_search(&search);
-        }
-        let result = match routed {
-            Some(path) if !path.is_empty() => {
-                debug_assert!(
-                    path.validate(&self.residual_network()).is_ok(),
-                    "policy returned invalid path"
-                );
-                for hop in path.hops() {
-                    debug_assert!(!self.busy[hop.link.index()][hop.wavelength.index()]);
-                    self.set_resource(hop.link, hop.wavelength, true);
-                }
-                let id = ConnectionId(self.next_id);
-                self.next_id += 1;
-                self.active.insert(id, Connection { path });
-                self.accepted += 1;
-                if let Some(m) = &self.metrics {
-                    m.accepted.inc();
-                    m.active.set(gauge_len(self.active.len()));
-                }
-                Ok(id)
-            }
-            _ => {
-                self.note_blocked(s, t, policy);
-                Err(RwaError::Blocked { s, t })
-            }
-        };
-        if let (Some(m), Some(t0)) = (&self.metrics, started) {
-            m.provision_latency.observe(ns_since(t0));
-        }
-        if let (Some(w), Some((id, t0))) = (&self.tracer, trace) {
-            let verdict = if result.is_ok() {
-                RootVerdict::Ok
-            } else {
-                RootVerdict::Blocked
-            };
-            let dur = w.span(
-                id,
-                TraceEventKind::Provision,
-                t0,
-                verdict.code(),
-                s.index() as u64,
-                t.index() as u64,
-            );
-            w.recorder().note_root(id, dur, verdict);
-        }
-        self.active_trace = None;
-        result
-    }
-
-    /// Provisions a batch of requests, using the parallel all-pairs
-    /// solver to pre-screen them.
+    /// Provisions a batch of requests serially, in order — exactly the
+    /// equivalent [`provision`](Self::provision) loop. Returns one
+    /// outcome per request, in request order.
     ///
-    /// One [`wdm_core::AllPairs::solve_parallel`] run over the batch's
-    /// *initial* residual network (fanned across `threads` workers;
-    /// `0` = all cores) yields every pair's reachability at once.
-    /// Requests whose matrix cost is infinite are blocked immediately
-    /// without running the router: resources only shrink while the batch
-    /// provisions — nothing is released mid-batch — so a pair that is
-    /// unreachable on the initial residual network stays unreachable for
-    /// the rest of the batch. The remaining requests are provisioned
-    /// serially, in order, exactly as repeated [`provision`] calls
-    /// would (and may still block individually as earlier requests
-    /// consume wavelengths).
-    ///
-    /// Returns one outcome per request, in request order. Totals in
-    /// [`ProvisioningEngine::totals`] are updated identically to the
-    /// equivalent `provision` loop.
-    ///
-    /// [`provision`]: ProvisioningEngine::provision
+    /// `threads` is ignored; it remains for callers written against the
+    /// earlier all-pairs pre-screen.
     pub fn provision_batch(
         &mut self,
         requests: &[(NodeId, NodeId)],
         policy: Policy,
         threads: usize,
     ) -> Vec<Result<ConnectionId, RwaError>> {
-        let reachable = wdm_core::AllPairs::solve_parallel(
-            &self.residual_network(),
-            wdm_core::HeapKind::Fibonacci,
-            threads,
-        );
+        let _ = threads;
         requests
             .iter()
-            .map(|&(s, t)| {
-                for v in [s, t] {
-                    if v.index() >= self.base.node_count() {
-                        return Err(RwaError::NodeOutOfRange(v));
-                    }
-                }
-                if reachable.cost(s, t).is_infinite() {
-                    // Pre-screened requests never reach `provision`, so
-                    // meter them here to keep requests_total equal to
-                    // the latency histogram's count.
-                    let started = self.metrics.as_ref().map(|m| {
-                        m.requests.inc();
-                        Instant::now()
-                    });
-                    self.note_blocked(s, t, policy);
-                    if let (Some(m), Some(t0)) = (&self.metrics, started) {
-                        m.provision_latency.observe(ns_since(t0));
-                    }
-                    return Err(RwaError::Blocked { s, t });
-                }
-                self.provision(s, t, policy)
-            })
+            .map(|&(s, t)| self.provision(s, t, policy))
             .collect()
     }
 
@@ -704,80 +225,24 @@ impl ProvisioningEngine {
     ///
     /// [`RwaError::UnknownConnection`] if `id` is not active.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), RwaError> {
-        self.release_traced(id, None)
+        self.handle.release(id)
     }
 
-    /// [`release`](Self::release) with an explicit wire trace id; see
-    /// [`provision_traced`](Self::provision_traced) for the semantics.
-    /// A release of an unknown connection still records a root span,
-    /// with the `failed` verdict.
-    pub fn release_traced(
-        &mut self,
-        id: ConnectionId,
-        wire: Option<TraceId>,
-    ) -> Result<(), RwaError> {
-        let started = self.metrics.as_ref().map(|_| Instant::now());
-        let trace = self.tracer.as_ref().map(|w| {
-            let tid = wire.unwrap_or_else(|| w.recorder().next_trace_id());
-            (tid, w.now_ns())
-        });
-        if let Some((tid, _)) = trace {
-            self.active_trace = Some(tid);
-        }
-        let Some(conn) = self.active.remove(&id) else {
-            if let (Some(w), Some((tid, t0))) = (&self.tracer, trace) {
-                let dur = w.span(
-                    tid,
-                    TraceEventKind::Release,
-                    t0,
-                    RootVerdict::Failed.code(),
-                    id.as_u64(),
-                    0,
-                );
-                w.recorder().note_root(tid, dur, RootVerdict::Failed);
-            }
-            self.active_trace = None;
-            return Err(RwaError::UnknownConnection(id));
-        };
-        for hop in conn.path.hops() {
-            self.set_resource(hop.link, hop.wavelength, false);
-        }
-        self.released += 1;
-        if let (Some(m), Some(t0)) = (&self.metrics, started) {
-            m.released.inc();
-            m.active.set(gauge_len(self.active.len()));
-            m.release_latency.observe(ns_since(t0));
-        }
-        if let (Some(w), Some((tid, t0))) = (&self.tracer, trace) {
-            let dur = w.span(
-                tid,
-                TraceEventKind::Release,
-                t0,
-                RootVerdict::Ok.code(),
-                id.as_u64(),
-                0,
-            );
-            w.recorder().note_root(tid, dur, RootVerdict::Ok);
-        }
-        self.active_trace = None;
-        Ok(())
-    }
-
-    /// The path of an active connection.
-    pub fn path_of(&self, id: ConnectionId) -> Option<&Semilightpath> {
-        self.active.get(&id).map(|c| &c.path)
+    /// The path of an active connection (cloned out of the table).
+    pub fn path_of(&self, id: ConnectionId) -> Option<Semilightpath> {
+        self.engine().path_of(id)
     }
 
     /// Iterates active connection ids (unspecified order).
-    pub fn active_connections(&self) -> impl Iterator<Item = ConnectionId> + '_ {
-        self.active.keys().copied()
+    pub fn active_connections(&self) -> impl Iterator<Item = ConnectionId> {
+        self.engine().active_connections().into_iter()
     }
 
     /// Links currently failed (cut by [`fail_link`](Self::fail_link)
     /// and not yet repaired by [`restore_link`](Self::restore_link)),
     /// sorted by id.
-    pub fn failed_links(&self) -> &[LinkId] {
-        &self.failed_links
+    pub fn failed_links(&self) -> Vec<LinkId> {
+        self.engine().failed_links()
     }
 
     /// Simulates a fibre cut: every active connection crossing `link` is
@@ -787,164 +252,35 @@ impl ProvisioningEngine {
     /// [`utilization`](Self::utilization) — until
     /// [`restore_link`](Self::restore_link) repairs it, so later
     /// requests route around the fibre and blocked ones are classified
-    /// against the free network without it.
-    ///
-    /// Failing an already-failed link is an idempotent no-op: nothing
-    /// crosses a cut fibre, so there is nothing to tear down and the
-    /// memo epoch does not move. The returned vector is empty.
+    /// against the free network without it. Failing an already-failed
+    /// link is an idempotent no-op returning no outcomes.
     ///
     /// Returns the affected connection ids paired with their restoration
     /// outcome (`Some(new_id)` when restored, `None` when the connection
-    /// is lost). Restoration order is by connection id (deterministic).
+    /// is lost), in connection-id order.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
     pub fn fail_link(
         &mut self,
-        link: wdm_graph::LinkId,
+        link: LinkId,
         policy: Policy,
     ) -> Vec<(ConnectionId, Option<ConnectionId>)> {
-        assert!(
-            link.index() < self.base.link_count(),
-            "link {link} out of range"
-        );
-        if self.failed_links.contains(&link) {
-            return Vec::new();
-        }
-        // The whole cut — teardowns, blocking, restorations — is one
-        // span; the nested release/provision calls also meter their own
-        // operations (documented on the latency metric). Tracing works
-        // the same way: the cut gets a root span of its own, while each
-        // nested teardown/restoration records under its own trace id.
-        let started = self.metrics.as_ref().map(|_| Instant::now());
-        let trace = self
-            .tracer
-            .as_ref()
-            .map(|w| (w.recorder().next_trace_id(), w.now_ns()));
-        let mut affected: Vec<ConnectionId> = self
-            .active
-            .iter()
-            .filter(|(_, c)| c.path.hops().iter().any(|h| h.link == link))
-            .map(|(&id, _)| id)
-            .collect();
-        affected.sort();
-        // Tear down first so restoration can reuse the freed resources.
-        let mut endpoints = Vec::with_capacity(affected.len());
-        for &id in &affected {
-            let Some(conn) = self.active.get(&id) else {
-                unreachable!("affected ids were just drawn from the active map")
-            };
-            let (Some(s), Some(t)) = (conn.path.source(&self.base), conn.path.target(&self.base))
-            else {
-                unreachable!("active paths are non-empty; they were provisioned with hops")
-            };
-            endpoints.push((s, t));
-            if self.release(id).is_err() {
-                unreachable!("releasing an active connection cannot fail");
-            }
-        }
-        // Mark the failed link busy on every wavelength so routing
-        // avoids it. (Wavelengths the link does not carry have no mask
-        // bit; flagging them in the busy matrix alone is harmless because
-        // no route can use them either way.) Cause classification must
-        // see the cut too — a request whose only free-network routes
-        // crossed the fibre is topology-blocked for the duration — so the
-        // failed-link regime changes and the memo epoch advances with it.
-        if let Some((tid, _)) = trace {
-            // Nested release calls cleared the active trace; the
-            // blanket busy-marking flips below belong to the cut's own
-            // trace.
-            self.active_trace = Some(tid);
-        }
-        for lambda in 0..self.base.k() {
-            self.set_resource(link, Wavelength::new(lambda), true);
-        }
-        self.failed_links.push(link);
-        self.failed_links.sort();
-        self.cause_epoch += 1;
-        let mut outcome = Vec::with_capacity(affected.len());
-        for (&id, &(s, t)) in affected.iter().zip(&endpoints) {
-            outcome.push((id, self.provision(s, t, policy).ok()));
-        }
-        if let Some((tid, _)) = trace {
-            self.active_trace = Some(tid);
-        }
-        if let (Some(m), Some(t0)) = (&self.metrics, started) {
-            m.fail_link_latency.observe(ns_since(t0));
-        }
-        if let (Some(w), Some((tid, t0))) = (&self.tracer, trace) {
-            let dur = w.span(
-                tid,
-                TraceEventKind::FailLink,
-                t0,
-                RootVerdict::Ok.code(),
-                link.index() as u64,
-                outcome.len() as u64,
-            );
-            w.recorder().note_root(tid, dur, RootVerdict::Ok);
-        }
-        self.active_trace = None;
-        outcome
+        self.handle.fail_link(link, policy)
     }
 
-    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link):
-    /// clears the blanket busy markers — the exact involution of the
-    /// cut's marking, through the same [`Self::set_resource`] path that
-    /// maintains the mask-sync invariant — removes the link from the
-    /// failed set, and advances the memo epoch so cause verdicts probed
-    /// under the cut are never trusted again.
-    ///
-    /// Returns `true` when the link was failed and is now restored.
-    /// Restoring a link that is not failed is a reported no-op
-    /// (`false`): a blind unmark would free resources that may be held
-    /// by active connections, so only the cut's own markers are ever
-    /// cleared. Existing connections are untouched either way —
-    /// restoration re-routing happens at cut time, not at repair time.
+    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link),
+    /// clearing exactly the cut's busy markers. Returns `true` when the
+    /// link was failed and is now restored; restoring a link that is not
+    /// failed is a reported no-op (`false`). Existing connections are
+    /// untouched either way.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn restore_link(&mut self, link: wdm_graph::LinkId) -> bool {
-        assert!(
-            link.index() < self.base.link_count(),
-            "link {link} out of range"
-        );
-        let Ok(pos) = self.failed_links.binary_search(&link) else {
-            return false;
-        };
-        let started = self.metrics.as_ref().map(|_| Instant::now());
-        let trace = self
-            .tracer
-            .as_ref()
-            .map(|w| (w.recorder().next_trace_id(), w.now_ns()));
-        if let Some((tid, _)) = trace {
-            self.active_trace = Some(tid);
-        }
-        // No active connection crosses the cut fibre (the cut tore them
-        // down and every later route excluded it), so the only busy bits
-        // on this link are the cut's own markers.
-        for lambda in 0..self.base.k() {
-            self.set_resource(link, Wavelength::new(lambda), false);
-        }
-        self.failed_links.remove(pos);
-        self.cause_epoch += 1;
-        if let (Some(m), Some(t0)) = (&self.metrics, started) {
-            m.restore_link_latency.observe(ns_since(t0));
-        }
-        if let (Some(w), Some((tid, t0))) = (&self.tracer, trace) {
-            let dur = w.span(
-                tid,
-                TraceEventKind::FailLink,
-                t0,
-                RootVerdict::Ok.code(),
-                link.index() as u64,
-                0,
-            );
-            w.recorder().note_root(tid, dur, RootVerdict::Ok);
-        }
-        self.active_trace = None;
-        true
+    pub fn restore_link(&mut self, link: LinkId) -> bool {
+        self.handle.restore_link(link)
     }
 
     /// Adds (`enabled`) or removes (`enabled == false`) full-range
@@ -959,33 +295,19 @@ impl ProvisioningEngine {
     /// network.
     pub fn set_converter(&mut self, node: NodeId, enabled: bool) -> Result<bool, RwaError> {
         let policy = if enabled {
-            wdm_core::ConversionPolicy::Free
+            ConversionPolicy::Free
         } else {
-            wdm_core::ConversionPolicy::Forbidden
+            ConversionPolicy::Forbidden
         };
         self.set_converter_policy(node, policy)
     }
 
     /// Replaces the conversion policy at `node`, rebuilding the routing
-    /// structures around the new conversion gadget.
-    ///
-    /// Returns `Ok(true)` when the policy changed and `Ok(false)` for a
-    /// no-op (the node already had exactly this policy). On change:
-    ///
-    /// * the base network's policy is swapped and the persistent
-    ///   auxiliary structure is rebuilt from it with the current busy
-    ///   state — including any [`fail_link`](Self::fail_link) cut
-    ///   markers — replayed, so resource occupancy survives the mutation
-    ///   bit-for-bit;
-    /// * the memo epoch advances: free-network reachability verdicts
-    ///   probed under the old conversion layout are stale (a pair that
-    ///   was `no_path` without conversion may be routable with it, and
-    ///   vice versa) and must never be trusted by
-    ///   [`blocked_by_cause`](Self::blocked_by_cause) classification.
-    ///
-    /// Active connections are grandfathered: their paths were valid when
-    /// provisioned and their resources stay locked; removing a converter
-    /// does not tear down connections that used it.
+    /// state around the new conversion gadget with every busy bit — cut
+    /// markers included — replayed, and advancing the blocked-cause memo
+    /// epoch. Returns `Ok(true)` when the policy changed and `Ok(false)`
+    /// for a no-op. Active connections are grandfathered: their
+    /// resources stay locked.
     ///
     /// # Errors
     ///
@@ -994,38 +316,18 @@ impl ProvisioningEngine {
     pub fn set_converter_policy(
         &mut self,
         node: NodeId,
-        policy: wdm_core::ConversionPolicy,
+        policy: ConversionPolicy,
     ) -> Result<bool, RwaError> {
-        if node.index() >= self.base.node_count() {
-            return Err(RwaError::NodeOutOfRange(node));
-        }
-        if *self.base.conversion_at(node) == policy {
-            return Ok(false);
-        }
-        self.base.set_conversion_at(node, policy);
-        #[cfg(debug_assertions)]
-        {
-            let findings = wdm_lint::verify_network(&self.base, "set-converter");
-            debug_assert!(
-                findings.is_empty(),
-                "auxiliary-graph construction failed static verification:\n{}",
-                wdm_lint::render_text(&findings, std::path::Path::new("."))
-            );
-        }
-        // Conversion gadgets are baked into the auxiliary graph at
-        // construction; a policy change is a structural mutation, so the
-        // persistent structure is rebuilt and the busy state replayed.
-        self.residual = self.rebuild_residual();
-        self.cause_epoch += 1;
-        Ok(true)
+        self.handle.set_converter_policy(node, policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdm_core::{ConversionPolicy, Cost};
+    use wdm_core::Cost;
     use wdm_graph::DiGraph;
+    use wdm_obs::trace::RootVerdict;
 
     fn base() -> WdmNetwork {
         let g = DiGraph::from_links(4, [(0, 1), (1, 2), (2, 3)]);
@@ -1095,30 +397,31 @@ mod tests {
 
     #[test]
     fn tracing_records_request_scoped_spans_and_events() {
-        use wdm_obs::trace::{FlightRecorder, TraceEventKind, TraceId};
+        use wdm_obs::trace::{FlightRecorder, TraceEventKind};
         let mut engine = ProvisioningEngine::new(&base());
         let recorder = FlightRecorder::new(1, 256);
         engine.attach_tracer(&recorder);
 
-        // A wire-tagged provision records under exactly that id.
+        // A provision records its events under one trace id.
         let id = engine
-            .provision_traced(
-                0.into(),
-                3.into(),
-                Policy::Optimal,
-                Some(TraceId::from_u64(42)),
-            )
+            .provision(0.into(), 3.into(), Policy::Optimal)
             .expect("routes");
         let snap = recorder.snapshot();
-        let of_42: Vec<_> = snap.records.iter().filter(|r| r.trace_id == 42).collect();
-        let root = of_42
+        let tid = snap
+            .records
+            .iter()
+            .find(|r| r.kind == TraceEventKind::Provision)
+            .expect("root span")
+            .trace_id;
+        let of_root: Vec<_> = snap.records.iter().filter(|r| r.trace_id == tid).collect();
+        let root = of_root
             .iter()
             .find(|r| r.kind == TraceEventKind::Provision)
             .expect("root span");
         assert!(root.is_span());
         assert_eq!((root.a, root.b), (0, 3));
         assert_eq!(root.flags, RootVerdict::Ok.code());
-        let route = of_42
+        let route = of_root
             .iter()
             .find(|r| r.kind == TraceEventKind::Route)
             .expect("route span");
@@ -1126,7 +429,7 @@ mod tests {
         // The route span nests inside the root span's time window.
         assert!(route.ts_ns >= root.ts_ns);
         assert!(route.ts_ns + route.dur_ns <= root.ts_ns + root.dur_ns);
-        let flips: Vec<_> = of_42
+        let flips: Vec<_> = of_root
             .iter()
             .filter(|r| r.kind == TraceEventKind::MaskFlip)
             .collect();
@@ -1141,7 +444,7 @@ mod tests {
             .iter()
             .find(|r| r.kind == TraceEventKind::Release)
             .expect("release root");
-        assert_ne!(release_root.trace_id, 42);
+        assert_ne!(release_root.trace_id, tid);
         assert_eq!(release_root.flags, RootVerdict::Ok.code());
         assert_eq!(release_root.a, id.as_u64());
 
@@ -1216,19 +519,6 @@ mod tests {
             engine.provision(0.into(), 9.into(), Policy::Optimal),
             Err(RwaError::NodeOutOfRange(_))
         ));
-    }
-
-    #[test]
-    fn residual_network_reflects_busy_resources() {
-        let mut engine = ProvisioningEngine::new(&base());
-        let id = engine
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("routes");
-        let path = engine.path_of(id).expect("active").clone();
-        let residual = engine.residual_network();
-        for hop in path.hops() {
-            assert!(!residual.wavelengths_on(hop.link).contains(hop.wavelength));
-        }
     }
 
     #[test]
@@ -1367,54 +657,6 @@ mod tests {
         let mut engine = ProvisioningEngine::new(&base());
         assert!(engine.provision_batch(&[], Policy::Optimal, 4).is_empty());
         assert_eq!(engine.totals(), (0, 0, 0));
-    }
-
-    #[test]
-    fn masked_and_rebuild_modes_are_bit_identical() {
-        // Drive both modes through the same provision/release/fail_link
-        // script and require identical ids, hop-for-hop paths, totals,
-        // and utilization at every step.
-        let mut masked = ProvisioningEngine::new(&base());
-        let mut rebuild = ProvisioningEngine::with_mode(&base(), RoutingMode::RebuildPerRequest);
-        assert_eq!(masked.mode(), RoutingMode::Masked);
-        let mut ids = Vec::new();
-        for (s, t) in [(0, 3), (0, 2), (1, 3), (0, 3), (3, 0)] {
-            let a = masked.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            let b = rebuild.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            assert_eq!(a, b, "{s}->{t}");
-            if let Ok(id) = a {
-                assert_eq!(masked.path_of(id), rebuild.path_of(id), "{s}->{t}");
-                ids.push(id);
-            }
-        }
-        assert_eq!(masked.release(ids[0]), rebuild.release(ids[0]));
-        let cut = wdm_graph::LinkId::new(1);
-        let oa = masked.fail_link(cut, Policy::Optimal);
-        let ob = rebuild.fail_link(cut, Policy::Optimal);
-        assert_eq!(oa, ob);
-        for (_, restored) in &oa {
-            if let Some(id) = restored {
-                assert_eq!(masked.path_of(*id), rebuild.path_of(*id));
-            }
-        }
-        // Route around the persistent cut, then repair and route again.
-        for (s, t) in [(0, 1), (1, 2)] {
-            let a = masked.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            let b = rebuild.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            assert_eq!(a, b, "{s}->{t} while cut");
-        }
-        assert_eq!(masked.restore_link(cut), rebuild.restore_link(cut));
-        for (s, t) in [(1, 3), (0, 3)] {
-            let a = masked.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            let b = rebuild.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
-            assert_eq!(a, b, "{s}->{t} after repair");
-            if let Ok(id) = a {
-                assert_eq!(masked.path_of(id), rebuild.path_of(id));
-            }
-        }
-        assert_eq!(masked.totals(), rebuild.totals());
-        assert_eq!(masked.active_count(), rebuild.active_count());
-        assert_eq!(masked.utilization(), rebuild.utilization());
     }
 
     #[test]
@@ -1577,19 +819,6 @@ mod tests {
             registry.counter("wdm_rwa_requests_total", &[]).get(),
             registry.counter("wdm_rwa_accepted_total", &[]).get() + blocked
         );
-    }
-
-    #[test]
-    fn metrics_report_in_rebuild_mode_too() {
-        let registry = wdm_obs::MetricsRegistry::new();
-        let mut engine = ProvisioningEngine::with_mode(&base(), RoutingMode::RebuildPerRequest);
-        engine.attach_metrics(&registry);
-        engine
-            .provision(0.into(), 3.into(), Policy::Optimal)
-            .expect("routes");
-        // Search totals come from the per-request rebuilt structure.
-        assert!(registry.counter("wdm_core_search_settled_total", &[]).get() > 0);
-        assert_eq!(registry.counter("wdm_rwa_requests_total", &[]).get(), 1);
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! until released, and requests that cannot be routed with the remaining
 //! resources are *blocked*. This crate turns that scenario into a library:
 //!
-//! * [`ProvisioningEngine`] — mutable (link, wavelength) resource state
-//!   over a base [`wdm_core::WdmNetwork`], with provision/release and
-//!   utilization accounting. The hot path routes on a persistent
-//!   [`wdm_core::PersistentAuxGraph`] through an in-place busy mask
-//!   (see [`RoutingMode`]) instead of rebuilding the auxiliary graph per
-//!   request;
+//! * [`concurrent`] — the engine: optimistic seqlock transactions over
+//!   one shared [`wdm_core::ResidualState`], routed by a masked search
+//!   through an in-place busy mask instead of rebuilding the auxiliary
+//!   graph per request. It is the only implementation of provision,
+//!   release, fail_link, restore_link and set_converter, of blocked-cause
+//!   classification, and of the engine's metrics and tracing;
+//! * [`ProvisioningEngine`] — the `&mut self` single-caller API: a
+//!   wrapper that owns one [`ConcurrentHandle`] over a private one-shard
+//!   [`ConcurrentEngine`];
 //! * [`Policy`] — how a request is routed: the paper's optimal
 //!   semilightpath, pure lightpath routing (no conversion), or the classic
 //!   first-fit wavelength assignment baseline;
@@ -21,19 +24,39 @@
 //! * [`simulate`] — an event-driven arrival/departure loop producing
 //!   [`BlockingStats`].
 //!
+//! The rebuild-per-request reference the engine is checked against is
+//! not here: it is the test-only `SpecEngine` of the `wdm-conformance`
+//! crate, which shares no code with the transactions it checks.
+//!
 //! # Observability
 //!
-//! [`ProvisioningEngine::attach_metrics`] wires an engine into a
-//! [`wdm_obs::MetricsRegistry`]: latency histograms
-//! (`wdm_rwa_provision_latency_ns`, `wdm_rwa_release_latency_ns`,
-//! `wdm_rwa_fail_link_latency_ns`), outcome counters
-//! (`wdm_rwa_requests_total`, `wdm_rwa_accepted_total`,
-//! `wdm_rwa_blocked_total{cause="no_path"|"capacity"}`,
-//! `wdm_rwa_released_total`, `wdm_rwa_mask_flips_total`), occupancy
-//! gauges (`wdm_rwa_active_connections`, `wdm_rwa_occupied_resources`,
-//! `wdm_rwa_link_occupancy{link="i"}`), and per-request search-kernel
-//! totals (`wdm_core_search_*_total`). A detached engine pays one
-//! branch per operation; an attached one a few relaxed atomics.
+//! [`ConcurrentEngine::attach_metrics`] (and
+//! [`ProvisioningEngine::attach_metrics`]) wires an engine into a
+//! [`wdm_obs::MetricsRegistry`], write-once:
+//!
+//! * `wdm_rwa_requests_total` — one per decided provision, fibre-cut
+//!   restorations included. Always `requests_total == accepted_total +
+//!   blocked_total{cause="no_path"} + blocked_total{cause="capacity"}`;
+//!   a request abandoned as `contended` counts in none of them;
+//! * `wdm_rwa_accepted_total`, `wdm_rwa_blocked_total{cause=…}` — the
+//!   verdicts, blocked split by cause as in
+//!   [`ProvisioningEngine::blocked_by_cause`];
+//! * `wdm_rwa_released_total` — releases plus fibre-cut teardowns;
+//! * `wdm_rwa_provision_latency_ns` (one sample per decided request, so
+//!   its count equals `requests_total`), `wdm_rwa_release_latency_ns`
+//!   (one per counted release), `wdm_rwa_fail_link_latency_ns` and
+//!   `wdm_rwa_restore_link_latency_ns` (one per call, no-ops included);
+//! * `wdm_rwa_mask_flips_total` — effective busy-bit transitions:
+//!   commits, releases, teardowns, cut markers and repairs;
+//! * `wdm_rwa_active_connections`, `wdm_rwa_occupied_resources` and
+//!   `wdm_rwa_link_occupancy{link="i"}` — gauges; the per-link values
+//!   sum to `occupied_resources`, which counts cut markers;
+//! * `wdm_core_search_*_total` — search-kernel work of every routing
+//!   attempt (retries and restorations included); blocked-cause probes
+//!   are excluded.
+//!
+//! A detached engine pays one branch per operation; an attached one a
+//! few relaxed atomics.
 //!
 //! # Examples
 //!

@@ -1,12 +1,12 @@
 //! Engine-side metric handles: the `Arc`'d instruments the provisioning
 //! hot path mutates, resolved once from a [`MetricsRegistry`].
 //!
-//! The engine keeps an `Option<EngineMetrics>`; when it is `None` (the
-//! default) the hot path pays a single branch per operation and nothing
-//! else. When attached, each mutation is a relaxed atomic — no locks,
-//! no allocation, no formatting — so masked provisioning throughput
-//! stays within noise of the unobserved engine (bench
-//! `e14_obs_overhead`).
+//! The engine keeps its `EngineMetrics` in a write-once cell; while it
+//! is empty (the default) the hot path pays a single branch per
+//! operation and nothing else. When attached, each mutation is a
+//! relaxed atomic — no locks, no allocation, no formatting — so masked
+//! provisioning throughput stays within noise of the unobserved engine
+//! (bench `e14_obs_overhead`).
 
 use std::sync::Arc;
 use wdm_core::SearchStats;
@@ -31,20 +31,20 @@ pub enum BlockCause {
 /// summary, a periodic Prometheus dump).
 #[derive(Debug, Clone)]
 pub(crate) struct EngineMetrics {
-    /// `wdm_rwa_provision_latency_ns` — full `provision()` call,
-    /// accepted and blocked alike.
+    /// `wdm_rwa_provision_latency_ns` — one decided request (fibre-cut
+    /// restorations included), accepted and blocked alike.
     pub provision_latency: Arc<Histogram>,
     /// `wdm_rwa_release_latency_ns`
     pub release_latency: Arc<Histogram>,
     /// `wdm_rwa_fail_link_latency_ns` — whole fibre-cut handling,
-    /// including restorations (which also count individually as
-    /// provisions).
+    /// including teardowns and restorations (which also count
+    /// individually as releases and provisions).
     pub fail_link_latency: Arc<Histogram>,
     /// `wdm_rwa_restore_link_latency_ns` — fibre-repair handling (the
     /// un-marking involution of a cut).
     pub restore_link_latency: Arc<Histogram>,
-    /// `wdm_rwa_requests_total` — one per `provision()` with valid
-    /// endpoints; equals accepted + blocked.
+    /// `wdm_rwa_requests_total` — one per decided request (fibre-cut
+    /// restorations included); equals accepted + blocked.
     pub requests: Arc<Counter>,
     /// `wdm_rwa_accepted_total`
     pub accepted: Arc<Counter>,

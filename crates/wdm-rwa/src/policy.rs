@@ -2,8 +2,8 @@
 
 use wdm_core::csr::{CsrBuilder, EdgeRole};
 use wdm_core::{
-    dijkstra_with, Cost, HeapKind, Hop, LiangShenRouter, PersistentAuxGraph, ResidualState,
-    SearchScratch, Semilightpath, Wavelength, WdmNetwork,
+    dijkstra_with, Cost, HeapKind, Hop, LiangShenRouter, ResidualState, SearchScratch,
+    Semilightpath, Wavelength, WdmNetwork,
 };
 use wdm_graph::NodeId;
 
@@ -29,11 +29,10 @@ impl Policy {
     /// when blocked.
     ///
     /// This is the rebuild-per-request path: every call reconstructs the
-    /// search structures from scratch. The provisioning engine's hot loop
-    /// uses [`route_masked`](Self::route_masked) on a persistent graph
-    /// instead and cross-checks against this routine under
-    /// `debug_assertions`; call this directly when routing on a one-off
-    /// network (or residual snapshot) outside an engine.
+    /// search structures from scratch. The provisioning engine routes on
+    /// a persistent masked state with [`route_shared`](Self::route_shared)
+    /// instead; call this directly when routing on a one-off network (or
+    /// residual snapshot) outside an engine.
     pub fn route(self, network: &WdmNetwork, s: NodeId, t: NodeId) -> Option<Semilightpath> {
         match self {
             Policy::Optimal => LiangShenRouter::new().route(network, s, t).ok()?.path,
@@ -62,52 +61,18 @@ impl Policy {
         }
     }
 
-    /// Routes `s → t` on the persistent residual structure, returning
-    /// `None` when blocked.
+    /// Routes `s → t` on a masked [`ResidualState`] through a
+    /// caller-owned scratch, returning `None` when blocked — the one
+    /// wavelength scan every masked caller shares.
     ///
-    /// Mirrors [`route`](Self::route) policy-for-policy — same wavelength
-    /// scan order, same strict-improvement best-path selection — but pays
-    /// zero construction: each candidate is one masked Dijkstra over
-    /// `residual`'s persistent graphs.
-    pub(crate) fn route_masked(
-        self,
-        residual: &mut PersistentAuxGraph,
-        s: NodeId,
-        t: NodeId,
-    ) -> Option<Semilightpath> {
-        match self {
-            Policy::Optimal => residual.route_optimal(s, t),
-            Policy::LightpathOnly => {
-                let mut best: Option<Semilightpath> = None;
-                for lambda in 0..residual.k() {
-                    if let Some(p) = residual.route_single_wavelength(s, t, Wavelength::new(lambda))
-                    {
-                        if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
-                            best = Some(p);
-                        }
-                    }
-                }
-                best
-            }
-            Policy::FirstFit => {
-                for lambda in 0..residual.k() {
-                    if let Some(p) = residual.route_single_wavelength(s, t, Wavelength::new(lambda))
-                    {
-                        return Some(p);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Routes `s → t` on a shared [`ResidualState`] through a
-    /// caller-owned scratch — the concurrent engine's flavour of
-    /// [`route_masked`](Self::route_masked), policy-for-policy
-    /// identical (same wavelength scan order, same strict-improvement
-    /// selection) so both engines make bit-identical decisions on the
-    /// same mask state.
-    pub(crate) fn route_shared(
+    /// Mirrors [`route`](Self::route) policy-for-policy — same
+    /// wavelength scan order, same strict-improvement best-path
+    /// selection — but pays zero construction: each candidate is one
+    /// masked Dijkstra over the state's persistent graphs. The engine
+    /// routes every request here, and the conformance spec routes its
+    /// per-request rebuilt state here too, so both break cost ties the
+    /// same way.
+    pub fn route_shared(
         self,
         state: &ResidualState,
         scratch: &mut SearchScratch,
@@ -294,10 +259,11 @@ mod tests {
         use wdm_core::PersistentAuxGraph;
         let net = conversion_needed();
         let mut residual = PersistentAuxGraph::new(&net);
+        let (state, scratch) = residual.split_mut();
         for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
             for s in 0..3usize {
                 for t in 0..3usize {
-                    let masked = policy.route_masked(&mut residual, s.into(), t.into());
+                    let masked = policy.route_shared(state, scratch, s.into(), t.into());
                     let rebuilt = policy.route(&net, s.into(), t.into());
                     match (&masked, &rebuilt) {
                         (Some(a), Some(b)) => {

@@ -1,27 +1,14 @@
-//! Masked-vs-rebuild conformance suite for the provisioning engine.
+//! Conformance pin for the engine's bounded-retry driver.
 //!
-//! The engine's hot path routes every request over one persistent
-//! auxiliary graph through an in-place busy mask
-//! ([`wdm_rwa::RoutingMode::Masked`]); the reference mode reconstructs
-//! the same structure from scratch per request
-//! ([`wdm_rwa::RoutingMode::RebuildPerRequest`]). The contract is
-//! **bit-identical routing decisions**: same accept/block outcomes, same
-//! connection ids, hop-for-hop identical paths, same totals and
-//! utilization — across arbitrary interleavings of provision, release,
-//! and fail_link, for every policy.
-//!
-//! (In debug builds each provision additionally cross-checks the masked
-//! answer's cost and blocked verdict against the legacy
-//! clone-and-rebuild router, so this suite exercises that assertion on
-//! random instances too.)
+//! Engine-vs-spec routing conformance lives in the `wdm-conformance`
+//! crate, next to the rebuild-per-request spec it compares against.
 
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
 use wdm_core::WdmNetwork;
-use wdm_graph::{topology, LinkId, NodeId};
-use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+use wdm_graph::{topology, NodeId};
+use wdm_rwa::Policy;
 
 fn instance(seed: u64, n: usize, k: usize, p: f64) -> WdmNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -37,89 +24,6 @@ fn instance(seed: u64, n: usize, k: usize, p: f64) -> WdmNetwork {
         &mut rng,
     )
     .expect("valid")
-}
-
-fn policy_of(idx: u8) -> Policy {
-    match idx % 3 {
-        0 => Policy::Optimal,
-        1 => Policy::LightpathOnly,
-        _ => Policy::FirstFit,
-    }
-}
-
-/// Replays one op on both engines and asserts bit-identical behaviour.
-fn step(
-    masked: &mut ProvisioningEngine,
-    rebuild: &mut ProvisioningEngine,
-    live: &mut Vec<wdm_rwa::ConnectionId>,
-    op: (u8, u64, u64),
-    n: usize,
-    m: usize,
-    policy: Policy,
-) -> Result<(), TestCaseError> {
-    let (kind, a, b) = op;
-    match kind {
-        // Provision dominates the mix: that is the hot path under test.
-        0..=4 => {
-            let s = NodeId::new((a % n as u64) as usize);
-            let t = NodeId::new((b % n as u64) as usize);
-            let got = masked.provision(s, t, policy);
-            let want = rebuild.provision(s, t, policy);
-            prop_assert_eq!(&got, &want, "provision {} -> {}", s, t);
-            if let Ok(id) = got {
-                prop_assert_eq!(
-                    masked.path_of(id),
-                    rebuild.path_of(id),
-                    "path of {} diverged",
-                    id
-                );
-                live.push(id);
-            }
-        }
-        5 | 6 => {
-            if !live.is_empty() {
-                let id = live.remove((a % live.len() as u64) as usize);
-                prop_assert_eq!(masked.release(id), rebuild.release(id), "release {}", id);
-            }
-        }
-        7 => {
-            let link = LinkId::new((a % m as u64) as usize);
-            let got = masked.fail_link(link, policy);
-            let want = rebuild.fail_link(link, policy);
-            prop_assert_eq!(&got, &want, "fail_link {}", link);
-            // Update the live set: lost connections go away, restored
-            // ones change id.
-            for &(old, new) in &got {
-                live.retain(|&c| c != old);
-                if let Some(new) = new {
-                    prop_assert_eq!(
-                        masked.path_of(new),
-                        rebuild.path_of(new),
-                        "restored path of {} diverged",
-                        new
-                    );
-                    live.push(new);
-                }
-            }
-            prop_assert_eq!(masked.failed_links(), rebuild.failed_links());
-        }
-        _ => {
-            // Fibre repair: exercises both the real involution (when the
-            // link is cut) and the double-restore no-op (when it isn't).
-            let link = LinkId::new((a % m as u64) as usize);
-            prop_assert_eq!(
-                masked.restore_link(link),
-                rebuild.restore_link(link),
-                "restore_link {}",
-                link
-            );
-            prop_assert_eq!(masked.failed_links(), rebuild.failed_links());
-        }
-    }
-    prop_assert_eq!(masked.totals(), rebuild.totals());
-    prop_assert_eq!(masked.active_count(), rebuild.active_count());
-    prop_assert_eq!(masked.utilization(), rebuild.utilization());
-    Ok(())
 }
 
 /// Conformance pin for the retry-exhaustion outcome (required before
@@ -170,64 +74,4 @@ fn sharded_retry_exhaustion_conforms() {
     let (accepted, blocked, _) = conc.totals();
     assert_eq!(accepted + blocked, decided);
     assert_eq!(conc.conflicts(), 0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn masked_matches_rebuild_on_random_interleavings(
-        seed in 0u64..10_000,
-        n in 4usize..12,
-        k in 2usize..5,
-        policy_idx in 0u8..3,
-        ops in prop::collection::vec((0u8..9, 0u64..1_000_000, 0u64..1_000_000), 1..30),
-    ) {
-        let net = instance(seed, n, k, 0.7);
-        let m = net.link_count();
-        let policy = policy_of(policy_idx);
-        let mut masked = ProvisioningEngine::new(&net);
-        let mut rebuild = ProvisioningEngine::with_mode(&net, RoutingMode::RebuildPerRequest);
-        let mut live = Vec::new();
-        for op in ops {
-            step(&mut masked, &mut rebuild, &mut live, op, n, m, policy)?;
-        }
-        // Drain everything: the engines must agree to the very end.
-        for id in live {
-            prop_assert_eq!(masked.release(id), rebuild.release(id));
-        }
-        // Cuts persist until repaired, so heal every fibre before
-        // demanding an empty network.
-        for link in masked.failed_links().to_vec() {
-            prop_assert!(masked.restore_link(link));
-            prop_assert!(rebuild.restore_link(link));
-        }
-        prop_assert_eq!(masked.utilization(), 0.0);
-        prop_assert_eq!(masked.totals(), rebuild.totals());
-    }
-
-    #[test]
-    fn sparse_availability_blocking_agrees(
-        seed in 0u64..10_000,
-        n in 4usize..10,
-        pairs in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000), 1..20),
-    ) {
-        // Low availability → plenty of blocked requests; the blocked
-        // verdicts and totals must still match exactly.
-        let net = instance(seed, n, 2, 0.3);
-        let mut masked = ProvisioningEngine::new(&net);
-        let mut rebuild = ProvisioningEngine::with_mode(&net, RoutingMode::RebuildPerRequest);
-        for (a, b) in pairs {
-            let s = NodeId::new((a % n as u64) as usize);
-            let t = NodeId::new((b % n as u64) as usize);
-            let got = masked.provision(s, t, Policy::Optimal);
-            let want = rebuild.provision(s, t, Policy::Optimal);
-            prop_assert_eq!(&got, &want, "{} -> {}", s, t);
-            if let Ok(id) = got {
-                prop_assert_eq!(masked.path_of(id), rebuild.path_of(id));
-            }
-        }
-        prop_assert_eq!(masked.totals(), rebuild.totals());
-        prop_assert_eq!(masked.utilization(), rebuild.utilization());
-    }
 }

@@ -1,18 +1,20 @@
-//! Engine backends behind the daemon, and the reply renderer.
+//! The engine backend behind the daemon, and the reply renderer.
 //!
-//! [`EngineBackend`] hides the choice between the single-threaded
-//! [`ProvisioningEngine`] (behind a mutex, requests serialized in
-//! arrival order) and the sharded [`ConcurrentEngine`] (lock-free
-//! commits, per-connection transaction retry with a bounded conflict
-//! budget). Both render replies through the same hand-rolled JSON
-//! writer with a fixed key order, so a recorded sequence of engine
-//! operations replayed offline through a fresh single backend
-//! reproduces the daemon's reply bytes exactly — the conformance tests
-//! in `tests/daemon.rs` hold the daemon to that.
+//! [`EngineBackend`] runs every request through one executor over a
+//! [`ConcurrentHandle`]. The default backend keeps a single handle
+//! inside the mutex that assigns `seq`, so requests run one at a time
+//! in arrival order and never contend. The sharded backend gives each
+//! connection its own handle, created on the connection's first engine
+//! request, and runs lock-free with a bounded per-request conflict
+//! budget. Both render replies through the same hand-rolled JSON writer
+//! with a fixed key order, so a recorded sequence of engine operations
+//! replayed offline through a fresh default backend reproduces the
+//! daemon's reply bytes exactly — the conformance tests in
+//! `tests/daemon.rs` hold the daemon to that.
 //!
 //! Every engine-touching reply carries a `seq` number: the position of
-//! the operation in the engine's serialized history. For the single
-//! backend the number is assigned under the engine mutex, so sorting a
+//! the operation in the engine's serialized history. The default
+//! backend assigns it under the engine mutex, so sorting a
 //! multi-connection session's replies by `seq` yields the exact replay
 //! order. The sharded backend assigns `seq` from an atomic at dispatch;
 //! it orders replies but does not promise commit-order replay (commits
@@ -20,15 +22,15 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::RELAXED;
 use wdm_obs::trace::{FlightRecorder, TraceId};
 use wdm_obs::MetricsRegistry;
-use wdm_rwa::concurrent::{ProvisionOutcome, ProvisionTxn, ReleaseTxn, Step};
+use wdm_rwa::concurrent::ProvisionOutcome;
 use wdm_rwa::{
-    BlockCause, ConcurrentEngine, ConnectionId, Policy, ProvisioningEngine, RaceInjection,
+    BlockCause, ConcurrentEngine, ConcurrentHandle, ConnectionId, Policy, RaceInjection,
     RoutingMode, RwaError,
 };
 
@@ -45,39 +47,36 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// The single-threaded engine plus its serialized-history counter.
-struct SingleState {
-    engine: ProvisioningEngine,
+/// The default backend's one handle plus its serialized-history
+/// counter, behind one mutex.
+struct Serial {
+    handle: ConcurrentHandle,
     seq: u64,
-}
-
-enum Inner {
-    Single(Box<Mutex<SingleState>>),
-    Sharded {
-        engine: ConcurrentEngine,
-        seq: AtomicU64,
-        max_conflicts: u64,
-    },
 }
 
 /// A provisioning engine wired for daemon use: thread-safe dispatch,
 /// sequence numbering, and deterministic JSON reply rendering.
 pub struct EngineBackend {
-    inner: Inner,
+    engine: ConcurrentEngine,
+    /// `Some` for the default backend: requests run on this handle
+    /// under its mutex. `None` for the sharded backend: each connection
+    /// runs on the handle in its [`ExecCtx`].
+    serial: Option<Mutex<Serial>>,
+    /// The sharded backend's `seq` counter.
+    next_seq: AtomicU64,
+    /// Validation conflicts a provision may absorb before it is
+    /// answered `contended` (`u64::MAX` on the default backend, where
+    /// nothing contends).
+    max_conflicts: u64,
     policy: Policy,
-    /// The flight recorder behind request-scoped tracing, write-once.
-    /// `None` means tracing is disabled and every request pays exactly
-    /// one branch (inside the engines) for the privilege.
-    tracer: OnceLock<Arc<FlightRecorder>>,
 }
 
-/// Per-connection execution state.
-///
-/// The single backend needs none; the sharded backend gives each
-/// connection its own search scratch so concurrent transactions never
-/// share mutable routing state.
+/// Per-connection execution state: on the sharded backend, the
+/// connection's own handle (its search scratch and transaction
+/// buffers), created by its first engine request. The default backend
+/// leaves it empty.
 pub struct ExecCtx {
-    scratch: Option<wdm_core::SearchScratch>,
+    handle: Option<ConcurrentHandle>,
 }
 
 /// One provision verdict shaped for the renderer: on accept, the id
@@ -85,25 +84,30 @@ pub struct ExecCtx {
 type ProvisionVerdict = Result<(ConnectionId, usize, usize, wdm_core::Cost), RwaError>;
 
 impl EngineBackend {
-    /// A backend over the single-threaded engine in `mode`, serialized
-    /// behind a mutex. `policy` is the default for requests that carry
-    /// no `policy` field.
+    /// The default backend: one engine handle behind a mutex, requests
+    /// serialized in arrival order. `policy` is the default for requests
+    /// that carry no `policy` field. Every [`RoutingMode`] is the masked
+    /// engine.
     pub fn single(net: &wdm_core::WdmNetwork, mode: RoutingMode, policy: Policy) -> Self {
+        let RoutingMode::Masked = mode;
+        let engine = ConcurrentEngine::new(net, 1);
         EngineBackend {
-            inner: Inner::Single(Box::new(Mutex::new(SingleState {
-                engine: ProvisioningEngine::with_mode(net, mode),
+            serial: Some(Mutex::new(Serial {
+                handle: engine.handle(),
                 seq: 0,
-            }))),
+            })),
+            engine,
+            next_seq: AtomicU64::new(0),
+            max_conflicts: u64::MAX,
             policy,
-            tracer: OnceLock::new(),
         }
     }
 
-    /// A backend over the sharded concurrent engine with `shards`
-    /// wavelength shards (`0` auto-sizes) and a per-request retry
-    /// budget of `max_conflicts` validation conflicts, after which the
-    /// request is answered `contended` (undecided — the client may
-    /// retry verbatim) instead of stalling the connection.
+    /// A lock-free backend over the engine with `shards` wavelength
+    /// shards (`0` auto-sizes) and a per-request retry budget of
+    /// `max_conflicts` validation conflicts, after which the request is
+    /// answered `contended` (undecided — the client may retry verbatim)
+    /// instead of stalling the connection.
     pub fn sharded(
         net: &wdm_core::WdmNetwork,
         shards: usize,
@@ -124,58 +128,37 @@ impl EngineBackend {
         race: RaceInjection,
     ) -> Self {
         EngineBackend {
-            inner: Inner::Sharded {
-                engine: ConcurrentEngine::with_race_injection(net, shards, race),
-                seq: AtomicU64::new(0),
-                max_conflicts,
-            },
+            engine: ConcurrentEngine::with_race_injection(net, shards, race),
+            serial: None,
+            next_seq: AtomicU64::new(0),
+            max_conflicts,
             policy,
-            tracer: OnceLock::new(),
         }
     }
 
-    /// Whether this backend runs the sharded concurrent engine.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.inner, Inner::Sharded { .. })
-    }
-
-    /// Attaches the single engine's instruments to `registry` (provision
-    /// latency, accept/block counters, occupancy gauges). No-op for the
-    /// sharded backend, which reports through `stats` instead.
+    /// Attaches the engine's instruments to `registry` (latencies,
+    /// accept/block counters, occupancy gauges, search totals).
+    /// Write-once: the first registry wins.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        if let Inner::Single(state) = &self.inner {
-            lock(state).engine.attach_metrics(registry);
-        }
+        self.engine.attach_metrics(registry);
     }
 
-    /// Attaches `recorder` to whichever engine this backend fronts:
-    /// every request now records request-scoped spans, labelled by the
-    /// wire `trace_id` when the client sent one. Write-once — the first
-    /// recorder wins and later calls are ignored (the sharded engine
-    /// reads the cell lock-free mid-transaction).
+    /// Attaches `recorder` to the engine: every request now records
+    /// request-scoped spans, labelled by the wire `trace_id` when the
+    /// client sent one. Write-once — the first recorder wins and later
+    /// calls are ignored (transactions read it lock-free).
     pub fn attach_tracer(&self, recorder: &Arc<FlightRecorder>) {
-        if self.tracer.set(Arc::clone(recorder)).is_err() {
-            return;
-        }
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.attach_tracer(recorder),
-            Inner::Sharded { engine, .. } => engine.attach_tracer(recorder),
-        }
+        self.engine.attach_tracer(recorder);
     }
 
     /// The attached flight recorder, if tracing is enabled.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.tracer.get()
+        self.engine.tracer()
     }
 
     /// Creates the per-connection execution state for this backend.
     pub fn new_ctx(&self) -> ExecCtx {
-        ExecCtx {
-            scratch: match &self.inner {
-                Inner::Single(_) => None,
-                Inner::Sharded { engine, .. } => Some(engine.handle_scratch()),
-            },
-        }
+        ExecCtx { handle: None }
     }
 
     /// Executes one engine-touching request and renders its reply line
@@ -208,7 +191,7 @@ impl EngineBackend {
             return r#"{"ok":true,"op":"drain"}"#.to_string();
         }
         if matches!(req, Request::Trace) {
-            return match self.tracer.get() {
+            return match self.recorder() {
                 None => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
                 Some(rec) => format!(
                     r#"{{"ok":true,"op":"trace","records":{},"dropped":{}}}"#,
@@ -218,34 +201,30 @@ impl EngineBackend {
             };
         }
         let trace_counts = self
-            .tracer
-            .get()
+            .recorder()
             .map(|rec| (rec.recorded_count(), rec.drop_count()));
-        match &self.inner {
-            Inner::Single(state) => {
-                let st = &mut *lock(state);
-                st.seq += 1;
-                let seq = st.seq;
-                execute_single(&mut st.engine, self.policy, seq, req, wire, trace_counts)
-            }
-            Inner::Sharded {
-                engine,
+        let run = |handle: &mut ConcurrentHandle, seq: u64| {
+            Exec {
+                handle,
+                default: self.policy,
                 seq,
-                max_conflicts,
-            } => {
+                max_conflicts: self.max_conflicts,
+                wire,
+                trace_counts,
+            }
+            .run(req)
+        };
+        match &self.serial {
+            Some(serial) => {
+                let st = &mut *lock(serial);
+                st.seq += 1;
+                run(&mut st.handle, st.seq)
+            }
+            None => {
                 // Relaxed is enough: the counter only needs uniqueness
                 // and atomicity, not ordering against engine commits.
-                let seq = seq.fetch_add(1, RELAXED) + 1;
-                execute_sharded(
-                    engine,
-                    ctx,
-                    self.policy,
-                    seq,
-                    *max_conflicts,
-                    req,
-                    wire,
-                    trace_counts,
-                )
+                let seq = self.next_seq.fetch_add(1, RELAXED) + 1;
+                run(ctx.handle.get_or_insert_with(|| self.engine.handle()), seq)
             }
         }
     }
@@ -263,18 +242,12 @@ impl EngineBackend {
 
     /// Engine totals `(accepted, blocked, released)`, for summaries.
     pub fn totals(&self) -> (u64, u64, u64) {
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.totals(),
-            Inner::Sharded { engine, .. } => engine.totals(),
-        }
+        self.engine.totals()
     }
 
     /// Active connection count, for summaries.
     pub fn active_count(&self) -> usize {
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.active_count(),
-            Inner::Sharded { engine, .. } => engine.active_count(),
-        }
+        self.engine.active_count()
     }
 }
 
@@ -321,11 +294,11 @@ fn render_provision_reply(
 }
 
 /// Renders one batch element (bare object, no `op`/`seq`; blocked
-/// elements carry no cause — `provision_batch` classifies causes into
-/// engine counters, not per element).
-fn render_batch_element(verdict: &ProvisionVerdict, cause: Option<BlockCause>) -> String {
+/// elements carry no cause, which keeps the batch reply layout fixed —
+/// the engine still counts every cause in its totals).
+fn render_batch_element(verdict: &ProvisionVerdict) -> String {
     let mut s = format!(r#"{{"ok":{}"#, verdict.is_ok());
-    push_provision_fields(&mut s, verdict, cause);
+    push_provision_fields(&mut s, verdict, None);
     s.push('}');
     s
 }
@@ -409,7 +382,7 @@ fn render_fail_link(
 }
 
 /// `restored` is false when the link was not cut — a reported no-op,
-/// mirroring the engines' idempotent `restore_link`.
+/// mirroring the engine's idempotent `restore_link`.
 fn render_restore_link(seq: u64, link: usize, restored: bool) -> String {
     format!(r#"{{"ok":true,"op":"restore-link","seq":{seq},"link":{link},"restored":{restored}}}"#)
 }
@@ -422,116 +395,111 @@ fn render_batch(seq: u64, elements: &[String], accepted: usize) -> String {
     )
 }
 
-fn execute_single(
-    engine: &mut ProvisioningEngine,
+/// One request on one handle: the executor both backends share.
+struct Exec<'a> {
+    handle: &'a mut ConcurrentHandle,
+    /// The policy for requests that carry none.
     default: Policy,
     seq: u64,
-    req: &Request,
+    max_conflicts: u64,
     wire: Option<TraceId>,
     trace_counts: Option<(u64, u64)>,
-) -> String {
-    match req {
-        Request::Provision { s, t, policy } => {
-            if let Some(bad) = node_out_of_range(*s, *t, engine.base().node_count()) {
-                return render_node_out_of_range(seq, bad);
+}
+
+impl Exec<'_> {
+    fn run(mut self, req: &Request) -> String {
+        let seq = self.seq;
+        let base = self.handle.engine().base();
+        let (nodes, links) = (base.node_count(), base.link_count());
+        match req {
+            Request::Provision { s, t, policy } => {
+                if let Some(bad) = node_out_of_range(*s, *t, nodes) {
+                    return render_node_out_of_range(seq, bad);
+                }
+                let (verdict, cause) = self.provision(*s, *t, policy.unwrap_or(self.default));
+                render_provision_reply(seq, &verdict, cause)
             }
-            let pol = policy.unwrap_or(default);
-            let verdict = provision_one_single(engine, *s, *t, pol, wire);
-            let cause = match &verdict {
-                Err(RwaError::Blocked { .. }) => engine.last_block_cause(),
-                _ => None,
-            };
-            render_provision_reply(seq, &verdict, cause)
-        }
-        Request::Release { id } => {
-            let id = ConnectionId::from_u64(*id);
-            render_release(seq, id, engine.release_traced(id, wire).is_ok())
-        }
-        Request::FailLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("fail-link", seq, *link, links);
+            Request::Release { id } => {
+                let id = ConnectionId::from_u64(*id);
+                render_release(seq, id, self.handle.release_traced(id, self.wire).is_ok())
             }
-            let outcomes = engine.fail_link(LinkId::new(*link), default);
-            render_fail_link(seq, *link, &outcomes)
-        }
-        Request::RestoreLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("restore-link", seq, *link, links);
+            Request::FailLink { link } => {
+                if *link >= links {
+                    return render_link_out_of_range("fail-link", seq, *link, links);
+                }
+                let outcomes = self.handle.fail_link(LinkId::new(*link), self.default);
+                render_fail_link(seq, *link, &outcomes)
             }
-            render_restore_link(seq, *link, engine.restore_link(LinkId::new(*link)))
-        }
-        Request::Batch { pairs, policy } => {
-            let pol = policy.unwrap_or(default);
-            let nodes = engine.base().node_count();
-            let all_in_range = pairs
-                .iter()
-                .all(|&(s, t)| node_out_of_range(s, t, nodes).is_none());
-            let mut accepted = 0usize;
-            let elements: Vec<String> = if all_in_range {
-                // Fast path: the all-pairs pre-screen fans across every
-                // core, then requests commit serially in order —
-                // identical verdicts to a provision loop (see
-                // `ProvisioningEngine::provision_batch`).
-                let typed: Vec<(NodeId, NodeId)> = pairs
-                    .iter()
-                    .map(|&(s, t)| (NodeId::new(s), NodeId::new(t)))
-                    .collect();
-                engine
-                    .provision_batch(&typed, pol, 0)
-                    .iter()
-                    .map(|r| {
-                        let verdict: ProvisionVerdict = match r {
-                            Ok(id) => {
-                                accepted += 1;
-                                let (hops, conversions, cost) = match engine.path_of(*id) {
-                                    Some(p) => (p.len(), p.conversion_count(), p.cost()),
-                                    None => (0, 0, wdm_core::Cost::ZERO),
-                                };
-                                Ok((*id, hops, conversions, cost))
-                            }
-                            Err(e) => Err(e.clone()),
-                        };
-                        render_batch_element(&verdict, None)
-                    })
-                    .collect()
-            } else {
-                // An out-of-range pair cannot become a `NodeId`, so the
-                // batch falls back to a provision loop that answers the
-                // bad elements typed and commits the rest in the same
-                // serial order the fast path would.
-                pairs
+            Request::RestoreLink { link } => {
+                if *link >= links {
+                    return render_link_out_of_range("restore-link", seq, *link, links);
+                }
+                render_restore_link(seq, *link, self.handle.restore_link(LinkId::new(*link)))
+            }
+            Request::Batch { pairs, policy } => {
+                let pol = policy.unwrap_or(self.default);
+                let mut accepted = 0usize;
+                let elements: Vec<String> = pairs
                     .iter()
                     .map(|&(s, t)| match node_out_of_range(s, t, nodes) {
                         Some(bad) => render_node_out_of_range_bare(bad),
                         None => {
-                            let verdict = provision_one_single(engine, s, t, pol, wire);
+                            let (verdict, _) = self.provision(s, t, pol);
                             if verdict.is_ok() {
                                 accepted += 1;
                             }
-                            render_batch_element(&verdict, None)
+                            render_batch_element(&verdict)
                         }
                     })
-                    .collect()
-            };
-            render_batch(seq, &elements, accepted)
+                    .collect();
+                render_batch(seq, &elements, accepted)
+            }
+            Request::Stats => {
+                let engine = self.handle.engine();
+                let (accepted, blocked, released) = engine.totals();
+                let (no_path, capacity) = engine.blocked_by_cause();
+                let mut s = format!(
+                    r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":{}"#,
+                    engine.active_count(),
+                    engine.utilization(),
+                    engine.conflicts()
+                );
+                push_stats_trace_fields(&mut s, self.trace_counts);
+                s.push('}');
+                s
+            }
+            // Handled in `EngineBackend::execute_wired` before dispatch.
+            Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
+            Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
         }
-        Request::Stats => {
-            let (accepted, blocked, released) = engine.totals();
-            let (no_path, capacity) = engine.blocked_by_cause();
-            let mut s = format!(
-                r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":0"#,
-                engine.active_count(),
-                engine.utilization()
-            );
-            push_stats_trace_fields(&mut s, trace_counts);
-            s.push('}');
-            s
+    }
+
+    /// One provision within the retry budget, shaped for the renderer,
+    /// with the blocked cause when it blocked. Retry exhaustion is
+    /// answered `contended`, never a fabricated blocked verdict: the
+    /// request was not decided and engine totals are untouched.
+    fn provision(
+        &mut self,
+        s: usize,
+        t: usize,
+        policy: Policy,
+    ) -> (ProvisionVerdict, Option<BlockCause>) {
+        let (s, t) = (NodeId::new(s), NodeId::new(t));
+        match self
+            .handle
+            .provision_outcome(s, t, policy, self.wire, self.max_conflicts)
+        {
+            Ok(ProvisionOutcome::Accepted {
+                id,
+                hops,
+                conversions,
+                cost,
+            }) => (Ok((id, hops, conversions, cost)), None),
+            Ok(ProvisionOutcome::Blocked { cause }) => {
+                (Err(RwaError::Blocked { s, t }), Some(cause))
+            }
+            Err(e) => (Err(e), None),
         }
-        // Handled in `EngineBackend::execute_wired` before dispatch.
-        Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
-        Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
     }
 }
 
@@ -554,160 +522,5 @@ fn render_release(seq: u64, id: ConnectionId, ok: bool) -> String {
             r#"{{"ok":false,"op":"release","seq":{seq},"error":"unknown_connection","id":{}}}"#,
             id.as_u64()
         )
-    }
-}
-
-/// One provision on the single engine, shaped for the shared renderer.
-fn provision_one_single(
-    engine: &mut ProvisioningEngine,
-    s: usize,
-    t: usize,
-    policy: Policy,
-    wire: Option<TraceId>,
-) -> ProvisionVerdict {
-    let id = engine.provision_traced(NodeId::new(s), NodeId::new(t), policy, wire)?;
-    let (hops, conversions, cost) = match engine.path_of(id) {
-        Some(path) => (path.len(), path.conversion_count(), path.cost()),
-        None => (0, 0, wdm_core::Cost::ZERO),
-    };
-    Ok((id, hops, conversions, cost))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_sharded(
-    engine: &ConcurrentEngine,
-    ctx: &mut ExecCtx,
-    default: Policy,
-    seq: u64,
-    max_conflicts: u64,
-    req: &Request,
-    wire: Option<TraceId>,
-    trace_counts: Option<(u64, u64)>,
-) -> String {
-    match req {
-        Request::Provision { s, t, policy } => {
-            if let Some(bad) = node_out_of_range(*s, *t, engine.base().node_count()) {
-                return render_node_out_of_range(seq, bad);
-            }
-            let pol = policy.unwrap_or(default);
-            let (verdict, cause) =
-                provision_one_sharded(engine, ctx, *s, *t, pol, max_conflicts, wire);
-            render_provision_reply(seq, &verdict, cause)
-        }
-        Request::Release { id } => {
-            let id = ConnectionId::from_u64(*id);
-            let mut txn = ReleaseTxn::new(id);
-            let released = loop {
-                match txn.step(engine) {
-                    Step::Done(r) => break r,
-                    Step::Progress => {}
-                    Step::Contended => std::thread::yield_now(),
-                }
-            };
-            render_release(seq, id, released.is_ok())
-        }
-        Request::FailLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("fail-link", seq, *link, links);
-            }
-            let mut handle = engine.handle();
-            let outcomes = handle.fail_link(LinkId::new(*link), default);
-            render_fail_link(seq, *link, &outcomes)
-        }
-        Request::RestoreLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("restore-link", seq, *link, links);
-            }
-            let restored = engine.handle().restore_link(LinkId::new(*link));
-            render_restore_link(seq, *link, restored)
-        }
-        Request::Batch { pairs, policy } => {
-            let pol = policy.unwrap_or(default);
-            let nodes = engine.base().node_count();
-            let mut accepted = 0usize;
-            let elements: Vec<String> = pairs
-                .iter()
-                .map(|&(s, t)| match node_out_of_range(s, t, nodes) {
-                    Some(bad) => render_node_out_of_range_bare(bad),
-                    None => {
-                        let (verdict, _) =
-                            provision_one_sharded(engine, ctx, s, t, pol, max_conflicts, wire);
-                        if verdict.is_ok() {
-                            accepted += 1;
-                        }
-                        render_batch_element(&verdict, None)
-                    }
-                })
-                .collect();
-            render_batch(seq, &elements, accepted)
-        }
-        Request::Stats => {
-            let (accepted, blocked, released) = engine.totals();
-            let (no_path, capacity) = engine.blocked_by_cause();
-            let mut s = format!(
-                r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":{}"#,
-                engine.active_count(),
-                engine.utilization(),
-                engine.conflicts()
-            );
-            push_stats_trace_fields(&mut s, trace_counts);
-            s.push('}');
-            s
-        }
-        Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
-        Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
-    }
-}
-
-/// One bounded provision transaction on the sharded engine, capturing
-/// the per-request blocked cause the handle API does not surface.
-fn provision_one_sharded(
-    engine: &ConcurrentEngine,
-    ctx: &mut ExecCtx,
-    s: usize,
-    t: usize,
-    policy: Policy,
-    max_conflicts: u64,
-    wire: Option<TraceId>,
-) -> (ProvisionVerdict, Option<BlockCause>) {
-    let scratch = ctx.scratch.get_or_insert_with(|| engine.handle_scratch());
-    let (s_id, t_id) = (NodeId::new(s), NodeId::new(t));
-    let mut txn = match ProvisionTxn::new_traced(engine, s_id, t_id, policy, wire) {
-        Ok(txn) => txn,
-        Err(e) => return (Err(e), None),
-    };
-    loop {
-        match txn.step(engine, scratch) {
-            Step::Done(ProvisionOutcome::Accepted { id, path }) => {
-                return (
-                    Ok((id, path.len(), path.conversion_count(), path.cost())),
-                    None,
-                )
-            }
-            Step::Done(ProvisionOutcome::Blocked { cause }) => {
-                return (Err(RwaError::Blocked { s: s_id, t: t_id }), Some(cause))
-            }
-            Step::Progress => {}
-            Step::Contended => {
-                // Retry exhaustion is answered `contended`, never a
-                // fabricated blocked verdict: the request was not
-                // decided and engine totals are untouched (pinned by
-                // the provisioning conformance suite).
-                if txn.conflicts() >= max_conflicts {
-                    txn.trace_abandon();
-                    return (
-                        Err(RwaError::Contended {
-                            s: s_id,
-                            t: t_id,
-                            conflicts: txn.conflicts(),
-                        }),
-                        None,
-                    );
-                }
-                std::thread::yield_now();
-            }
-        }
     }
 }

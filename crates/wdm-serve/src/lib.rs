@@ -1,9 +1,10 @@
 //! Control-plane daemon for the WDM provisioning engine.
 //!
-//! `wdm serve` (see the `wdm-cli` crate) fronts a
-//! [`wdm_rwa::ProvisioningEngine`] — or, with `--sharded`, the
-//! concurrent [`wdm_rwa::concurrent::ConcurrentEngine`] — over a TCP or
-//! unix-socket listener. The wire protocol is deliberately boring:
+//! `wdm serve` (see the `wdm-cli` crate) fronts the provisioning engine
+//! ([`wdm_rwa::ConcurrentEngine`]) over a TCP or unix-socket listener:
+//! by default one engine handle serves every request in turn behind a
+//! mutex, and with `--sharded` each connection drives its own handle
+//! lock-free. The wire protocol is deliberately boring:
 //! **line-delimited JSON**, one request object per line, one reply
 //! object per line, in order, per connection. No framing beyond `\n`,
 //! no external dependencies — requests are parsed with
@@ -19,7 +20,7 @@
 //! {"op":"release","id":7}                   free an active connection
 //! {"op":"fail-link","link":2}               fibre cut with restoration
 //! {"op":"restore-link","link":2}            repair a cut fibre (involution)
-//! {"op":"batch","pairs":[[0,3],[1,2]]}      pre-screened batch provision
+//! {"op":"batch","pairs":[[0,3],[1,2]]}      provision each pair in order
 //! {"op":"stats"}                            engine totals + utilization
 //! {"op":"trace"}                            flight-recorder totals
 //! {"op":"drain"}                            graceful shutdown

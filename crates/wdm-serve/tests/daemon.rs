@@ -19,6 +19,7 @@ use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceC
 use wdm_core::WdmNetwork;
 use wdm_graph::topology;
 use wdm_obs::json;
+use wdm_obs::trace::{FlightRecorder, RootVerdict, TraceEventKind};
 use wdm_rwa::{Policy, RaceInjection, RoutingMode};
 use wdm_serve::{EngineBackend, Listen, ServeSummary, Server, ServerConfig};
 
@@ -470,6 +471,100 @@ fn sharded_backend_serves_provision_release_and_stats() {
 
     server.request_drain();
     handle.join().expect("join").expect("serve");
+}
+
+#[test]
+fn sharded_metrics_scrape_carries_engine_series() {
+    let net = instance(33, 12, 3);
+    let backend = EngineBackend::sharded(&net, 0, 64, Policy::Optimal);
+    let (server, addr, handle) = start(backend, ServerConfig::default());
+
+    let mut client = Client::connect(&addr);
+    // s == t carries nothing: a decided, topology-blocked request.
+    let reply = client.roundtrip(r#"{"op":"provision","s":2,"t":2}"#);
+    assert!(reply.contains(r#""cause":"no_path""#), "{reply}");
+    let metrics = http_get(&addr, "/metrics");
+    assert!(
+        metrics.contains("\nwdm_rwa_requests_total 1\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\nwdm_rwa_blocked_total{cause=\"no_path\"} 1\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("wdm_core_search_settled_total"),
+        "{metrics}"
+    );
+
+    server.request_drain();
+    handle.join().expect("join").expect("serve");
+}
+
+/// The records of `kind` under wire trace `id` in `recorder`.
+fn roots_of(
+    recorder: &FlightRecorder,
+    id: u64,
+    kind: TraceEventKind,
+) -> Vec<wdm_obs::trace::TraceRecord> {
+    recorder
+        .snapshot()
+        .records
+        .into_iter()
+        .filter(|r| r.trace_id == id && r.kind == kind && r.is_span())
+        .collect()
+}
+
+#[test]
+fn sharded_traced_release_records_root_under_wire_id() {
+    let net = instance(35, 12, 3);
+    let backend = EngineBackend::sharded(&net, 0, 64, Policy::Optimal);
+    let recorder = FlightRecorder::new(2, 1024);
+    backend.attach_tracer(&recorder);
+    let mut ctx = backend.new_ctx();
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"provision","s":0,"t":5}"#);
+    let id = json::parse(&reply)
+        .expect("parses")
+        .get("id")
+        .and_then(|v| v.as_u64())
+        .expect("free network routes 0 -> 5");
+    let reply = backend.execute_line(
+        &mut ctx,
+        &format!(r#"{{"op":"release","id":{id},"trace_id":9003}}"#),
+    );
+    assert!(reply.starts_with(r#"{"ok":true,"op":"release""#), "{reply}");
+    let roots = roots_of(&recorder, 9003, TraceEventKind::Release);
+    assert_eq!(roots.len(), 1, "one release root under the wire id");
+    assert_eq!(roots[0].flags, RootVerdict::Ok.code());
+    assert_eq!(roots[0].a, id);
+}
+
+#[test]
+fn blocked_batch_element_records_blocked_root() {
+    // 0 -> 1 -> 2: nothing leaves node 2, so 2 -> 0 is unroutable.
+    let g = wdm_graph::DiGraph::from_links(3, [(0, 1), (1, 2)]);
+    let net = WdmNetwork::builder(g, 1)
+        .link_wavelengths(0, [(0, 1)])
+        .link_wavelengths(1, [(0, 1)])
+        .build()
+        .expect("valid");
+    let backend = EngineBackend::single(&net, RoutingMode::Masked, Policy::Optimal);
+    let recorder = FlightRecorder::new(1, 1024);
+    backend.attach_tracer(&recorder);
+    let mut ctx = backend.new_ctx();
+    let reply = backend.execute_line(
+        &mut ctx,
+        r#"{"op":"batch","pairs":[[0,2],[2,0]],"trace_id":77}"#,
+    );
+    assert!(reply.contains(r#""size":2,"accepted":1"#), "{reply}");
+    let roots = roots_of(&recorder, 77, TraceEventKind::Provision);
+    let verdicts: Vec<u8> = roots.iter().map(|r| r.flags).collect();
+    assert_eq!(
+        verdicts,
+        vec![RootVerdict::Ok.code(), RootVerdict::Blocked.code()],
+        "one root per element, the unroutable one blocked"
+    );
+    assert_eq!((roots[1].a, roots[1].b), (2, 0));
 }
 
 /// One HTTP GET against the daemon's JSON listener, returning the raw
