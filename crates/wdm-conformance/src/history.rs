@@ -77,7 +77,7 @@ pub struct OpRecord {
     pub op: OpKind,
     /// Which simulated thread ran it.
     pub thread: usize,
-    /// Global step counter when the transaction was created.
+    /// Global step counter when the operation was invoked.
     pub invoked_at: u64,
     /// Global step counter when the transaction completed.
     pub responded_at: u64,

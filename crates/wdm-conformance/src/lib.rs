@@ -18,15 +18,17 @@
 //!    random serial interleavings and requires identical ids, hops,
 //!    totals and blocked causes.
 //!
-//! 2. [`scheduler`] — a deterministic, seeded interleaver. Engine
-//!    operations are stepped state machines ([`wdm_rwa::concurrent`]),
-//!    so one real thread can simulate N logical threads by choosing,
-//!    with a seeded RNG, which in-flight transaction advances by one
-//!    step. Identical seed → identical interleaving → identical
-//!    [`History`], including genuinely racy windows (a transaction
-//!    mid-commit while another routes). The same machinery drives the
-//!    deliberately broken engine ([`wdm_rwa::RaceInjection`]) to prove
-//!    the checker catches real races.
+//! 2. [`scheduler`] — a deterministic, seeded interleaver. Every
+//!    engine operation calls a pause hook at each of its interleaving
+//!    points ([`wdm_rwa::concurrent`]); the scheduler runs each of N
+//!    simulated threads on its own OS thread with a handle whose hook
+//!    hands one baton back, and chooses with a seeded RNG which
+//!    in-flight transaction runs to its next pause. Identical seed →
+//!    identical interleaving → identical [`History`], including
+//!    genuinely racy windows (a transaction mid-commit while another
+//!    routes). The same machinery drives the deliberately broken engine
+//!    ([`wdm_rwa::RaceInjection`]) to prove the checker catches real
+//!    races.
 //! 3. [`checker`] — a Wing–Gong style search. Given the recorded
 //!    history, it enumerates candidate serial orders consistent with
 //!    the real-time partial order, replaying each through a fresh

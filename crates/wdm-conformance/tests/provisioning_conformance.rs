@@ -16,6 +16,7 @@ use wdm_conformance::SpecEngine;
 use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
 use wdm_core::WdmNetwork;
 use wdm_graph::{topology, LinkId, NodeId};
+use wdm_rwa::concurrent::RestorationOutcome;
 use wdm_rwa::{ConcurrentEngine, ConnectionId, Policy, ProvisioningEngine, RwaError};
 
 fn instance(seed: u64, n: usize, k: usize, p: f64) -> WdmNetwork {
@@ -44,6 +45,15 @@ fn chain() -> WdmNetwork {
         .uniform_conversion(wdm_core::ConversionPolicy::Uniform(wdm_core::Cost::new(1)))
         .build()
         .expect("valid")
+}
+
+/// A handle's cut outcomes as `(torn, restored id)` pairs, the spec's
+/// shape.
+fn cut_ids(outcomes: Vec<RestorationOutcome>) -> Vec<(ConnectionId, Option<ConnectionId>)> {
+    outcomes
+        .into_iter()
+        .map(|o| (o.torn, o.restored.map(|(id, _)| id)))
+        .collect()
 }
 
 /// Asserts the multi-shard engine and the spec agree on every total.
@@ -87,7 +97,7 @@ fn single_threaded_run_matches_spec() {
         Err(RwaError::UnknownConnection(ids[0]))
     );
     let cut = LinkId::new(1);
-    let oa = h.fail_link(cut, Policy::Optimal);
+    let oa = cut_ids(h.fail_link(cut, Policy::Optimal, None));
     assert_eq!(oa, spec.fail_link(cut, Policy::Optimal));
     for id in oa.iter().filter_map(|&(_, restored)| restored) {
         assert_eq!(conc.path_of(id).as_ref(), spec.path_of(id));
@@ -101,7 +111,7 @@ fn single_threaded_run_matches_spec() {
             spec.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal)
         );
     }
-    assert_eq!(h.restore_link(cut), spec.restore_link(cut));
+    assert_eq!(h.restore_link(cut, None), spec.restore_link(cut));
     for (s, t) in [(1, 3), (0, 3)] {
         let a = h.provision(NodeId::new(s), NodeId::new(t), Policy::Optimal);
         assert_eq!(
@@ -174,7 +184,7 @@ fn fail_link_matches_spec() {
         .expect("routes");
     assert_eq!(spec.provision(0.into(), 3.into(), Policy::Optimal), Ok(a));
     let cut = conc.path_of(a).expect("active").hops()[1].link;
-    let outcome = h.fail_link(cut, Policy::Optimal);
+    let outcome = cut_ids(h.fail_link(cut, Policy::Optimal, None));
     assert_eq!(
         outcome,
         vec![(a, None)],
@@ -184,7 +194,7 @@ fn fail_link_matches_spec() {
     assert_same_state(&conc, &spec);
     // The cut persists identically: a double-fail is an empty no-op in
     // both, and requests crossing the cut block in both as no-path.
-    assert!(h.fail_link(cut, Policy::Optimal).is_empty());
+    assert!(h.fail_link(cut, Policy::Optimal, None).is_empty());
     assert!(spec.fail_link(cut, Policy::Optimal).is_empty());
     let blocked = h.provision(0.into(), 3.into(), Policy::Optimal);
     assert_eq!(blocked, spec.provision(0.into(), 3.into(), Policy::Optimal));
@@ -192,8 +202,8 @@ fn fail_link_matches_spec() {
     assert_same_state(&conc, &spec);
     // Repair: both restore, both report the double-restore no-op, and
     // the pair routes again identically.
-    assert!(h.restore_link(cut) && spec.restore_link(cut));
-    assert!(!h.restore_link(cut) && !spec.restore_link(cut));
+    assert!(h.restore_link(cut, None) && spec.restore_link(cut));
+    assert!(!h.restore_link(cut, None) && !spec.restore_link(cut));
     let again = h
         .provision(0.into(), 3.into(), Policy::Optimal)
         .expect("repaired fibre routes");

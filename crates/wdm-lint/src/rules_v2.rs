@@ -14,8 +14,9 @@
 //!   typed error instead.
 //! * **L9** `protocol_order` — seqlock/shard-claim protocol conformance
 //!   in files marked `// wdm-lint: protocol: seqlock`: shard claims
-//!   must be provably ascending (sorted provenance or a monotone
-//!   counter; never a descending loop), an even→odd→even publish
+//!   must be provably ascending (a loop over a range or over a vec with
+//!   sorted provenance, a sorted vec indexed by a monotone counter, or
+//!   the counter itself; never a descending loop), an even→odd→even publish
 //!   (`store(v + 2)`) requires a prior claim CAS (`v → v + 1`), pure
 //!   seqlock readers must revalidate the sequence after the acquire
 //!   fence, and oddness-tested sequence reads must flow into the claim
@@ -640,8 +641,8 @@ fn check_claim_order(index: &ItemIndex, f: &FnDef, file: &FileIndex, out: &mut V
 /// Provenance of an ident claim index `sh`: a monotone counter
 /// (`let sh = self.claimed;` with `claimed += 1`), a sorted vec indexed
 /// by such a counter (`let sh = self.touched[self.claimed];` where
-/// `touched` is assigned from a sorting callee), or an ascending loop
-/// variable.
+/// `touched` is assigned from a sorting callee), or the variable of a
+/// loop over a range or over such a sorted vec.
 fn check_ident_claim_provenance(
     index: &ItemIndex,
     f: &FnDef,
@@ -653,8 +654,27 @@ fn check_ident_claim_provenance(
 ) {
     let (start, end) = f.body;
     let end = end.min(toks.len());
-    // Ascending loop variable?
-    if loop_var_ascends(toks, start, cas.token_idx, name) {
+    // A loop variable ascends when its loop walks a range, or a vec
+    // with sorted provenance (elements of a sorted vec, or its indices).
+    if let Some((for_idx, walk)) = enclosing_loop_walk(toks, start, cas.token_idx, name) {
+        let why = match walk {
+            LoopWalk::Range => return,
+            LoopWalk::Vec(vec) if vec_has_sorted_provenance(index, file, &vec) => return,
+            LoopWalk::Vec(vec) => format!(
+                "walks `{vec}`, which has no sorted provenance (no assignment from a sorting fn)"
+            ),
+            LoopWalk::Other => "walks neither a range nor a vec".to_string(),
+        };
+        emit_l9(
+            out,
+            file,
+            toks[for_idx].line,
+            toks[for_idx].col,
+            format!(
+                "claim loop in `{}` {why}; shard claims must be provably ascending",
+                f.qualified_name()
+            ),
+        );
         return;
     }
     // `let name = …;` before the CAS.
@@ -837,37 +857,113 @@ fn enclosing_rev_loop(toks: &[Token], body_start: usize, pos: usize) -> Option<(
     None
 }
 
-/// Whether `name` is the variable of an enclosing non-`.rev()` `for`
-/// loop over a range (ascending by construction).
-fn loop_var_ascends(toks: &[Token], body_start: usize, pos: usize, name: &str) -> bool {
-    let mut i = body_start;
-    while i < pos {
-        if toks[i].is_ident("for")
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| t.kind == TokenKind::Ident && t.text == *name)
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("in"))
-        {
-            let mut j = i + 3;
-            let mut depth = 0usize;
-            let mut has_rev = false;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth = depth.saturating_sub(1),
-                    "{" if depth == 0 => break,
-                    "rev" => has_rev = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if !has_rev {
-                return true;
-            }
+/// What a `for` loop walks, judged from the tokens of its iterated
+/// expression.
+enum LoopWalk {
+    /// A range (`a..b`, `(a..b).step_by(k)`): ascending by construction.
+    Range,
+    /// A vec, named by the last path segment before the first method
+    /// call: `&self.touched`, `order.iter().copied()`.
+    Vec(String),
+    /// Anything else (a call result, a chain of adaptors on one).
+    Other,
+}
+
+/// The innermost `for` loop enclosing `pos` whose pattern binds `name`:
+/// the index of its `for` token and what it walks.
+fn enclosing_loop_walk(
+    toks: &[Token],
+    body_start: usize,
+    pos: usize,
+    name: &str,
+) -> Option<(usize, LoopWalk)> {
+    let mut found = None;
+    for i in body_start..pos {
+        if !toks[i].is_ident("for") {
+            continue;
         }
-        i += 1;
+        let Some(in_idx) = (i + 1..pos).find(|&j| toks[j].is_ident("in")) else {
+            continue;
+        };
+        if !toks[i + 1..in_idx].iter().any(|t| t.is_ident(name)) {
+            continue;
+        }
+        // The header runs to the loop `{` (brackets/parens can nest),
+        // the body to its matching `}`.
+        let mut open = in_idx + 1;
+        let mut depth = 0usize;
+        while open < toks.len() {
+            match toks[open].text.as_str() {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "{" if depth == 0 => break,
+                _ => {}
+            }
+            open += 1;
+        }
+        let mut close = open;
+        let mut braces = 0usize;
+        while close < toks.len() {
+            if toks[close].is_punct('{') {
+                braces += 1;
+            } else if toks[close].is_punct('}') {
+                braces = braces.saturating_sub(1);
+                if braces == 0 {
+                    break;
+                }
+            }
+            close += 1;
+        }
+        if pos > open && pos < close {
+            found = Some((i, loop_walk(&toks[in_idx + 1..open])));
+        }
     }
-    false
+    found
+}
+
+/// Classifies a loop header's iterated expression. A `..` counts as the
+/// walked range only at the top level or inside a leading `( … )` group
+/// (`(a..b).step_by(k)`), never inside a call's arguments or an index.
+fn loop_walk(header: &[Token]) -> LoopWalk {
+    let code: Vec<&Token> = header.iter().filter(|t| !t.is_comment()).collect();
+    let mut depth = 0usize;
+    let mut in_leading_group = code.first().is_some_and(|t| t.is_punct('('));
+    for w in code.windows(2) {
+        match w[0].text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    in_leading_group = false;
+                }
+            }
+            "." if w[1].is_punct('.') && (depth == 0 || (depth == 1 && in_leading_group)) => {
+                return LoopWalk::Range;
+            }
+            _ => {}
+        }
+    }
+    let mut rest = code
+        .iter()
+        .skip_while(|t| t.is_punct('&') || t.is_ident("mut"))
+        .peekable();
+    let mut vec: Option<&str> = None;
+    while let Some(t) = rest.next() {
+        if t.kind != TokenKind::Ident {
+            break;
+        }
+        if rest.peek().is_some_and(|n| n.is_punct('(')) {
+            break;
+        }
+        vec = Some(&t.text);
+        if rest.next_if(|n| n.is_punct('.')).is_none() {
+            break;
+        }
+    }
+    match vec {
+        Some(v) if v != "self" => LoopWalk::Vec(v.to_string()),
+        _ => LoopWalk::Other,
+    }
 }
 
 /// Top-level comma-split of a call's argument tokens; `open` is the

@@ -345,6 +345,84 @@ fn l9_descending_claim_loop_fires() {
         .contains("iterates in reverse"));
 }
 
+const L9_LOOP_UNSORTED: &str = "\
+//! wdm-lint: protocol: seqlock
+/// Claims the shards in whatever order the caller passed.
+pub fn claim_in_order(shards: &[Seq], order: &[usize], v: u64) {
+    for sh in order.iter().copied() {
+        shards[sh].compare_exchange(v, v + 1);
+    }
+}
+";
+
+const L9_LOOP_SORTED: &str = "\
+//! wdm-lint: protocol: seqlock
+/// The shards a request touches, ascending.
+fn sorted_order(wanted: &[usize]) -> Vec<usize> {
+    let mut out = wanted.to_vec();
+    out.sort_unstable();
+    out
+}
+/// Claims the shards a request touches, walking them upward.
+pub fn claim_in_order(shards: &[Seq], wanted: &[usize], v: u64) {
+    let order = sorted_order(wanted);
+    for sh in order.iter().copied() {
+        shards[sh].compare_exchange(v, v + 1);
+    }
+}
+";
+
+/// Mutation: a claim loop over a caller-supplied order (no sorted
+/// provenance) must fire L9 on the loop header.
+#[test]
+fn l9_claim_loop_over_unsorted_vec_fires() {
+    let findings = scan(&[(L9_FILE, L9_LOOP_UNSORTED)]);
+    assert_eq!(
+        spans_of(&findings, Rule::ProtocolOrder),
+        vec![(L9_FILE.to_string(), 4, 5, Severity::Deny)]
+    );
+    assert!(findings
+        .iter()
+        .find(|f| f.rule == Rule::ProtocolOrder)
+        .unwrap()
+        .message
+        .contains("walks `order`, which has no sorted provenance"));
+}
+
+/// Mutation: a range passed through a call can come back in any order,
+/// so only a range the loop walks itself counts.
+#[test]
+fn l9_claim_loop_over_a_call_result_fires() {
+    let src = "\
+//! wdm-lint: protocol: seqlock
+/// Claims the shards in whatever order `shuffled` returns.
+pub fn claim_shuffled(shards: &[Seq], v: u64) {
+    for sh in shuffled(0..shards.len()) {
+        shards[sh].compare_exchange(v, v + 1);
+    }
+}
+";
+    let findings = scan(&[(L9_FILE, src)]);
+    assert_eq!(
+        spans_of(&findings, Rule::ProtocolOrder),
+        vec![(L9_FILE.to_string(), 4, 5, Severity::Deny)]
+    );
+    assert!(findings
+        .iter()
+        .find(|f| f.rule == Rule::ProtocolOrder)
+        .unwrap()
+        .message
+        .contains("walks neither a range nor a vec"));
+}
+
+/// The sorted twin: the same loop over a vec assigned from a sorting fn
+/// passes.
+#[test]
+fn l9_claim_loop_over_sorted_vec_passes() {
+    let findings = scan(&[(L9_FILE, L9_LOOP_SORTED)]);
+    assert_eq!(spans_of(&findings, Rule::ProtocolOrder), Vec::new());
+}
+
 #[test]
 fn l9_publish_without_claim_fires() {
     let src = "\

@@ -59,6 +59,7 @@ fn record_args(r: &TraceRecord) -> Vec<(&'static str, ArgValue)> {
         TraceEventKind::ShardValidate => vec![("ok", U64(r.a))],
         TraceEventKind::ShardRetry => vec![("conflicts", U64(r.a))],
         TraceEventKind::Admission => vec![("inflight", U64(r.a)), ("max", U64(r.b))],
+        TraceEventKind::RestoreLink => vec![("link", U64(r.a))],
     }
 }
 

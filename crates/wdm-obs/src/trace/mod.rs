@@ -130,6 +130,8 @@ pub enum TraceEventKind {
     /// Admission control rejected the request (`overloaded`). `a` =
     /// in-flight requests observed, `b` = the admission limit.
     Admission = 10,
+    /// Root span of one fibre repair. `a` = link index.
+    RestoreLink = 11,
 }
 
 impl TraceEventKind {
@@ -151,6 +153,7 @@ impl TraceEventKind {
             8 => TraceEventKind::ShardValidate,
             9 => TraceEventKind::ShardRetry,
             10 => TraceEventKind::Admission,
+            11 => TraceEventKind::RestoreLink,
             _ => return None,
         })
     }
@@ -168,6 +171,7 @@ impl TraceEventKind {
             TraceEventKind::ShardValidate => "shard-validate",
             TraceEventKind::ShardRetry => "shard-retry",
             TraceEventKind::Admission => "admission",
+            TraceEventKind::RestoreLink => "restore-link",
         }
     }
 }
@@ -794,7 +798,7 @@ mod tests {
         ] {
             assert_eq!(RootVerdict::from_code(v.code()), v);
         }
-        for code in 1u8..=10 {
+        for code in 1u8..=11 {
             let kind = TraceEventKind::from_code(code).expect("valid code");
             assert_eq!(kind.code(), code);
             assert!(!kind.label().is_empty());

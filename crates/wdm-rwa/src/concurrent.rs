@@ -51,17 +51,35 @@
 //! claim CAS, release publication) is audited once in
 //! [`wdm_obs::ordering`]; this module only imports the named constants.
 //!
-//! # Stepped execution
+//! # Interleaving points
 //!
-//! Every operation is a state machine ([`ProvisionTxn`], [`ReleaseTxn`],
-//! [`FailLinkTxn`], [`RestoreLinkTxn`]) advanced by `step()` calls; the
-//! blocking methods on [`ConcurrentHandle`] are the one set of retry
-//! drivers that run a machine to completion. The `wdm-conformance`
-//! harness instead interleaves many machines from one real thread under
-//! a seeded scheduler, which is what makes concurrent histories
-//! replayable: no step ever holds an OS lock across steps or spins —
-//! contention is reported as [`Step::Contended`] and retried on the
-//! next step.
+//! Each operation is one straight-line method on [`ConcurrentHandle`]:
+//! [`provision_outcome`](ConcurrentHandle::provision_outcome),
+//! [`release_traced`](ConcurrentHandle::release_traced),
+//! [`fail_link`](ConcurrentHandle::fail_link) and
+//! [`restore_link`](ConcurrentHandle::restore_link). Between two units
+//! of shared-state work it calls the handle's pause hook, saying whether
+//! it just made progress or found another writer in its way (an odd
+//! shard, a lost CAS, a failed validation). The hook of a
+//! [`ConcurrentEngine::handle`] does nothing on progress and yields the
+//! thread on contention. The `wdm-conformance` scheduler builds its
+//! handles with [`ConcurrentEngine::interleaved_handle`] instead: there
+//! the hook hands one seeded baton between simulated threads, so exactly
+//! one transaction runs between two pauses and every history replays
+//! from its seed. No mutex guard is ever held across a pause. The
+//! points are:
+//!
+//! * provision: after reading the versions, after routing, after each
+//!   shard claim, once more after the last claim (the window in which
+//!   another writer can commit before validation), after validation,
+//!   and after each mask flip;
+//! * release: after the lookup, after each shard claim and once more
+//!   after the last, after removing the connection, after each flip;
+//! * fail_link and restore_link: after each shard claim and once more
+//!   after the last; then a cut pauses after its snapshot, after each
+//!   teardown and once after the sweep, after marking the cut, after
+//!   each restoration and once after that sweep, while a repair pauses
+//!   once after applying.
 //!
 //! # Blocked causes
 //!
@@ -78,6 +96,7 @@ use crate::metrics::{BlockCause, EngineMetrics};
 use crate::policy::Policy;
 use crate::{ConnectionId, RwaError};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -165,8 +184,8 @@ struct Shared {
     /// Seqlock version counters, one per wavelength shard. Odd = a
     /// writer owns the shard's wavelengths.
     shards: Vec<AtomicU64>,
-    /// Active connections. Locked only *within* a single transaction
-    /// step, never across steps.
+    /// Active connections. Locked only between two interleaving
+    /// points, never across one.
     active: Mutex<HashMap<ConnectionId, Connection>>,
     next_id: AtomicU64,
     accepted: AtomicU64,
@@ -181,9 +200,8 @@ struct Shared {
     /// regime are re-probed.
     memo_epoch: AtomicU64,
     /// Links currently cut and not yet repaired, kept sorted. Mutated
-    /// only by [`FailLinkTxn`] / [`RestoreLinkTxn`] while they hold
-    /// every shard; read by blocked-cause classification for the
-    /// duration of one probe.
+    /// only by cuts and repairs while they hold every shard; read by
+    /// blocked-cause classification for the duration of one probe.
     failed: Mutex<Vec<LinkId>>,
     /// The blocked-cause memo. Locked only to copy one entry out or put
     /// one in, never across a probe.
@@ -218,6 +236,35 @@ impl Shared {
         }
         out.sort_unstable();
         out
+    }
+
+    /// One routing query: the masked search on the shared state, its
+    /// search work drained into the counters and, under `trace`, a
+    /// `Route` span. `None` when nothing routes — empty paths (s == t)
+    /// included: they carry nothing. Every request's route runs here.
+    // wdm-lint: hot-path
+    fn route(
+        &self,
+        scratch: &mut SearchScratch,
+        policy: Policy,
+        s: NodeId,
+        t: NodeId,
+        trace: Option<&TxnTrace>,
+    ) -> Option<Semilightpath> {
+        let route_start = trace.map(|tr| tr.writer.now_ns());
+        let path = policy.route_shared(&self.state, scratch, s, t);
+        self.flush_search(scratch);
+        if let (Some(tr), Some(t0)) = (trace, route_start) {
+            tr.writer.span(
+                tr.id,
+                TraceEventKind::Route,
+                t0,
+                0,
+                s.index() as u64,
+                t.index() as u64,
+            );
+        }
+        path.filter(|p| !p.is_empty())
     }
 
     /// Classifies a blocked request against the free network (minus the
@@ -273,6 +320,37 @@ impl Shared {
             BlockCause::Capacity
         } else {
             BlockCause::NoPath
+        }
+    }
+
+    /// Whether every shard outside `claimed` still holds the version in
+    /// `versions` (read before routing).
+    fn unchanged_since(&self, versions: &[u64], claimed: &[usize]) -> bool {
+        // Order the route's relaxed mask loads before the validating
+        // version loads (see wdm_obs::ordering).
+        fence_acquire();
+        self.race != RaceInjection::ForceValidationConflict
+            && self
+                .shards
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !claimed.contains(i))
+                .all(|(i, shard)| shard.load(RELAXED) == versions[i])
+    }
+
+    /// Puts the `claimed` shards back at their pre-claim versions. Exact
+    /// only while no bit has been flipped under the claim.
+    fn roll_back(&self, claimed: &[usize], versions: &[u64]) {
+        for &sh in claimed {
+            self.shards[sh].store(versions[sh], RELEASE);
+        }
+    }
+
+    /// Counts a provision's validation conflict, its `conflicts`-th.
+    fn note_conflict(&self, conflicts: u64, trace: Option<&TxnTrace>) {
+        self.conflicts.fetch_add(1, RELAXED);
+        if let Some(tr) = trace {
+            tr.instant(TraceEventKind::ShardRetry, conflicts, 0);
         }
     }
 
@@ -417,18 +495,6 @@ impl TxnTrace {
     }
 }
 
-/// One `step()` of a transaction state machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step<T> {
-    /// The transaction finished with this result.
-    Done(T),
-    /// The step did useful work; call `step()` again.
-    Progress,
-    /// The step found a shard claimed by another writer (or lost a CAS)
-    /// and made no progress; yield to whoever holds it, then retry.
-    Contended,
-}
-
 /// How one provision request concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProvisionOutcome {
@@ -452,7 +518,8 @@ pub enum ProvisionOutcome {
     },
 }
 
-/// One torn connection's fate in a [`FailLinkTxn`].
+/// One torn connection's fate in a fibre cut
+/// ([`ConcurrentHandle::fail_link`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestorationOutcome {
     /// The connection torn down by the cut.
@@ -522,16 +589,16 @@ impl ConcurrentEngine {
 
     /// Attaches a flight recorder: every operation from now on records a
     /// per-request trace under a [`TraceId`] that is either supplied by
-    /// the caller (the daemon threads wire `trace_id`s through
-    /// [`ConcurrentHandle::provision_outcome`] and
-    /// [`ConcurrentHandle::release_traced`]) or allocated from the
-    /// recorder. A provision records the routing query as a span, one
-    /// instant per shard claim, the validation verdict, every conflict
-    /// retry, one instant per mask flip, the blocked cause, and a root
-    /// span carrying the outcome; releases, fibre cuts and repairs
-    /// record their flips under a root span of their own. This is what
-    /// makes seqlock conflict churn visible *per request* instead of
-    /// only as the aggregate [`conflicts`](Self::conflicts) counter.
+    /// the caller (the daemon threads wire `trace_id`s through the
+    /// `wire` argument of every [`ConcurrentHandle`] operation) or
+    /// allocated from the recorder. A provision records the routing
+    /// query as a span, one instant per shard claim, the validation
+    /// verdict, every conflict retry, one instant per mask flip, the
+    /// blocked cause, and a root span carrying the outcome; releases,
+    /// fibre cuts and repairs record their flips under a root span of
+    /// their own. This is what makes seqlock conflict churn visible
+    /// *per request* instead of only as the aggregate
+    /// [`conflicts`](Self::conflicts) counter.
     ///
     /// Write-once: the first recorder wins and later calls are ignored
     /// (transactions read the cell lock-free mid-flight, so swapping
@@ -576,24 +643,32 @@ impl ConcurrentEngine {
     }
 
     /// A per-thread handle bundling this engine with its own search
-    /// scratch and transaction buffers.
+    /// scratch and shard buffers. It yields the thread whenever a
+    /// transaction finds another writer in its way.
     pub fn handle(&self) -> ConcurrentHandle {
+        self.handle_with(Pause(None))
+    }
+
+    /// A handle whose transactions call `pause` at every interleaving
+    /// point (see the module docs) instead of yielding on contention;
+    /// the argument is `true` when the transaction just found another
+    /// writer in its way. Conformance-harness use only, like
+    /// [`with_race_injection`](Self::with_race_injection): it is the
+    /// seam a deterministic scheduler substitutes to decide which
+    /// simulated thread runs next.
+    pub fn interleaved_handle(&self, pause: Box<dyn FnMut(bool) + Send>) -> ConcurrentHandle {
+        self.handle_with(Pause(Some(pause)))
+    }
+
+    fn handle_with(&self, pause: Pause) -> ConcurrentHandle {
         let shards = self.num_shards();
         ConcurrentHandle {
             engine: self.clone(),
-            scratch: self.handle_scratch(),
-            bufs: TxnBuffers {
-                versions: Vec::with_capacity(shards),
-                touched: Vec::with_capacity(shards),
-            },
+            scratch: SearchScratch::for_state(&self.shared.state),
+            versions: vec![0; shards],
+            touched: Vec::with_capacity(shards),
+            pause,
         }
-    }
-
-    /// A bare per-thread [`SearchScratch`] sized for this engine, for
-    /// callers that drive transactions directly (the conformance
-    /// harness's simulated threads).
-    pub fn handle_scratch(&self) -> SearchScratch {
-        SearchScratch::for_state(&self.shared.state)
     }
 
     /// Busy (link, λ) resources right now (racy peek; exact at
@@ -677,49 +752,55 @@ impl ConcurrentEngine {
     pub fn failed_links(&self) -> Vec<LinkId> {
         lock(&self.shared.failed).clone()
     }
+}
 
-    fn shared(&self) -> &Shared {
-        &self.shared
+/// The hook a handle's transactions call at every interleaving point:
+/// `None` yields the thread on contention and does nothing on progress,
+/// `Some` is a conformance scheduler's handoff.
+struct Pause(Option<Box<dyn FnMut(bool) + Send>>);
+
+impl Pause {
+    /// The transaction did shared-state work since its last pause.
+    fn progress(&mut self) {
+        if let Some(hook) = &mut self.0 {
+            hook(false);
+        }
+    }
+
+    /// The transaction found another writer in its way and holds no
+    /// claim it could be waiting on; yield to whoever does.
+    fn contended(&mut self) {
+        match &mut self.0 {
+            Some(hook) => hook(true),
+            None => std::thread::yield_now(),
+        }
     }
 }
 
-/// Scratch vectors a provision or release fills per request: shard
-/// versions and the shard set its path touches. A handle keeps one set
-/// and lends it to every transaction it drives, so steady-state
-/// requests allocate nothing here.
-#[derive(Debug, Default)]
-struct TxnBuffers {
-    /// Per shard: the version read before routing (provision) or the
-    /// even version a claim advanced from (release).
-    versions: Vec<u64>,
-    /// Sorted, deduplicated shards the path touches.
-    touched: Vec<usize>,
-}
-
-impl TxnBuffers {
-    /// Both buffers emptied, `versions` sized for `shards` shards.
-    fn reset(self, shards: usize) -> (Vec<u64>, Vec<usize>) {
-        let TxnBuffers {
-            mut versions,
-            mut touched,
-        } = self;
-        versions.clear();
-        versions.resize(shards, 0);
-        touched.clear();
-        (versions, touched)
+impl fmt::Debug for Pause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "Pause(hook)"
+        } else {
+            "Pause(yield)"
+        })
     }
 }
 
-/// A per-thread handle: the engine plus this thread's [`SearchScratch`]
-/// and transaction buffers. Its blocking methods are the one set of
-/// retry drivers: they step a transaction to completion, yielding on
-/// contention (the host has few cores; a spinning waiter on the
-/// holder's core is pure waste).
+/// A per-thread handle: the engine plus this thread's [`SearchScratch`],
+/// the shard buffers its transactions reuse (so steady-state requests
+/// allocate nothing here), and its pause hook. Its methods are the
+/// engine's transactions.
 #[derive(Debug)]
 pub struct ConcurrentHandle {
     engine: ConcurrentEngine,
     scratch: SearchScratch,
-    bufs: TxnBuffers,
+    /// Per shard: the version read before routing (provision) or the
+    /// even version a claim advanced from (release, cut, repair).
+    versions: Vec<u64>,
+    /// The sorted, deduplicated shards the current path touches.
+    touched: Vec<usize>,
+    pause: Pause,
 }
 
 impl ConcurrentHandle {
@@ -746,8 +827,8 @@ impl ConcurrentHandle {
 
     /// [`provision`](Self::provision) with a bounded retry budget: the
     /// transaction is abandoned once it has absorbed `max_conflicts`
-    /// validation conflicts (or, with a budget of zero, on its first
-    /// contended step of any kind).
+    /// validation conflicts (or, with a budget of zero, at its first
+    /// contended point of any kind).
     ///
     /// Retry exhaustion is **not** a blocked verdict. A blocked commit
     /// proves an occupancy state that rejected the request existed at
@@ -778,12 +859,15 @@ impl ConcurrentHandle {
         }
     }
 
-    /// The provision driver behind [`provision`](Self::provision) and
-    /// [`provision_bounded`](Self::provision_bounded), returning the
+    /// The provision transaction behind [`provision`](Self::provision)
+    /// and [`provision_bounded`](Self::provision_bounded), returning the
     /// full outcome (route summary or blocked cause). With a recorder
     /// attached, the request's trace records under `wire` (or a fresh
     /// id when `None`); `max_conflicts` is the retry budget
-    /// (`u64::MAX` retries until decided).
+    /// (`u64::MAX` retries until decided), checked at every contended
+    /// point. An abandoned request holds no claims and closes its trace
+    /// with the `contended` root verdict, which tail sampling always
+    /// keeps.
     ///
     /// # Errors
     ///
@@ -798,33 +882,134 @@ impl ConcurrentHandle {
         wire: Option<TraceId>,
         max_conflicts: u64,
     ) -> Result<ProvisionOutcome, RwaError> {
-        let bufs = std::mem::take(&mut self.bufs);
-        let mut txn = ProvisionTxn::start(self.engine.shared(), s, t, policy, wire, bufs)?;
-        let result = loop {
-            match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(outcome) => break Ok(outcome),
-                Step::Progress => {}
-                Step::Contended => {
-                    // A contended step never leaves shard claims behind,
-                    // so abandoning here is clean (see
-                    // [`ProvisionTxn::conflicts`]).
-                    if txn.conflicts() >= max_conflicts {
-                        txn.trace_abandon();
-                        break Err(RwaError::Contended {
-                            s,
-                            t,
-                            conflicts: txn.conflicts(),
-                        });
-                    }
-                    std::thread::yield_now();
-                }
+        let shared = &*self.engine.shared;
+        for v in [s, t] {
+            if v.index() >= shared.base.node_count() {
+                return Err(RwaError::NodeOutOfRange(v));
+            }
+        }
+        let trace = shared.start_trace(wire);
+        let started = shared.started();
+        let finish = |verdict: RootVerdict| {
+            if let Some(tr) = &trace {
+                let (a, b) = (s.index() as u64, t.index() as u64);
+                tr.finish(TraceEventKind::Provision, verdict, a, b);
             }
         };
-        self.bufs = TxnBuffers {
-            versions: txn.versions,
-            touched: txn.touched,
+        // Under the injected race routes commit on the racy read: no
+        // claim, no validation.
+        let locked = shared.race != RaceInjection::SkipShardLock;
+        let mut conflicts = 0;
+        let verdict = loop {
+            // One optimistic attempt; `None` when it met another writer,
+            // in which case it holds no claims.
+            let attempt = 'attempt: {
+                for (sh, shard) in shared.shards.iter().enumerate() {
+                    let v = shard.load(ACQUIRE);
+                    if v % 2 == 1 {
+                        break 'attempt None;
+                    }
+                    self.versions[sh] = v;
+                }
+                self.pause.progress();
+                let routed = shared.route(&mut self.scratch, policy, s, t, trace.as_ref());
+                let Some(path) = routed else {
+                    if locked {
+                        self.pause.progress();
+                        if !shared.unchanged_since(&self.versions, &[]) {
+                            conflicts += 1;
+                            shared.note_conflict(conflicts, trace.as_ref());
+                            break 'attempt None;
+                        }
+                    }
+                    break 'attempt Some(Err(shared.classify(&mut self.scratch, s, t, policy)));
+                };
+                self.pause.progress();
+                if locked {
+                    self.touched = shared.touched_shards(&path, std::mem::take(&mut self.touched));
+                    for (claimed, &sh) in self.touched.iter().enumerate() {
+                        let v = self.versions[sh];
+                        if shared.shards[sh]
+                            .compare_exchange(v, v + 1, ACQ_REL, ACQUIRE)
+                            .is_err()
+                        {
+                            shared.roll_back(&self.touched[..claimed], &self.versions);
+                            conflicts += 1;
+                            shared.note_conflict(conflicts, trace.as_ref());
+                            break 'attempt None;
+                        }
+                        if let Some(tr) = &trace {
+                            tr.instant(TraceEventKind::ShardClaim, sh as u64, v);
+                        }
+                        self.pause.progress();
+                    }
+                    self.pause.progress();
+                    if !shared.unchanged_since(&self.versions, &self.touched) {
+                        shared.roll_back(&self.touched, &self.versions);
+                        conflicts += 1;
+                        shared.note_conflict(conflicts, trace.as_ref());
+                        break 'attempt None;
+                    }
+                    if let Some(tr) = &trace {
+                        tr.instant(TraceEventKind::ShardValidate, 1, 0);
+                    }
+                    self.pause.progress();
+                }
+                Some(Ok(path))
+            };
+            if let Some(verdict) = attempt {
+                break verdict;
+            }
+            if conflicts >= max_conflicts {
+                finish(RootVerdict::Contended);
+                return Err(RwaError::Contended { s, t, conflicts });
+            }
+            self.pause.contended();
         };
-        result
+        let path = match verdict {
+            Ok(path) => path,
+            Err(cause) => {
+                shared.note_blocked(cause, started);
+                if let Some(tr) = &trace {
+                    tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
+                }
+                finish(RootVerdict::Blocked);
+                return Ok(ProvisionOutcome::Blocked { cause });
+            }
+        };
+        for hop in path.hops() {
+            let got = shared.acquire(hop.link, hop.wavelength, trace.as_ref());
+            // With the shards claimed and validated the bit must be
+            // free; only the injected race can lose it (and ignores the
+            // loss — that is the bug the harness must catch).
+            debug_assert!(
+                !locked || got == AcquireOutcome::Acquired,
+                "owned shard lost a bit at ({}, {})",
+                hop.link,
+                hop.wavelength
+            );
+            self.pause.progress();
+        }
+        let (hops, conversions, cost) = (path.len(), path.conversion_count(), path.cost());
+        let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
+        let active = {
+            let mut active = lock(&shared.active);
+            active.insert(id, Connection { path });
+            active.len()
+        };
+        if locked {
+            for &sh in &self.touched {
+                shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
+            }
+        }
+        shared.note_accepted(active, started);
+        finish(RootVerdict::Ok);
+        Ok(ProvisionOutcome::Accepted {
+            id,
+            hops,
+            conversions,
+            cost,
+        })
     }
 
     /// Releases an active connection, freeing its resources.
@@ -841,6 +1026,12 @@ impl ConcurrentHandle {
     /// fresh id when `None`). A release of an unknown connection still
     /// records a root span, with the `failed` verdict.
     ///
+    /// The transaction peeks the connection's path, claims the shards
+    /// the path touches, and only then removes the connection from the
+    /// active map and clears its bits. Releases never conflict
+    /// logically (the resources are owned), they only wait on shard
+    /// claims.
+    ///
     /// # Errors
     ///
     /// [`RwaError::UnknownConnection`] if `id` is not active.
@@ -849,31 +1040,93 @@ impl ConcurrentHandle {
         id: ConnectionId,
         wire: Option<TraceId>,
     ) -> Result<(), RwaError> {
-        let bufs = std::mem::take(&mut self.bufs);
-        let mut txn = ReleaseTxn::start(self.engine.shared(), id, wire, bufs);
-        let result = loop {
-            match txn.step(&self.engine) {
-                Step::Done(r) => break r,
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
+        let shared = &*self.engine.shared;
+        let trace = shared.start_trace(wire);
+        let started = shared.started();
+        let finish = |result: Result<(), RwaError>| {
+            if let Some(tr) = &trace {
+                let verdict = if result.is_ok() {
+                    RootVerdict::Ok
+                } else {
+                    RootVerdict::Failed
+                };
+                tr.finish(TraceEventKind::Release, verdict, id.as_u64(), 0);
             }
+            result
         };
-        self.bufs = TxnBuffers {
-            versions: txn.versions,
-            touched: txn.touched,
+        let found = match lock(&shared.active).get(&id) {
+            Some(c) => {
+                self.touched = shared.touched_shards(&c.path, std::mem::take(&mut self.touched));
+                true
+            }
+            None => false,
         };
-        result
+        if !found {
+            return finish(Err(RwaError::UnknownConnection(id)));
+        }
+        self.pause.progress();
+        for &sh in &self.touched {
+            loop {
+                let v = shared.shards[sh].load(ACQUIRE);
+                if v % 2 == 1
+                    || shared.shards[sh]
+                        .compare_exchange(v, v + 1, ACQ_REL, ACQUIRE)
+                        .is_err()
+                {
+                    self.pause.contended();
+                } else {
+                    self.versions[sh] = v;
+                    break;
+                }
+            }
+            self.pause.progress();
+        }
+        self.pause.progress();
+        // The removal must happen under the claim: a cut holds every
+        // shard from its first claim through its publish, so removing
+        // the entry while we hold our shards makes the release
+        // linearize entirely before or entirely after any cut. Removing
+        // it before claiming lets a cut and a release both report
+        // freeing the same connection. Ids are never reused, so an
+        // entry still present is the one whose shards we hold.
+        let removed = {
+            let mut active = lock(&shared.active);
+            active.remove(&id).map(|c| (c.path, active.len()))
+        };
+        let Some((path, active)) = removed else {
+            // Torn down by a cut that committed between our peek and
+            // our claim. Nothing was flipped: restore the claimed
+            // versions untouched.
+            shared.roll_back(&self.touched, &self.versions);
+            return finish(Err(RwaError::UnknownConnection(id)));
+        };
+        self.pause.progress();
+        for hop in path.hops() {
+            let freed = shared.free(hop.link, hop.wavelength, trace.as_ref());
+            debug_assert!(freed, "released a hop the base does not carry");
+            self.pause.progress();
+        }
+        for &sh in &self.touched {
+            shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
+        }
+        shared.note_released(active, started);
+        finish(Ok(()))
     }
 
     /// Simulates a fibre cut with restoration: tears down every
     /// connection crossing `link`, restores each on the residual network
     /// with the cut excluded, and returns the outcomes in connection-id
-    /// order (`Some(new_id)` when restored, `None` when lost). The cut
-    /// is **persistent**: the link's wavelengths stay marked busy — and
-    /// count as occupied in
-    /// [`utilization`](ConcurrentEngine::utilization) — until
-    /// [`restore_link`](Self::restore_link) repairs it. Failing an
-    /// already-failed link is an idempotent no-op with no outcomes.
+    /// order (teardowns count as releases, restorations as requests).
+    /// The cut is **persistent**: the link's wavelengths stay marked
+    /// busy — and count as occupied in
+    /// [`utilization`](ConcurrentEngine::utilization) — and the link
+    /// stays in the failed set until
+    /// [`restore_link`](Self::restore_link) repairs it; the memo epoch
+    /// advances with every such regime change, so blocked-cause
+    /// verdicts probed under one failed-link set are never reused under
+    /// another. Failing an already-failed link is an idempotent no-op
+    /// with no outcomes. With a recorder attached, the cut records
+    /// under `wire` (or a fresh id when `None`).
     ///
     /// # Panics
     ///
@@ -882,40 +1135,223 @@ impl ConcurrentHandle {
         &mut self,
         link: LinkId,
         policy: Policy,
-    ) -> Vec<(ConnectionId, Option<ConnectionId>)> {
-        let mut txn = FailLinkTxn::new(&self.engine, link, policy);
-        loop {
-            match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(outcomes) => {
-                    return outcomes
-                        .into_iter()
-                        .map(|o| (o.torn, o.restored.map(|(id, _)| id)))
-                        .collect()
-                }
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
-            }
+        wire: Option<TraceId>,
+    ) -> Vec<RestorationOutcome> {
+        assert!(
+            link.index() < self.engine.base().link_count(),
+            "link {link} out of range"
+        );
+        let trace = self.engine.shared.start_trace(wire);
+        let started = self.engine.shared.started();
+        let outcomes = self.exclusive(|h| h.cut(link, policy, trace.as_ref()));
+        if let (Some(m), Some(t0)) = (self.engine.shared.metrics.get(), started) {
+            m.fail_link_latency.observe(ns_since(t0));
         }
+        if let Some(tr) = &trace {
+            let (a, b) = (link.index() as u64, outcomes.len() as u64);
+            tr.finish(TraceEventKind::FailLink, RootVerdict::Ok, a, b);
+        }
+        outcomes
     }
 
-    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link):
-    /// returns `true` when the link was failed and is now restored,
-    /// `false` for the no-op repair of a healthy link (a blind unmark
-    /// would free resources held by active connections). Existing
-    /// connections are untouched either way.
+    /// The body of [`fail_link`](Self::fail_link), run holding every
+    /// shard: record the cut, tear down the connections crossing it,
+    /// mark its wavelengths busy, and restore the torn connections.
+    fn cut(
+        &mut self,
+        link: LinkId,
+        policy: Policy,
+        trace: Option<&TxnTrace>,
+    ) -> Vec<RestorationOutcome> {
+        let shared = &*self.engine.shared;
+        let newly_cut = {
+            let mut failed = lock(&shared.failed);
+            match failed.binary_search(&link) {
+                Ok(_) => false,
+                Err(pos) => {
+                    failed.insert(pos, link);
+                    true
+                }
+            }
+        };
+        if !newly_cut {
+            // Nothing crosses a failed fibre, so there is nothing to
+            // tear down and the regime does not change — no epoch churn.
+            self.pause.progress();
+            return Vec::new();
+        }
+        // The failed set is updated *before* the epoch advances: a
+        // classifier that acquires the new epoch is guaranteed
+        // (release/acquire on memo_epoch) to also see the new set, so no
+        // fresh-epoch entry can be probed against the old regime.
+        shared.memo_epoch.fetch_add(1, RELEASE);
+        let mut affected: Vec<(ConnectionId, Semilightpath)> = lock(&shared.active)
+            .iter()
+            .filter(|(_, c)| c.path.hops().iter().any(|h| h.link == link))
+            .map(|(&id, c)| (id, c.path.clone()))
+            .collect();
+        affected.sort_by_key(|&(id, _)| id);
+        self.pause.progress();
+        for (id, path) in &affected {
+            let started = shared.started();
+            let active = {
+                let mut active = lock(&shared.active);
+                active.remove(id);
+                active.len()
+            };
+            for hop in path.hops() {
+                let freed = shared.free(hop.link, hop.wavelength, trace);
+                debug_assert!(freed, "active path hop missing from base");
+            }
+            shared.note_released(active, started);
+            self.pause.progress();
+        }
+        self.pause.progress();
+        // After the teardown no connection holds any of the cut link's
+        // wavelengths, so every carried λ acquires; the markers stay
+        // until a repair clears them.
+        for lambda in 0..shared.base.k() {
+            let lam = Wavelength::new(lambda);
+            let got = shared.acquire(link, lam, trace);
+            debug_assert_ne!(
+                got,
+                AcquireOutcome::Busy,
+                "cut link ({link}, {lam}) still held after teardown"
+            );
+        }
+        self.pause.progress();
+        let mut outcomes = Vec::with_capacity(affected.len());
+        for (torn, old_path) in affected {
+            let started = shared.started();
+            let (Some(s), Some(t)) = (old_path.source(&shared.base), old_path.target(&shared.base))
+            else {
+                unreachable!("active paths are non-empty")
+            };
+            let restored = shared.route(&mut self.scratch, policy, s, t, trace);
+            outcomes.push(match restored {
+                Some(path) => {
+                    for hop in path.hops() {
+                        let got = shared.acquire(hop.link, hop.wavelength, trace);
+                        debug_assert_eq!(got, AcquireOutcome::Acquired);
+                    }
+                    let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
+                    let active = {
+                        let mut active = lock(&shared.active);
+                        active.insert(id, Connection { path: path.clone() });
+                        active.len()
+                    };
+                    shared.note_accepted(active, started);
+                    RestorationOutcome {
+                        torn,
+                        restored: Some((id, path)),
+                        cause: None,
+                    }
+                }
+                None => {
+                    let cause = shared.classify(&mut self.scratch, s, t, policy);
+                    shared.note_blocked(cause, started);
+                    if let Some(tr) = trace {
+                        tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
+                    }
+                    RestorationOutcome {
+                        torn,
+                        restored: None,
+                        cause: Some(cause),
+                    }
+                }
+            });
+            self.pause.progress();
+        }
+        self.pause.progress();
+        outcomes
+    }
+
+    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link)
+    /// — the involution of the cut's marking. Returns `true` when the
+    /// link was failed and is now restored: its blanket busy markers are
+    /// cleared, it leaves the failed set, and the memo epoch advances.
+    /// Repairing a healthy link is a reported no-op (`false`; a blind
+    /// unmark would free resources held by active connections).
+    /// Existing connections are untouched either way — restoration
+    /// re-routing happens at cut time, not at repair time. With a
+    /// recorder attached, the repair records under `wire` (or a fresh
+    /// id when `None`).
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn restore_link(&mut self, link: LinkId) -> bool {
-        let mut txn = RestoreLinkTxn::new(&self.engine, link);
-        loop {
-            match txn.step(&self.engine) {
-                Step::Done(restored) => return restored,
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
+    pub fn restore_link(&mut self, link: LinkId, wire: Option<TraceId>) -> bool {
+        assert!(
+            link.index() < self.engine.base().link_count(),
+            "link {link} out of range"
+        );
+        let trace = self.engine.shared.start_trace(wire);
+        let started = self.engine.shared.started();
+        let restored = self.exclusive(|h| {
+            let shared = &*h.engine.shared;
+            let removed = {
+                let mut failed = lock(&shared.failed);
+                match failed.binary_search(&link) {
+                    Ok(pos) => {
+                        failed.remove(pos);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            };
+            if removed {
+                // Only the cut's own markers exist on this link (its
+                // connections were torn at cut time and every later
+                // route excluded it), so freeing every carried λ
+                // un-flips precisely the bits the cut flipped.
+                for lambda in 0..shared.base.k() {
+                    shared.free(link, Wavelength::new(lambda), trace.as_ref());
+                }
+                // Set first, then epoch — same publication order as the
+                // cut, for the same memo-correctness reason.
+                shared.memo_epoch.fetch_add(1, RELEASE);
             }
+            h.pause.progress();
+            removed
+        });
+        if let (Some(m), Some(t0)) = (self.engine.shared.metrics.get(), started) {
+            m.restore_link_latency.observe(ns_since(t0));
         }
+        if let Some(tr) = &trace {
+            let a = link.index() as u64;
+            tr.finish(TraceEventKind::RestoreLink, RootVerdict::Ok, a, 0);
+        }
+        restored
+    }
+
+    /// Runs `apply` holding every shard. The claims ascend — the global
+    /// order provisions and releases use, so claim cycles cannot form —
+    /// with a pause after each and once more after the last; the shards
+    /// are published once `apply` returns.
+    fn exclusive<T>(&mut self, apply: impl FnOnce(&mut Self) -> T) -> T {
+        let shared = Arc::clone(&self.engine.shared);
+        for sh in 0..shared.shards.len() {
+            loop {
+                let v = shared.shards[sh].load(ACQUIRE);
+                if v % 2 == 1
+                    || shared.shards[sh]
+                        .compare_exchange(v, v + 1, ACQ_REL, ACQUIRE)
+                        .is_err()
+                {
+                    self.pause.contended();
+                } else {
+                    self.versions[sh] = v;
+                    break;
+                }
+            }
+            self.pause.progress();
+        }
+        self.pause.progress();
+        let out = apply(self);
+        for (sh, shard) in shared.shards.iter().enumerate() {
+            shard.store(self.versions[sh] + 2, RELEASE);
+        }
+        out
     }
 
     /// Replaces the conversion policy at `node` — an exclusive
@@ -965,900 +1401,6 @@ impl ConcurrentHandle {
         *shared.memo_epoch.get_mut() += 1;
         self.scratch = SearchScratch::for_state(&shared.state);
         Ok(true)
-    }
-}
-
-/// Provision transaction phases.
-#[derive(Debug)]
-enum ProvisionPhase {
-    ReadVersions,
-    Route,
-    Claim,
-    Validate,
-    Flip,
-    Publish,
-    CommitBlocked,
-    Done,
-}
-
-/// A stepped provision transaction; see the module docs for the
-/// protocol. Create with [`ProvisionTxn::new`], drive with
-/// [`ProvisionTxn::step`].
-#[derive(Debug)]
-pub struct ProvisionTxn {
-    s: NodeId,
-    t: NodeId,
-    policy: Policy,
-    /// Every shard's version at [`ProvisionPhase::ReadVersions`].
-    versions: Vec<u64>,
-    /// The shards the routed path touches, sorted.
-    touched: Vec<usize>,
-    path: Option<Semilightpath>,
-    claimed: usize,
-    flipped: usize,
-    /// Validation conflicts this transaction has absorbed (each one a
-    /// wasted route computation); the bounded-retry drivers read it to
-    /// decide when to give up.
-    conflicts: u64,
-    phase: ProvisionPhase,
-    /// Per-request trace state when the engine has a recorder attached.
-    trace: Option<TxnTrace>,
-    /// Start stamp when the engine has metrics attached.
-    started: Option<Instant>,
-}
-
-impl ProvisionTxn {
-    /// Starts a provision transaction, validating endpoints up front.
-    ///
-    /// # Errors
-    ///
-    /// [`RwaError::NodeOutOfRange`] for invalid endpoints.
-    pub fn new(
-        engine: &ConcurrentEngine,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-    ) -> Result<Self, RwaError> {
-        Self::new_traced(engine, s, t, policy, None)
-    }
-
-    /// [`new`](Self::new) with an explicit wire trace id: when the
-    /// engine has a recorder attached, the transaction's trace records
-    /// under `wire` (or a freshly allocated id when `None`). Without a
-    /// recorder, `wire` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`RwaError::NodeOutOfRange`] for invalid endpoints.
-    pub fn new_traced(
-        engine: &ConcurrentEngine,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-        wire: Option<TraceId>,
-    ) -> Result<Self, RwaError> {
-        Self::start(engine.shared(), s, t, policy, wire, TxnBuffers::default())
-    }
-
-    /// [`new_traced`](Self::new_traced) on lent buffers.
-    fn start(
-        shared: &Shared,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-        wire: Option<TraceId>,
-        bufs: TxnBuffers,
-    ) -> Result<Self, RwaError> {
-        for v in [s, t] {
-            if v.index() >= shared.base.node_count() {
-                return Err(RwaError::NodeOutOfRange(v));
-            }
-        }
-        let (versions, touched) = bufs.reset(shared.shards.len());
-        Ok(ProvisionTxn {
-            s,
-            t,
-            policy,
-            versions,
-            touched,
-            path: None,
-            claimed: 0,
-            flipped: 0,
-            conflicts: 0,
-            phase: ProvisionPhase::ReadVersions,
-            trace: shared.start_trace(wire),
-            started: shared.started(),
-        })
-    }
-
-    /// Records the abandoned-root span for a transaction its driver is
-    /// giving up on (retry budget exhausted): the trace ends with the
-    /// `contended` verdict — always kept by tail sampling — so the
-    /// request's wasted route attempts stay visible. No-op untraced.
-    /// The driver must only call this after a [`Step::Contended`], when
-    /// the transaction holds no shard claims.
-    pub fn trace_abandon(&self) {
-        self.finish_trace(RootVerdict::Contended);
-    }
-
-    /// Validation conflicts absorbed so far. After any
-    /// [`Step::Contended`] the transaction holds no shard claims, so a
-    /// driver that decides this count has exhausted its budget can
-    /// simply stop stepping and drop the transaction — reporting
-    /// [`RwaError::Contended`], never a fabricated blocked verdict.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    fn finish_trace(&self, verdict: RootVerdict) {
-        if let Some(tr) = &self.trace {
-            tr.finish(
-                TraceEventKind::Provision,
-                verdict,
-                self.s.index() as u64,
-                self.t.index() as u64,
-            );
-        }
-    }
-
-    /// Counts one validation conflict and restarts the optimistic loop.
-    fn note_conflict(&mut self, shared: &Shared) {
-        shared.conflicts.fetch_add(1, RELAXED);
-        self.conflicts += 1;
-        if let Some(tr) = &self.trace {
-            tr.instant(TraceEventKind::ShardRetry, self.conflicts, 0);
-        }
-        self.phase = ProvisionPhase::ReadVersions;
-    }
-
-    /// Rolls claimed shards back to their pre-claim versions (no bits
-    /// were flipped yet, so restoring the even value is exact) and
-    /// restarts the optimistic loop.
-    fn rollback_and_retry(&mut self, shared: &Shared) {
-        for &sh in &self.touched[..self.claimed] {
-            shared.shards[sh].store(self.versions[sh], RELEASE);
-        }
-        self.claimed = 0;
-        self.path = None;
-        self.touched.clear();
-        self.note_conflict(shared);
-    }
-
-    /// Whether every shard outside the claimed set still holds the
-    /// version read before routing.
-    fn versions_unchanged(&self, shared: &Shared) -> bool {
-        // Order the route's relaxed mask loads before the validating
-        // version loads (see wdm_obs::ordering).
-        fence_acquire();
-        shared.race != RaceInjection::ForceValidationConflict
-            && shared
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.touched.contains(i))
-                .all(|(i, shard)| shard.load(RELAXED) == self.versions[i])
-    }
-
-    /// Advances the transaction by one step. Call until [`Step::Done`];
-    /// [`Step::Contended`] steps made no progress (another writer holds
-    /// a needed shard) and should be retried after yielding.
-    pub fn step(
-        &mut self,
-        engine: &ConcurrentEngine,
-        scratch: &mut SearchScratch,
-    ) -> Step<ProvisionOutcome> {
-        let shared = engine.shared();
-        match self.phase {
-            ProvisionPhase::ReadVersions => {
-                for (i, shard) in shared.shards.iter().enumerate() {
-                    let v = shard.load(ACQUIRE);
-                    if v % 2 == 1 {
-                        return Step::Contended;
-                    }
-                    self.versions[i] = v;
-                }
-                self.phase = ProvisionPhase::Route;
-                Step::Progress
-            }
-            ProvisionPhase::Route => {
-                self.route(shared, scratch);
-                if shared.race == RaceInjection::SkipShardLock
-                    && matches!(self.phase, ProvisionPhase::CommitBlocked)
-                {
-                    // Injected race: commit the blocked verdict on the
-                    // racy read, in the routing step itself.
-                    return self.commit_blocked(shared, scratch);
-                }
-                Step::Progress
-            }
-            ProvisionPhase::Claim => {
-                if self.claimed == self.touched.len() {
-                    self.phase = ProvisionPhase::Validate;
-                    return Step::Progress;
-                }
-                let sh = self.touched[self.claimed];
-                let v = self.versions[sh];
-                match shared.shards[sh].compare_exchange(v, v + 1, ACQ_REL, ACQUIRE) {
-                    Ok(_) => {
-                        self.claimed += 1;
-                        if let Some(tr) = &self.trace {
-                            tr.instant(TraceEventKind::ShardClaim, sh as u64, v);
-                        }
-                        Step::Progress
-                    }
-                    Err(_) => {
-                        self.rollback_and_retry(shared);
-                        Step::Contended
-                    }
-                }
-            }
-            ProvisionPhase::Validate => {
-                if self.versions_unchanged(shared) {
-                    if let Some(tr) = &self.trace {
-                        tr.instant(TraceEventKind::ShardValidate, 1, 0);
-                    }
-                    self.phase = ProvisionPhase::Flip;
-                    Step::Progress
-                } else {
-                    self.rollback_and_retry(shared);
-                    Step::Contended
-                }
-            }
-            ProvisionPhase::Flip => {
-                let Some(path) = self.path.as_ref() else {
-                    unreachable!("flip phase always holds a path")
-                };
-                let hop = path.hops()[self.flipped];
-                let outcome = shared.acquire(hop.link, hop.wavelength, self.trace.as_ref());
-                // With the shards claimed and validated the bit must be
-                // free; only the injected race can lose it (and ignores
-                // the loss — that is the bug the harness must catch).
-                debug_assert!(
-                    shared.race == RaceInjection::SkipShardLock
-                        || outcome == AcquireOutcome::Acquired,
-                    "owned shard lost a bit at ({}, {})",
-                    hop.link,
-                    hop.wavelength
-                );
-                self.flipped += 1;
-                if self.flipped == path.hops().len() {
-                    self.phase = ProvisionPhase::Publish;
-                }
-                Step::Progress
-            }
-            ProvisionPhase::Publish => {
-                let Some(path) = self.path.take() else {
-                    unreachable!("publish phase always holds a path")
-                };
-                let (hops, conversions, cost) = (path.len(), path.conversion_count(), path.cost());
-                let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                let active = {
-                    let mut active = lock(&shared.active);
-                    active.insert(id, Connection { path });
-                    active.len()
-                };
-                if shared.race != RaceInjection::SkipShardLock {
-                    for &sh in &self.touched {
-                        shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
-                    }
-                }
-                shared.note_accepted(active, self.started);
-                self.finish_trace(RootVerdict::Ok);
-                self.phase = ProvisionPhase::Done;
-                Step::Done(ProvisionOutcome::Accepted {
-                    id,
-                    hops,
-                    conversions,
-                    cost,
-                })
-            }
-            ProvisionPhase::CommitBlocked => self.commit_blocked(shared, scratch),
-            ProvisionPhase::Done => unreachable!("stepped a finished transaction"),
-        }
-    }
-
-    /// One routing attempt: the masked search on the shared state, then
-    /// the commit plan for what it found — claim the touched shards, or
-    /// commit a blocked verdict. Every request's route runs here.
-    // wdm-lint: hot-path
-    fn route(&mut self, shared: &Shared, scratch: &mut SearchScratch) {
-        let route_start = self.trace.as_ref().map(|tr| tr.writer.now_ns());
-        let path = self
-            .policy
-            .route_shared(&shared.state, scratch, self.s, self.t);
-        shared.flush_search(scratch);
-        if let (Some(tr), Some(t0)) = (&self.trace, route_start) {
-            tr.writer.span(
-                tr.id,
-                TraceEventKind::Route,
-                t0,
-                0,
-                self.s.index() as u64,
-                self.t.index() as u64,
-            );
-        }
-        match path {
-            Some(p) if !p.is_empty() => {
-                self.touched = shared.touched_shards(&p, std::mem::take(&mut self.touched));
-                self.path = Some(p);
-                self.claimed = 0;
-                self.phase = if shared.race == RaceInjection::SkipShardLock {
-                    // Injected race: commit on the racy read.
-                    ProvisionPhase::Flip
-                } else {
-                    ProvisionPhase::Claim
-                };
-            }
-            // Empty paths (s == t) block: they carry nothing.
-            _ => self.phase = ProvisionPhase::CommitBlocked,
-        }
-    }
-
-    /// Commits a blocked verdict once every shard version is unchanged
-    /// since routing (skipped under the injected race), classifying its
-    /// cause.
-    fn commit_blocked(
-        &mut self,
-        shared: &Shared,
-        scratch: &mut SearchScratch,
-    ) -> Step<ProvisionOutcome> {
-        if shared.race != RaceInjection::SkipShardLock && !self.versions_unchanged(shared) {
-            self.note_conflict(shared);
-            return Step::Contended;
-        }
-        let cause = shared.classify(scratch, self.s, self.t, self.policy);
-        shared.note_blocked(cause, self.started);
-        if let Some(tr) = &self.trace {
-            tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
-        }
-        self.finish_trace(RootVerdict::Blocked);
-        self.phase = ProvisionPhase::Done;
-        Step::Done(ProvisionOutcome::Blocked { cause })
-    }
-}
-
-/// Release transaction phases.
-#[derive(Debug)]
-enum ReleasePhase {
-    Lookup,
-    Claim,
-    Commit,
-    Flip,
-    Publish,
-    Done,
-}
-
-/// A stepped release transaction: peeks the connection's path, claims
-/// the shards the path touches, then — *under the claim* — removes the
-/// connection from the active map and clears its bits. Releases never
-/// conflict logically (the resources are owned), only contend on shard
-/// claims.
-///
-/// The map removal must happen while the shards are held: a `fail_link`
-/// holds every shard from its first claim through its publish, so
-/// committing the removal under our own claim guarantees the release
-/// linearizes entirely before or entirely after any cut. (An earlier
-/// draft removed the entry during lookup, *before* claiming; the
-/// conformance harness caught the resulting history — a cut and a
-/// release both reporting they freed the same connection.) If the
-/// connection is gone by the time we hold the shards, it was torn by a
-/// concurrent cut: roll the claims back untouched and report
-/// [`RwaError::UnknownConnection`].
-#[derive(Debug)]
-pub struct ReleaseTxn {
-    id: ConnectionId,
-    /// The removed connection's path, from commit on.
-    path: Option<Semilightpath>,
-    /// The shards of the path, sorted.
-    touched: Vec<usize>,
-    /// Per shard: the even version its claim advanced from.
-    versions: Vec<u64>,
-    /// Active connections left right after the removal.
-    active_after: usize,
-    claimed: usize,
-    flipped: usize,
-    phase: ReleasePhase,
-    trace: Option<TxnTrace>,
-    started: Option<Instant>,
-}
-
-impl ReleaseTxn {
-    /// Starts a release transaction for `id`.
-    pub fn new(engine: &ConcurrentEngine, id: ConnectionId) -> Self {
-        Self::start(engine.shared(), id, None, TxnBuffers::default())
-    }
-
-    /// [`new`](Self::new) on lent buffers, traced under `wire` (or a
-    /// fresh id) when the engine has a recorder attached.
-    fn start(shared: &Shared, id: ConnectionId, wire: Option<TraceId>, bufs: TxnBuffers) -> Self {
-        let (versions, touched) = bufs.reset(shared.shards.len());
-        ReleaseTxn {
-            id,
-            path: None,
-            touched,
-            versions,
-            active_after: 0,
-            claimed: 0,
-            flipped: 0,
-            phase: ReleasePhase::Lookup,
-            trace: shared.start_trace(wire),
-            started: shared.started(),
-        }
-    }
-
-    fn finish(&mut self, result: Result<(), RwaError>) -> Step<Result<(), RwaError>> {
-        if let Some(tr) = &self.trace {
-            let verdict = if result.is_ok() {
-                RootVerdict::Ok
-            } else {
-                RootVerdict::Failed
-            };
-            tr.finish(TraceEventKind::Release, verdict, self.id.as_u64(), 0);
-        }
-        self.phase = ReleasePhase::Done;
-        Step::Done(result)
-    }
-
-    /// Advances the transaction by one step.
-    pub fn step(&mut self, engine: &ConcurrentEngine) -> Step<Result<(), RwaError>> {
-        let shared = engine.shared();
-        match self.phase {
-            ReleasePhase::Lookup => {
-                let found = match lock(&shared.active).get(&self.id) {
-                    Some(c) => {
-                        self.touched =
-                            shared.touched_shards(&c.path, std::mem::take(&mut self.touched));
-                        true
-                    }
-                    None => false,
-                };
-                if found {
-                    self.phase = ReleasePhase::Claim;
-                    Step::Progress
-                } else {
-                    self.finish(Err(RwaError::UnknownConnection(self.id)))
-                }
-            }
-            ReleasePhase::Claim => {
-                if self.claimed == self.touched.len() {
-                    self.phase = ReleasePhase::Commit;
-                    return Step::Progress;
-                }
-                let sh = self.touched[self.claimed];
-                let v = shared.shards[sh].load(ACQUIRE);
-                if v % 2 == 1 {
-                    return Step::Contended;
-                }
-                match shared.shards[sh].compare_exchange(v, v + 1, ACQ_REL, ACQUIRE) {
-                    Ok(_) => {
-                        self.versions[sh] = v;
-                        self.claimed += 1;
-                        Step::Progress
-                    }
-                    Err(_) => Step::Contended,
-                }
-            }
-            ReleasePhase::Commit => {
-                // Ids are never reused, so a connection still present
-                // under our claim is the one whose shards we hold.
-                let removed = {
-                    let mut active = lock(&shared.active);
-                    active.remove(&self.id).map(|c| (c.path, active.len()))
-                };
-                match removed {
-                    Some((path, active)) => {
-                        self.path = Some(path);
-                        self.active_after = active;
-                        self.phase = ReleasePhase::Flip;
-                        Step::Progress
-                    }
-                    None => {
-                        // Torn down by a cut that committed between our
-                        // peek and our claim. Nothing was flipped:
-                        // restore the claimed versions untouched.
-                        for &sh in &self.touched[..self.claimed] {
-                            shared.shards[sh].store(self.versions[sh], RELEASE);
-                        }
-                        self.finish(Err(RwaError::UnknownConnection(self.id)))
-                    }
-                }
-            }
-            ReleasePhase::Flip => {
-                let Some(path) = self.path.as_ref() else {
-                    unreachable!("flip phase always holds a path")
-                };
-                let hop = path.hops()[self.flipped];
-                let freed = shared.free(hop.link, hop.wavelength, self.trace.as_ref());
-                debug_assert!(freed, "released a hop the base does not carry");
-                self.flipped += 1;
-                if self.flipped == path.hops().len() {
-                    self.phase = ReleasePhase::Publish;
-                }
-                Step::Progress
-            }
-            ReleasePhase::Publish => {
-                for &sh in &self.touched {
-                    shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
-                }
-                shared.note_released(self.active_after, self.started);
-                self.finish(Ok(()))
-            }
-            ReleasePhase::Done => unreachable!("stepped a finished transaction"),
-        }
-    }
-}
-
-/// Fail-link transaction phases.
-#[derive(Debug)]
-enum FailLinkPhase {
-    ClaimAll,
-    Snapshot,
-    Teardown,
-    MarkCut,
-    Restore,
-    PublishAll,
-    Done,
-}
-
-/// A stepped fibre-cut transaction. Claims **every** shard (ascending —
-/// the same global order provisions and releases use, so claim cycles
-/// cannot form), then runs the teardown → mark → restore sequence
-/// exclusively. The cut is persistent: the link's wavelengths stay
-/// marked busy and the link stays in the failed set until a
-/// [`RestoreLinkTxn`] repairs it; the memo epoch advances with every
-/// such regime change so blocked-cause verdicts probed under one
-/// failed-link set are never reused under another. Teardowns count as
-/// releases and restorations as requests. Cutting an already-failed
-/// link is an idempotent no-op (no teardown, no epoch churn, empty
-/// outcomes).
-#[derive(Debug)]
-pub struct FailLinkTxn {
-    link: LinkId,
-    policy: Policy,
-    claim_base: Vec<u64>,
-    claimed: usize,
-    affected: Vec<(ConnectionId, Semilightpath)>,
-    torn: usize,
-    restored: usize,
-    outcomes: Vec<RestorationOutcome>,
-    phase: FailLinkPhase,
-    trace: Option<TxnTrace>,
-    started: Option<Instant>,
-}
-
-impl FailLinkTxn {
-    /// Starts a fail-link transaction for `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn new(engine: &ConcurrentEngine, link: LinkId, policy: Policy) -> Self {
-        let shared = engine.shared();
-        assert!(
-            link.index() < shared.base.link_count(),
-            "link {link} out of range"
-        );
-        FailLinkTxn {
-            link,
-            policy,
-            claim_base: vec![0; shared.shards.len()],
-            claimed: 0,
-            affected: Vec::new(),
-            torn: 0,
-            restored: 0,
-            outcomes: Vec::new(),
-            phase: FailLinkPhase::ClaimAll,
-            trace: shared.start_trace(None),
-            started: shared.started(),
-        }
-    }
-
-    /// Advances the transaction by one step.
-    pub fn step(
-        &mut self,
-        engine: &ConcurrentEngine,
-        scratch: &mut SearchScratch,
-    ) -> Step<Vec<RestorationOutcome>> {
-        let shared = engine.shared();
-        let trace = self.trace.as_ref();
-        match self.phase {
-            FailLinkPhase::ClaimAll => {
-                if self.claimed == shared.shards.len() {
-                    self.phase = FailLinkPhase::Snapshot;
-                    return Step::Progress;
-                }
-                let sh = self.claimed;
-                let v = shared.shards[sh].load(ACQUIRE);
-                if v % 2 == 1 {
-                    return Step::Contended;
-                }
-                match shared.shards[sh].compare_exchange(v, v + 1, ACQ_REL, ACQUIRE) {
-                    Ok(_) => {
-                        self.claim_base[sh] = v;
-                        self.claimed += 1;
-                        Step::Progress
-                    }
-                    Err(_) => Step::Contended,
-                }
-            }
-            FailLinkPhase::Snapshot => {
-                // Exclusive from here on.
-                {
-                    let mut failed = lock(&shared.failed);
-                    if failed.contains(&self.link) {
-                        // Already cut: nothing crosses a failed fibre,
-                        // so there is nothing to tear down and the
-                        // regime does not change — no epoch churn.
-                        drop(failed);
-                        self.phase = FailLinkPhase::PublishAll;
-                        return Step::Progress;
-                    }
-                    failed.push(self.link);
-                    failed.sort();
-                }
-                // The failed set is updated *before* the epoch advances:
-                // a classifier that acquires the new epoch is guaranteed
-                // (release/acquire on memo_epoch) to also see the new
-                // set, so no fresh-epoch entry can be probed against the
-                // old regime.
-                shared.memo_epoch.fetch_add(1, RELEASE);
-                let active = lock(&shared.active);
-                let mut affected: Vec<(ConnectionId, Semilightpath)> = active
-                    .iter()
-                    .filter(|(_, c)| c.path.hops().iter().any(|h| h.link == self.link))
-                    .map(|(&id, c)| (id, c.path.clone()))
-                    .collect();
-                drop(active);
-                affected.sort_by_key(|&(id, _)| id);
-                self.affected = affected;
-                self.phase = FailLinkPhase::Teardown;
-                Step::Progress
-            }
-            FailLinkPhase::Teardown => {
-                if self.torn == self.affected.len() {
-                    self.phase = FailLinkPhase::MarkCut;
-                    return Step::Progress;
-                }
-                let started = shared.started();
-                let (id, path) = &self.affected[self.torn];
-                let active = {
-                    let mut active = lock(&shared.active);
-                    active.remove(id);
-                    active.len()
-                };
-                for hop in path.hops() {
-                    let freed = shared.free(hop.link, hop.wavelength, trace);
-                    debug_assert!(freed, "active path hop missing from base");
-                }
-                shared.note_released(active, started);
-                self.torn += 1;
-                Step::Progress
-            }
-            FailLinkPhase::MarkCut => {
-                // After the teardown no connection holds any of the cut
-                // link's wavelengths, so every carried λ acquires; the
-                // markers stay until a RestoreLinkTxn clears them.
-                for lambda in 0..shared.base.k() {
-                    let lam = Wavelength::new(lambda);
-                    let got = shared.acquire(self.link, lam, trace);
-                    debug_assert_ne!(
-                        got,
-                        AcquireOutcome::Busy,
-                        "cut link ({}, {lam}) still held after teardown",
-                        self.link
-                    );
-                }
-                self.phase = FailLinkPhase::Restore;
-                Step::Progress
-            }
-            FailLinkPhase::Restore => {
-                if self.restored == self.affected.len() {
-                    self.phase = FailLinkPhase::PublishAll;
-                    return Step::Progress;
-                }
-                let started = shared.started();
-                let (torn, old_path) = &self.affected[self.restored];
-                let torn = *torn;
-                let (Some(s), Some(t)) =
-                    (old_path.source(&shared.base), old_path.target(&shared.base))
-                else {
-                    unreachable!("active paths are non-empty")
-                };
-                let route_start = trace.map(|tr| tr.writer.now_ns());
-                let routed = self.policy.route_shared(&shared.state, scratch, s, t);
-                shared.flush_search(scratch);
-                if let (Some(tr), Some(t0)) = (trace, route_start) {
-                    tr.writer.span(
-                        tr.id,
-                        TraceEventKind::Route,
-                        t0,
-                        0,
-                        s.index() as u64,
-                        t.index() as u64,
-                    );
-                }
-                let outcome = match routed {
-                    Some(path) if !path.is_empty() => {
-                        for hop in path.hops() {
-                            let got = shared.acquire(hop.link, hop.wavelength, trace);
-                            debug_assert_eq!(got, AcquireOutcome::Acquired);
-                        }
-                        let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                        let active = {
-                            let mut active = lock(&shared.active);
-                            active.insert(id, Connection { path: path.clone() });
-                            active.len()
-                        };
-                        shared.note_accepted(active, started);
-                        RestorationOutcome {
-                            torn,
-                            restored: Some((id, path)),
-                            cause: None,
-                        }
-                    }
-                    _ => {
-                        let cause = shared.classify(scratch, s, t, self.policy);
-                        shared.note_blocked(cause, started);
-                        if let Some(tr) = trace {
-                            tr.instant(TraceEventKind::Blocked, cause_code(cause), 0);
-                        }
-                        RestorationOutcome {
-                            torn,
-                            restored: None,
-                            cause: Some(cause),
-                        }
-                    }
-                };
-                self.outcomes.push(outcome);
-                self.restored += 1;
-                Step::Progress
-            }
-            FailLinkPhase::PublishAll => {
-                for (sh, shard) in shared.shards.iter().enumerate() {
-                    shard.store(self.claim_base[sh] + 2, RELEASE);
-                }
-                if let (Some(m), Some(t0)) = (shared.metrics.get(), self.started) {
-                    m.fail_link_latency.observe(ns_since(t0));
-                }
-                if let Some(tr) = trace {
-                    tr.finish(
-                        TraceEventKind::FailLink,
-                        RootVerdict::Ok,
-                        self.link.index() as u64,
-                        self.outcomes.len() as u64,
-                    );
-                }
-                self.phase = FailLinkPhase::Done;
-                Step::Done(std::mem::take(&mut self.outcomes))
-            }
-            FailLinkPhase::Done => unreachable!("stepped a finished transaction"),
-        }
-    }
-}
-
-/// Restore-link transaction phases.
-#[derive(Debug)]
-enum RestorePhase {
-    ClaimAll,
-    Apply,
-    PublishAll,
-    Done,
-}
-
-/// A stepped fibre-repair transaction — the involution of
-/// [`FailLinkTxn`]'s cut marking. Claims every shard (same ascending
-/// order), then, exclusively: if the link is failed, clears the cut's
-/// blanket busy markers, removes it from the failed set, and advances
-/// the memo epoch; if it is not failed, does nothing (a blind unmark
-/// would free wavelengths held by active connections). Resolves to
-/// `true` iff the link was failed and is now repaired. Existing
-/// connections are untouched either way — restoration re-routing
-/// happens at cut time, not at repair time.
-#[derive(Debug)]
-pub struct RestoreLinkTxn {
-    link: LinkId,
-    claim_base: Vec<u64>,
-    claimed: usize,
-    restored: bool,
-    phase: RestorePhase,
-    trace: Option<TxnTrace>,
-    started: Option<Instant>,
-}
-
-impl RestoreLinkTxn {
-    /// Starts a restore-link transaction for `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn new(engine: &ConcurrentEngine, link: LinkId) -> Self {
-        let shared = engine.shared();
-        assert!(
-            link.index() < shared.base.link_count(),
-            "link {link} out of range"
-        );
-        RestoreLinkTxn {
-            link,
-            claim_base: vec![0; shared.shards.len()],
-            claimed: 0,
-            restored: false,
-            phase: RestorePhase::ClaimAll,
-            trace: shared.start_trace(None),
-            started: shared.started(),
-        }
-    }
-
-    /// Advances the transaction by one step.
-    pub fn step(&mut self, engine: &ConcurrentEngine) -> Step<bool> {
-        let shared = engine.shared();
-        match self.phase {
-            RestorePhase::ClaimAll => {
-                if self.claimed == shared.shards.len() {
-                    self.phase = RestorePhase::Apply;
-                    return Step::Progress;
-                }
-                let sh = self.claimed;
-                let v = shared.shards[sh].load(ACQUIRE);
-                if v % 2 == 1 {
-                    return Step::Contended;
-                }
-                match shared.shards[sh].compare_exchange(v, v + 1, ACQ_REL, ACQUIRE) {
-                    Ok(_) => {
-                        self.claim_base[sh] = v;
-                        self.claimed += 1;
-                        Step::Progress
-                    }
-                    Err(_) => Step::Contended,
-                }
-            }
-            RestorePhase::Apply => {
-                let removed = {
-                    let mut failed = lock(&shared.failed);
-                    match failed.binary_search(&self.link) {
-                        Ok(pos) => {
-                            failed.remove(pos);
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                };
-                if removed {
-                    // Exact involution of MarkCut: only the cut's own
-                    // markers exist on this link (its connections were
-                    // torn at cut time and every later route excluded
-                    // it), so releasing every carried λ un-flips
-                    // precisely the bits the cut flipped.
-                    for lambda in 0..shared.base.k() {
-                        shared.free(self.link, Wavelength::new(lambda), self.trace.as_ref());
-                    }
-                    // Set first, then epoch — same publication order as
-                    // the cut, for the same memo-correctness reason.
-                    shared.memo_epoch.fetch_add(1, RELEASE);
-                    self.restored = true;
-                }
-                self.phase = RestorePhase::PublishAll;
-                Step::Progress
-            }
-            RestorePhase::PublishAll => {
-                for (sh, shard) in shared.shards.iter().enumerate() {
-                    shard.store(self.claim_base[sh] + 2, RELEASE);
-                }
-                if let (Some(m), Some(t0)) = (shared.metrics.get(), self.started) {
-                    m.restore_link_latency.observe(ns_since(t0));
-                }
-                if let Some(tr) = &self.trace {
-                    tr.finish(
-                        TraceEventKind::FailLink,
-                        RootVerdict::Ok,
-                        self.link.index() as u64,
-                        0,
-                    );
-                }
-                self.phase = RestorePhase::Done;
-                Step::Done(self.restored)
-            }
-            RestorePhase::Done => unreachable!("stepped a finished transaction"),
-        }
     }
 }
 
@@ -1929,7 +1471,7 @@ mod tests {
                 hops += 1;
             }
         }
-        assert_eq!(conc.shared().state.busy_count(), hops);
+        assert_eq!(conc.shared.state.busy_count(), hops);
         let (accepted, _, released) = conc.totals();
         assert_eq!(accepted - released, active.len() as u64);
         // Drain and verify the engine returns to empty.
@@ -1937,7 +1479,7 @@ mod tests {
         for id in active {
             h.release(id).expect("active");
         }
-        assert_eq!(conc.shared().state.busy_count(), 0);
+        assert_eq!(conc.shared.state.busy_count(), 0);
         assert_eq!(conc.utilization(), 0.0);
     }
 
@@ -2011,10 +1553,10 @@ mod tests {
         assert_eq!(conc.busy_count(), 0);
         // The absorbed conflicts are visible in the engine-wide counter.
         assert_eq!(conc.conflicts(), budget);
-        // The blocked-verdict path (s == t routes empty and must commit
-        // through CommitBlocked) conflicts forever under the injection
-        // too, so it must also exhaust as Contended rather than
-        // fabricate a cause.
+        // The blocked-verdict path (s == t routes empty and must pass
+        // the blocked commit's validation) conflicts forever under the
+        // injection too, so it must also exhaust as Contended rather
+        // than fabricate a cause.
         let got = h.provision_bounded(2.into(), 2.into(), Policy::Optimal, 2);
         assert!(
             matches!(got, Err(RwaError::Contended { .. })),
@@ -2068,23 +1610,21 @@ mod tests {
         let conc = ConcurrentEngine::new(&net, 2);
         let recorder = FlightRecorder::new(1, 256);
         conc.attach_tracer(&recorder);
-        let mut scratch = conc.handle_scratch();
-        let mut txn = ProvisionTxn::new_traced(
-            &conc,
-            0.into(),
-            3.into(),
-            Policy::Optimal,
-            Some(TraceId::from_u64(500)),
-        )
-        .expect("endpoints valid");
-        loop {
-            match txn.step(&conc, &mut scratch) {
-                Step::Done(ProvisionOutcome::Accepted { .. }) => break,
-                Step::Done(other) => panic!("unexpected outcome {other:?}"),
-                Step::Progress => {}
-                Step::Contended => panic!("uncontended single-threaded run"),
-            }
-        }
+        let mut h = conc.handle();
+        let outcome = h
+            .provision_outcome(
+                0.into(),
+                3.into(),
+                Policy::Optimal,
+                Some(TraceId::from_u64(500)),
+                u64::MAX,
+            )
+            .expect("endpoints valid");
+        assert!(
+            matches!(outcome, ProvisionOutcome::Accepted { .. }),
+            "unexpected outcome {outcome:?}"
+        );
+        assert_eq!(conc.conflicts(), 0, "uncontended single-threaded run");
         let snap = recorder.snapshot();
         let of_500: Vec<_> = snap.records.iter().filter(|r| r.trace_id == 500).collect();
         let root = of_500

@@ -267,7 +267,11 @@ impl ProvisioningEngine {
         link: LinkId,
         policy: Policy,
     ) -> Vec<(ConnectionId, Option<ConnectionId>)> {
-        self.handle.fail_link(link, policy)
+        self.handle
+            .fail_link(link, policy, None)
+            .into_iter()
+            .map(|o| (o.torn, o.restored.map(|(id, _)| id)))
+            .collect()
     }
 
     /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link),
@@ -280,7 +284,7 @@ impl ProvisioningEngine {
     ///
     /// Panics if `link` is out of range.
     pub fn restore_link(&mut self, link: LinkId) -> bool {
-        self.handle.restore_link(link)
+        self.handle.restore_link(link, None)
     }
 
     /// Adds (`enabled`) or removes (`enabled == false`) full-range

@@ -28,7 +28,7 @@ use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::RELAXED;
 use wdm_obs::trace::{FlightRecorder, TraceId};
 use wdm_obs::MetricsRegistry;
-use wdm_rwa::concurrent::ProvisionOutcome;
+use wdm_rwa::concurrent::{ProvisionOutcome, RestorationOutcome};
 use wdm_rwa::{
     BlockCause, ConcurrentEngine, ConcurrentHandle, ConnectionId, Policy, RaceInjection,
     RoutingMode, RwaError,
@@ -369,12 +369,8 @@ fn render_link_out_of_range(op: &str, seq: u64, link: usize, links: usize) -> St
     )
 }
 
-fn render_fail_link(
-    seq: u64,
-    link: usize,
-    outcomes: &[(ConnectionId, Option<ConnectionId>)],
-) -> String {
-    let restored = outcomes.iter().filter(|(_, o)| o.is_some()).count();
+fn render_fail_link(seq: u64, link: usize, outcomes: &[RestorationOutcome]) -> String {
+    let restored = outcomes.iter().filter(|o| o.restored.is_some()).count();
     let lost = outcomes.len() - restored;
     format!(
         r#"{{"ok":true,"op":"fail-link","seq":{seq},"link":{link},"restored":{restored},"lost":{lost}}}"#
@@ -427,14 +423,17 @@ impl Exec<'_> {
                 if *link >= links {
                     return render_link_out_of_range("fail-link", seq, *link, links);
                 }
-                let outcomes = self.handle.fail_link(LinkId::new(*link), self.default);
+                let outcomes = self
+                    .handle
+                    .fail_link(LinkId::new(*link), self.default, self.wire);
                 render_fail_link(seq, *link, &outcomes)
             }
             Request::RestoreLink { link } => {
                 if *link >= links {
                     return render_link_out_of_range("restore-link", seq, *link, links);
                 }
-                render_restore_link(seq, *link, self.handle.restore_link(LinkId::new(*link)))
+                let restored = self.handle.restore_link(LinkId::new(*link), self.wire);
+                render_restore_link(seq, *link, restored)
             }
             Request::Batch { pairs, policy } => {
                 let pol = policy.unwrap_or(self.default);

@@ -540,6 +540,40 @@ fn sharded_traced_release_records_root_under_wire_id() {
 }
 
 #[test]
+fn traced_fail_link_and_restore_link_record_roots_under_wire_ids() {
+    let net = instance(35, 12, 3);
+    let backend = EngineBackend::single(&net, RoutingMode::Masked, Policy::Optimal);
+    let recorder = FlightRecorder::new(1, 1024);
+    backend.attach_tracer(&recorder);
+    let mut ctx = backend.new_ctx();
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"provision","s":0,"t":5}"#);
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"provision""#),
+        "{reply}"
+    );
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"fail-link","link":0,"trace_id":9004}"#);
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"fail-link""#),
+        "{reply}"
+    );
+    let reply = backend.execute_line(
+        &mut ctx,
+        r#"{"op":"restore-link","link":0,"trace_id":9005}"#,
+    );
+    assert!(reply.contains(r#""restored":true"#), "{reply}");
+    let cut = roots_of(&recorder, 9004, TraceEventKind::FailLink);
+    assert_eq!(cut.len(), 1, "one fail-link root under the wire id");
+    assert_eq!((cut[0].a, cut[0].flags), (0, RootVerdict::Ok.code()));
+    let repair = roots_of(&recorder, 9005, TraceEventKind::RestoreLink);
+    assert_eq!(repair.len(), 1, "one restore-link root under the wire id");
+    assert_eq!((repair[0].a, repair[0].flags), (0, RootVerdict::Ok.code()));
+    assert!(
+        roots_of(&recorder, 9005, TraceEventKind::FailLink).is_empty(),
+        "a repair is not recorded as a cut"
+    );
+}
+
+#[test]
 fn blocked_batch_element_records_blocked_root() {
     // 0 -> 1 -> 2: nothing leaves node 2, so 2 -> 0 is unroutable.
     let g = wdm_graph::DiGraph::from_links(3, [(0, 1), (1, 2)]);
