@@ -3,18 +3,31 @@
 //! structure on every request.
 //!
 //! It keeps a plain busy matrix, the active map, the failed-link set and
-//! the counters. Each request builds a fresh [`PersistentAuxGraph`] from
-//! the base network plus the busy matrix and routes it with
-//! [`Policy::route_shared`] — the wavelength scan the engine uses — so
-//! cost ties break exactly as they do in the engine. Blocked causes are
-//! probed on the rebuilt structure without a memo. Nothing here comes
-//! from `wdm_rwa::concurrent`: the spec shares no seqlock, memo or
-//! transaction code with the engine it checks.
+//! the counters. Nothing here comes from `wdm_rwa::concurrent`: the spec
+//! shares no seqlock, memo or transaction code with the engine it
+//! checks. What it does share:
+//!
+//! * **Optimal routes** share only the graph construction and the path
+//!   decoding. Each request builds a fresh `G_all`
+//!   ([`AuxiliaryGraph::for_all_pairs`]), masks it from the spec's own
+//!   busy matrix, and runs the plain, unguided canonical Dijkstra
+//!   ([`DijkstraWorkspace::run_masked_to`] on a Fibonacci heap). The
+//!   engine runs the goal-directed search on its persistent state and a
+//!   binary heap. Canonical routes depend only on the network, the busy
+//!   set and the endpoints, so the gate's exact path comparison checks
+//!   the engine's search kernel too.
+//! * **Single-wavelength policies** and **blocked causes** still go
+//!   through a freshly built [`PersistentAuxGraph`]: the wavelength scan
+//!   of [`Policy::route_shared`] and the reachability probes, without a
+//!   memo.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wdm_core::{PersistentAuxGraph, Semilightpath, WdmNetwork};
+use heaps::{FibonacciHeap, IndexedPriorityQueue};
+use wdm_core::csr::{EdgeMask, EdgeRole};
+use wdm_core::dijkstra::DijkstraWorkspace;
+use wdm_core::{AuxiliaryGraph, PersistentAuxGraph, Semilightpath, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
 use wdm_rwa::{BlockCause, ConnectionId, Policy, RwaError};
 
@@ -80,6 +93,31 @@ impl SpecEngine {
         graph
     }
 
+    /// The cheapest semilightpath `s → t` on the busy matrix, by plain
+    /// Dijkstra on a freshly built, masked `G_all`; `None` when blocked
+    /// or `s == t` (an empty path carries nothing).
+    fn route_optimal(&self, s: NodeId, t: NodeId) -> Option<Semilightpath> {
+        if s == t {
+            return None;
+        }
+        let aux = AuxiliaryGraph::for_all_pairs(&self.base);
+        let g = aux.graph();
+        let mut mask = EdgeMask::all_clear(g.edge_count());
+        for i in 0..g.edge_count() {
+            if let EdgeRole::Traversal { link, wavelength } = g.edge(i).1.role {
+                if self.busy[link.index()][wavelength.index()] {
+                    mask.set(i);
+                }
+            }
+        }
+        let (source, _) = aux.all_pairs_terminals(s);
+        let (_, sink) = aux.all_pairs_terminals(t);
+        let mut ws = DijkstraWorkspace::new();
+        let mut heap = FibonacciHeap::with_capacity(g.node_count());
+        ws.run_masked_to(g, source, &mut heap, &mask, sink);
+        aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink)
+    }
+
     /// Routes and, on success, locks `s → t` under `policy`.
     ///
     /// # Errors
@@ -97,9 +135,14 @@ impl SpecEngine {
                 return Err(RwaError::NodeOutOfRange(v));
             }
         }
-        let mut graph = self.rebuild();
-        let (state, scratch) = graph.split_mut();
-        match policy.route_shared(state, scratch, s, t) {
+        let route = if matches!(policy, Policy::Optimal) {
+            self.route_optimal(s, t)
+        } else {
+            let mut graph = self.rebuild();
+            let (state, scratch) = graph.split_mut();
+            policy.route_shared(state, scratch, s, t)
+        };
+        match route {
             Some(path) if !path.is_empty() => {
                 for hop in path.hops() {
                     self.busy[hop.link.index()][hop.wavelength.index()] = true;
@@ -111,7 +154,7 @@ impl SpecEngine {
                 Ok(id)
             }
             _ => {
-                let cause = self.classify(&mut graph, s, t, policy);
+                let cause = self.classify(s, t, policy);
                 self.blocked += 1;
                 match cause {
                     BlockCause::NoPath => self.blocked_no_path += 1,
@@ -126,13 +169,8 @@ impl SpecEngine {
     /// free (minus the cut links) under `policy`'s capabilities,
     /// capacity-blocked otherwise. `s == t` carries nothing and is never
     /// routable.
-    fn classify(
-        &self,
-        graph: &mut PersistentAuxGraph,
-        s: NodeId,
-        t: NodeId,
-        policy: Policy,
-    ) -> BlockCause {
+    fn classify(&self, s: NodeId, t: NodeId, policy: Policy) -> BlockCause {
+        let mut graph = self.rebuild();
         let (state, scratch) = graph.split_mut();
         let failed = &self.failed;
         let reachable = s != t

@@ -78,11 +78,27 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile document (a
+/// line of `[`s) from overflowing the stack of the thread parsing it.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of input a [`ParseError`] rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure, with the byte offset where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the input.
     pub offset: usize,
+    /// Which rule the input broke.
+    pub kind: ParseErrorKind,
     /// What went wrong.
     pub message: String,
 }
@@ -105,6 +121,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -137,14 +154,36 @@ pub fn escape_into(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
+            kind: ParseErrorKind::Syntax,
             message: message.to_string(),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                offset: self.pos,
+                kind: ParseErrorKind::TooDeep,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn peek(&self) -> Option<u8> {
@@ -177,8 +216,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -360,6 +399,39 @@ mod tests {
         assert!(parse("{\"a\": ").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_past_is_too_deep() {
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&past).expect_err("one level too deep");
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        let mixed = format!(
+            "{}[]{}",
+            r#"{"a":"#.repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        );
+        assert_eq!(
+            parse(&mixed).map_err(|e| e.kind),
+            Err(ParseErrorKind::TooDeep)
+        );
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_is_a_typed_error() {
+        let hostile = "[".repeat(1 << 20);
+        let err = parse(&hostile).expect_err("unterminated and too deep");
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(
+            parse("[1, x]").map_err(|e| e.kind),
+            Err(ParseErrorKind::Syntax)
+        );
     }
 
     #[test]

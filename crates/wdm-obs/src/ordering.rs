@@ -52,6 +52,21 @@
 //!
 //! Failure orderings of the claim CAS are [`ACQUIRE`] — a failed claim
 //! is followed by a retry that re-reads state published by the winner.
+//!
+//! # [`ACQUIRE`] / [`RELEASE`] — fill-once tables behind a ready flag
+//!
+//! The goal-directed search's lower-bound rows
+//! (`wdm_core::residual`) are filled lazily, by whichever search first
+//! needs one, and read by every search after it:
+//!
+//! * A **filler** stores the row's cells [`RELAXED`], then sets the
+//!   row's ready flag with [`RELEASE`], so every cell store happens
+//!   before the flag.
+//! * A **reader** loads the flag with [`ACQUIRE`]; seeing it set, its
+//!   [`RELAXED`] cell loads see the whole row.
+//! * Two fillers racing on one row compute it from the same immutable
+//!   graph and store identical values, so a reader that overlaps the
+//!   second filler still reads the same numbers. No CAS is needed.
 
 use std::sync::atomic::{fence, Ordering};
 

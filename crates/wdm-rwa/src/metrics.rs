@@ -72,6 +72,10 @@ pub(crate) struct EngineMetrics {
     pub search_pushes: Arc<Counter>,
     /// `wdm_core_search_decrease_keys_total`
     pub search_decrease_keys: Arc<Counter>,
+    /// `wdm_core_search_potential_fills_total` — per-target potentials
+    /// computed for the goal-directed search (their work is not in the
+    /// other search counters).
+    pub search_potential_fills: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -99,17 +103,20 @@ impl EngineMetrics {
             search_masked_skips: registry.counter("wdm_core_search_masked_skips_total", &[]),
             search_pushes: registry.counter("wdm_core_search_pushes_total", &[]),
             search_decrease_keys: registry.counter("wdm_core_search_decrease_keys_total", &[]),
+            search_potential_fills: registry.counter("wdm_core_search_potential_fills_total", &[]),
         }
     }
 
     /// Flushes one request's search-kernel totals into the shared
-    /// counters (five relaxed adds).
+    /// counters (six relaxed adds).
     pub fn flush_search(&self, stats: &SearchStats) {
         self.search_settled.add(stats.settled as u64);
         self.search_relaxed.add(stats.relaxed as u64);
         self.search_masked_skips.add(stats.masked_skips as u64);
         self.search_pushes.add(stats.pushes as u64);
         self.search_decrease_keys.add(stats.decrease_keys as u64);
+        self.search_potential_fills
+            .add(stats.potential_fills as u64);
     }
 
     /// Records a blocked request under its cause.

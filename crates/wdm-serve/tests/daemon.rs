@@ -215,6 +215,33 @@ fn malformed_frame_gets_typed_reply_and_close() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_typed_reply_and_other_clients_keep_service() {
+    let net = instance(7, 12, 3);
+    let backend = EngineBackend::single(&net, RoutingMode::Masked, Policy::Optimal);
+    let (server, addr, handle) = start(backend, ServerConfig::default());
+
+    let mut bystander = Client::connect(&addr);
+    let reply = bystander.roundtrip(r#"{"op":"stats"}"#);
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    // One line of 1 MiB of `[`: a parser that recursed once per level
+    // without a bound would overflow the connection thread's stack and
+    // abort the whole daemon.
+    let mut hostile = Client::connect(&addr);
+    let reply = hostile.roundtrip(&"[".repeat(1 << 20));
+    assert!(reply.contains(r#""error":"malformed""#), "{reply}");
+    assert!(reply.contains("nest deeper than"), "{reply}");
+    assert_eq!(hostile.recv(), None);
+
+    let reply = bystander.roundtrip(r#"{"op":"stats"}"#);
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    server.request_drain();
+    let summary = handle.join().expect("join").expect("serve");
+    assert_eq!(summary.malformed, 1);
+}
+
+#[test]
 fn mid_request_disconnect_does_not_poison_the_daemon() {
     let net = instance(9, 12, 3);
     let backend = EngineBackend::single(&net, RoutingMode::Masked, Policy::Optimal);
