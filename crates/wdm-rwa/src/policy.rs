@@ -68,10 +68,10 @@ impl Policy {
     /// Mirrors [`route`](Self::route) policy-for-policy — same
     /// wavelength scan order, same strict-improvement best-path
     /// selection — but pays zero construction: each candidate is one
-    /// masked Dijkstra over the state's persistent graphs. The engine
-    /// routes every request here, and the conformance spec routes its
-    /// per-request rebuilt state here too, so both break cost ties the
-    /// same way.
+    /// masked, goal-directed search over the state's persistent graphs,
+    /// whose cost ties break canonically. The engine routes every
+    /// request here; the conformance spec routes its single-wavelength
+    /// policies here on a per-request rebuilt state.
     pub fn route_shared(
         self,
         state: &ResidualState,
