@@ -1387,17 +1387,9 @@ impl ConcurrentHandle {
         }
         shared.base.set_conversion_at(node, policy);
         // Conversion gadgets are baked into the auxiliary graph at
-        // construction, so the state is rebuilt and the busy bits
-        // replayed.
-        let mut state = ResidualState::new(&shared.base);
-        for (e, _) in shared.base.graph().links() {
-            for (w, _) in shared.base.wavelengths_on(e).iter() {
-                if shared.state.is_busy(e, w) {
-                    state.set_busy(e, w, true);
-                }
-            }
-        }
-        shared.state = state;
+        // construction, so the state is rebuilt; busy bits and filled
+        // lower bounds carry over.
+        shared.state.rebuild_conversions(&shared.base);
         *shared.memo_epoch.get_mut() += 1;
         self.scratch = SearchScratch::for_state(&shared.state);
         Ok(true)

@@ -51,6 +51,10 @@
 //! * **In-memory metrics** — `GET /metrics` renders from the live
 //!   [`wdm_obs::MetricsRegistry`]; the daemon never serves metrics from
 //!   (possibly torn) files.
+//! * **Memory** — besides its graphs, the engine's routing state holds
+//!   the search's lower-bound table, `4·n²` bytes for an `n`-node
+//!   instance, allocated at start-up: 1 MiB at `n = 512`, 400 MB at
+//!   `n = 10,000` (see `wdm_core::ResidualState::new`).
 
 #![warn(missing_docs)]
 
