@@ -1,19 +1,16 @@
-//! Mergeable priority queues with decrease-key, built from scratch.
+//! Indexed priority queues with decrease-key, built from scratch.
 //!
 //! The optimal-semilightpath algorithm of Liang & Shen reaches its stated
 //! `O(k²n + km + kn·log(kn))` bound (Theorem 1) by running Dijkstra's algorithm
 //! with the Fibonacci heap of Fredman & Tarjan. This crate provides that heap
-//! together with four alternatives, all behind one [`IndexedPriorityQueue`]
+//! together with two alternatives, all behind one [`IndexedPriorityQueue`]
 //! trait, so the shortest-path solvers in `wdm-core` are generic over the heap
-//! and the heap ablation benchmark (experiment E9) compares like with like:
+//! and the heap ablation (experiment E9) compares like with like:
 //!
 //! * [`FibonacciHeap`] — `O(1)` amortized `decrease_key`, `O(log n)` amortized
 //!   `pop_min`; the data structure Theorem 1 assumes.
-//! * [`PairingHeap`] — simpler self-adjusting heap with excellent practical
-//!   performance and `o(log n)` amortized `decrease_key`.
-//! * [`SkewHeap`] — Sleator–Tarjan self-adjusting heap, `O(log n)` amortized.
-//! * [`LeftistHeap`] — npl-balanced mergeable heap, `O(log n)` worst-case melds.
-//! * [`BinaryHeap`] — classical indexed binary heap, `O(log n)` everything.
+//! * [`BinaryHeap`] — classical indexed binary heap, `O(log n)` everything;
+//!   every search of the provisioning engine queues on it.
 //! * [`ArrayHeap`] — linear-scan "heap" giving the `O(V²)` Dijkstra the
 //!   Chlamtac–Faragó–Zhang baseline is charged with in the paper's comparison.
 //!
@@ -44,16 +41,10 @@
 mod array;
 mod binary;
 mod fibonacci;
-mod leftist;
-mod pairing;
-mod skew;
 
 pub use array::ArrayHeap;
 pub use binary::BinaryHeap;
 pub use fibonacci::FibonacciHeap;
-pub use leftist::LeftistHeap;
-pub use pairing::PairingHeap;
-pub use skew::SkewHeap;
 
 /// A min-priority queue over dense `usize` items supporting `decrease_key`.
 ///
@@ -149,45 +140,29 @@ pub trait IndexedPriorityQueue<P: Ord + Clone> {
 
 /// Which heap implementation a solver should use.
 ///
-/// Exists so higher-level APIs (and the E9 ablation bench) can select the
+/// Exists so higher-level APIs (and the E9 ablation) can select the
 /// queue at run time without being generic themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HeapKind {
     /// [`FibonacciHeap`]; the Theorem-1 choice and the default.
     #[default]
     Fibonacci,
-    /// [`PairingHeap`].
-    Pairing,
     /// [`BinaryHeap`].
     Binary,
     /// [`ArrayHeap`] (linear scan; the CFZ-era baseline).
     Array,
-    /// [`SkewHeap`].
-    Skew,
-    /// [`LeftistHeap`].
-    Leftist,
 }
 
 impl HeapKind {
     /// All heap kinds, for sweeps and ablations.
-    pub const ALL: [HeapKind; 6] = [
-        HeapKind::Fibonacci,
-        HeapKind::Pairing,
-        HeapKind::Binary,
-        HeapKind::Skew,
-        HeapKind::Leftist,
-        HeapKind::Array,
-    ];
+    pub const ALL: [HeapKind; 3] = [HeapKind::Fibonacci, HeapKind::Binary, HeapKind::Array];
 
-    /// Short human-readable name (`"fibonacci"`, `"pairing"`, ...).
+    /// Short human-readable name (`"fibonacci"`, `"binary"`, `"array"`).
     pub fn name(self) -> &'static str {
         match self {
             HeapKind::Fibonacci => "fibonacci",
-            HeapKind::Pairing => "pairing",
             HeapKind::Binary => "binary",
             HeapKind::Array => "array",
-            HeapKind::Skew => "skew",
-            HeapKind::Leftist => "leftist",
         }
     }
 }
@@ -230,11 +205,8 @@ mod trait_tests {
     #[test]
     fn all_heaps_satisfy_contract() {
         exercise::<FibonacciHeap<u64>>();
-        exercise::<PairingHeap<u64>>();
         exercise::<BinaryHeap<u64>>();
         exercise::<ArrayHeap<u64>>();
-        exercise::<SkewHeap<u64>>();
-        exercise::<LeftistHeap<u64>>();
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests: every heap implementation must behave exactly like a
 //! simple reference priority queue under arbitrary operation sequences.
 
-use heaps::{
-    ArrayHeap, BinaryHeap, FibonacciHeap, IndexedPriorityQueue, LeftistHeap, PairingHeap, SkewHeap,
-};
+use heaps::{ArrayHeap, BinaryHeap, FibonacciHeap, IndexedPriorityQueue};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -55,6 +53,11 @@ impl Model {
         self.set.remove(&(p, item));
         self.prio[item] = None;
     }
+
+    fn clear(&mut self) {
+        self.set.clear();
+        self.prio.fill(None);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -62,13 +65,18 @@ enum Op {
     Push(usize, u64),
     DecreaseKey(usize, u64),
     PopMin,
+    /// Empties the queue with items still in it; later ops reuse it, as
+    /// a targeted search that stops at its target leaves its queue for
+    /// the next one.
+    Clear,
 }
 
 fn op_strategy(universe: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..universe, 0u64..1000).prop_map(|(i, p)| Op::Push(i, p)),
-        (0..universe, 0u64..1000).prop_map(|(i, p)| Op::DecreaseKey(i, p)),
-        Just(Op::PopMin),
+        8 => (0..universe, 0u64..1000).prop_map(|(i, p)| Op::Push(i, p)),
+        8 => (0..universe, 0u64..1000).prop_map(|(i, p)| Op::DecreaseKey(i, p)),
+        8 => Just(Op::PopMin),
+        1 => Just(Op::Clear),
     ]
 }
 
@@ -94,6 +102,11 @@ fn run_against_model<Q: IndexedPriorityQueue<u64>>(ops: &[Op], universe: usize) 
                 Some((item, p)) => model.remove(item, p),
                 None => assert!(model.set.is_empty()),
             },
+            Op::Clear => {
+                heap.clear();
+                model.clear();
+                assert!((0..universe).all(|i| !heap.contains(i)));
+            }
         }
         assert_eq!(heap.len(), model.set.len());
         if let Some((_, p)) = heap.peek_min() {
@@ -117,11 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn pairing_matches_model(ops in prop::collection::vec(op_strategy(24), 1..200)) {
-        run_against_model::<PairingHeap<u64>>(&ops, 24);
-    }
-
-    #[test]
     fn binary_matches_model(ops in prop::collection::vec(op_strategy(24), 1..200)) {
         run_against_model::<BinaryHeap<u64>>(&ops, 24);
     }
@@ -132,32 +140,19 @@ proptest! {
     }
 
     #[test]
-    fn skew_matches_model(ops in prop::collection::vec(op_strategy(24), 1..200)) {
-        run_against_model::<SkewHeap<u64>>(&ops, 24);
-    }
-
-    #[test]
-    fn leftist_matches_model(ops in prop::collection::vec(op_strategy(24), 1..200)) {
-        run_against_model::<LeftistHeap<u64>>(&ops, 24);
-    }
-
-    #[test]
     fn heaps_agree_on_heapsort(mut priorities in prop::collection::vec(0u64..10_000, 1..128)) {
         let n = priorities.len();
         let mut fib: FibonacciHeap<u64> = FibonacciHeap::with_capacity(n);
-        let mut pair: PairingHeap<u64> = PairingHeap::with_capacity(n);
         let mut bin: BinaryHeap<u64> = BinaryHeap::with_capacity(n);
         let mut arr: ArrayHeap<u64> = ArrayHeap::with_capacity(n);
         for (i, &p) in priorities.iter().enumerate() {
             fib.push(i, p);
-            pair.push(i, p);
             bin.push(i, p);
             arr.push(i, p);
         }
         priorities.sort_unstable();
         for &expect in &priorities {
             assert_eq!(fib.pop_min().map(|(_, p)| p), Some(expect));
-            assert_eq!(pair.pop_min().map(|(_, p)| p), Some(expect));
             assert_eq!(bin.pop_min().map(|(_, p)| p), Some(expect));
             assert_eq!(arr.pop_min().map(|(_, p)| p), Some(expect));
         }

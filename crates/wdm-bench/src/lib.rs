@@ -1,5 +1,5 @@
 //! Shared workload builders and timing helpers for the experiment
-//! harness (`src/bin/experiments.rs`) and the Criterion benches.
+//! harness (`src/bin/experiments.rs`).
 //!
 //! Every experiment sweeps the parameters the paper's analysis is stated
 //! in — `n`, `m`, `d`, `k`, `k0` — over the sparse-WAN family

@@ -11,11 +11,11 @@
 //!   decoding. Each request builds a fresh `G_all`
 //!   ([`AuxiliaryGraph::for_all_pairs`]), masks it from the spec's own
 //!   busy matrix, and runs the plain, unguided canonical Dijkstra
-//!   ([`DijkstraWorkspace::run_masked_to`] on a Fibonacci heap). The
-//!   engine runs the goal-directed search on its persistent state and a
-//!   binary heap. Canonical routes depend only on the network, the busy
-//!   set and the endpoints, so the gate's exact path comparison checks
-//!   the engine's search kernel too.
+//!   ([`DijkstraWorkspace::run_guided_to`] with the `Unguided`
+//!   potential, on a Fibonacci heap). The engine runs the goal-directed
+//!   search on its persistent state and a binary heap. Canonical routes
+//!   depend only on the network, the busy set and the endpoints, so the
+//!   gate's exact path comparison checks the engine's search kernel too.
 //! * **Single-wavelength policies** and **blocked causes** still go
 //!   through a freshly built [`PersistentAuxGraph`]: the wavelength scan
 //!   of [`Policy::route_shared`] and the reachability probes, without a
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use heaps::{FibonacciHeap, IndexedPriorityQueue};
 use wdm_core::csr::{EdgeMask, EdgeRole};
 use wdm_core::dijkstra::DijkstraWorkspace;
-use wdm_core::{AuxiliaryGraph, PersistentAuxGraph, Semilightpath, WdmNetwork};
+use wdm_core::{AuxiliaryGraph, PersistentAuxGraph, Semilightpath, Unguided, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
 use wdm_rwa::{BlockCause, ConnectionId, Policy, RwaError};
 
@@ -114,7 +114,7 @@ impl SpecEngine {
         let (_, sink) = aux.all_pairs_terminals(t);
         let mut ws = DijkstraWorkspace::new();
         let mut heap = FibonacciHeap::with_capacity(g.node_count());
-        ws.run_masked_to(g, source, &mut heap, &mask, sink);
+        ws.run_guided_to(g, source, &mut heap, Some(&mask), sink, &Unguided);
         aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink)
     }
 

@@ -9,10 +9,7 @@ use crate::auxiliary::{AuxStats, AuxiliaryGraph};
 use crate::csr::CsrGraph;
 use crate::dijkstra::{dijkstra_with, DijkstraWorkspace};
 use crate::{Cost, Semilightpath, WdmNetwork};
-use heaps::{
-    ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue, LeftistHeap, PairingHeap,
-    SkewHeap,
-};
+use heaps::{ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue};
 use wdm_graph::NodeId;
 
 // The parallel solver shares one auxiliary graph across worker threads,
@@ -271,11 +268,8 @@ fn solve_rows_with(
 ) -> usize {
     match kind {
         HeapKind::Fibonacci => solve_rows::<FibonacciHeap<Cost>>(aux, first_row, rows, n),
-        HeapKind::Pairing => solve_rows::<PairingHeap<Cost>>(aux, first_row, rows, n),
         HeapKind::Binary => solve_rows::<BinaryHeap<Cost>>(aux, first_row, rows, n),
         HeapKind::Array => solve_rows::<ArrayHeap<Cost>>(aux, first_row, rows, n),
-        HeapKind::Skew => solve_rows::<SkewHeap<Cost>>(aux, first_row, rows, n),
-        HeapKind::Leftist => solve_rows::<LeftistHeap<Cost>>(aux, first_row, rows, n),
     }
 }
 

@@ -1,16 +1,14 @@
 //! Per-node wavelength-conversion cost functions `c_v(λp, λq)`.
 
 use crate::{Cost, Wavelength};
-use serde::{Deserialize, Serialize};
 
 /// A node's wavelength-conversion capability and cost function.
 ///
 /// Models the paper's cost factors `c_v(λp, λq)`: `0` when `p = q`, `∞`
 /// when the conversion is unavailable at `v`, and an arbitrary non-negative
 /// cost otherwise. The enum covers the converter designs the WDM literature
-/// considers while keeping instances `Clone`/`Serialize`-able; the
-/// [`ConversionPolicy::Matrix`] variant expresses the paper's fully general
-/// node- and wavelength-dependent cost.
+/// considers; the [`ConversionPolicy::Matrix`] variant expresses the
+/// paper's fully general node- and wavelength-dependent cost.
 ///
 /// # Examples
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(banded.cost(a, Wavelength::new(2)), Cost::new(5)); // 1 + 2·2
 /// assert_eq!(banded.cost(a, b), Cost::INFINITY);                // |0-3| > 2
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConversionPolicy {
     /// No converter: only `λ → λ` pass-through is possible.
@@ -109,7 +107,7 @@ impl ConversionPolicy {
 /// assert_eq!(m.cost(Wavelength::new(1), Wavelength::new(0)), Cost::INFINITY);
 /// assert_eq!(m.cost(Wavelength::new(2), Wavelength::new(2)), Cost::ZERO);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConversionMatrix {
     k: usize,
     /// Row-major `k × k` costs; the diagonal is ignored (always zero).

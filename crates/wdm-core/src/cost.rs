@@ -1,6 +1,5 @@
 //! Exact, saturating path costs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
@@ -26,9 +25,7 @@ use std::ops::{Add, AddAssign};
 /// assert!(a < b && b < Cost::INFINITY);
 /// assert!(Cost::INFINITY.is_infinite());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cost(u64);
 
 impl Cost {

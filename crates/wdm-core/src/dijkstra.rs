@@ -15,10 +15,7 @@
 
 use crate::csr::{CsrGraph, EdgeMask};
 use crate::Cost;
-use heaps::{
-    ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue, LeftistHeap, PairingHeap,
-    SkewHeap,
-};
+use heaps::{ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue};
 
 /// Operation counters from one search-kernel run, for the experiment
 /// tables and the observability layer.
@@ -65,10 +62,6 @@ impl SearchStats {
     }
 }
 
-/// Former name of [`SearchStats`], kept for the experiment tables and
-/// downstream callers.
-pub type DijkstraStats = SearchStats;
-
 /// A shortest-path tree: per-node distance and parent pointers.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
@@ -80,7 +73,7 @@ pub struct ShortestPathTree {
     /// The source node the tree is rooted at.
     pub source: usize,
     /// Operation counters.
-    pub stats: DijkstraStats,
+    pub stats: SearchStats,
 }
 
 impl ShortestPathTree {
@@ -155,11 +148,10 @@ impl Potential for Unguided {
 ///   and the paper's golden paths stay the same, but the twice-as-wide
 ///   [`SearchKey`] makes the array-scan heap that the CFZ baseline is
 ///   charged with about 1.8× slower.
-/// * Targeted runs ([`run_guided_to`](Self::run_guided_to) and its
-///   unguided form [`run_masked_to`](Self::run_masked_to)) are
-///   *canonical*: the path they leave depends only on the graph, the
-///   mask and the endpoints, never on the heap or the potential (see
-///   `run_guided_to`).
+/// * Targeted runs ([`run_guided_to`](Self::run_guided_to), with or
+///   without a potential) are *canonical*: the path they leave depends
+///   only on the graph, the mask and the endpoints, never on the heap
+///   or the potential (see `run_guided_to`).
 ///
 /// The computed tree is read in place via [`dist`](Self::dist) /
 /// [`parent`](Self::parent), or materialized with
@@ -284,24 +276,6 @@ impl DijkstraWorkspace {
         mask: &EdgeMask,
     ) {
         self.run_inner(graph, source, queue, Some(mask));
-    }
-
-    /// The canonical path search from `source` to `target`, skipping
-    /// edges set in `mask` — [`run_guided_to`](Self::run_guided_to)
-    /// without a potential.
-    ///
-    /// # Panics
-    ///
-    /// Panics as `run_guided_to` does.
-    pub fn run_masked_to<Q: IndexedPriorityQueue<SearchKey>>(
-        &mut self,
-        graph: &CsrGraph,
-        source: usize,
-        queue: &mut Q,
-        mask: &EdgeMask,
-        target: usize,
-    ) {
-        self.run_guided_to(graph, source, queue, Some(mask), target, &Unguided);
     }
 
     /// Goal-directed, canonical search from `source` to `target`,
@@ -589,11 +563,8 @@ pub fn dijkstra_masked<Q: IndexedPriorityQueue<Cost>>(
 pub fn dijkstra_with(kind: HeapKind, graph: &CsrGraph, source: usize) -> ShortestPathTree {
     match kind {
         HeapKind::Fibonacci => dijkstra::<FibonacciHeap<Cost>>(graph, source),
-        HeapKind::Pairing => dijkstra::<PairingHeap<Cost>>(graph, source),
         HeapKind::Binary => dijkstra::<BinaryHeap<Cost>>(graph, source),
         HeapKind::Array => dijkstra::<ArrayHeap<Cost>>(graph, source),
-        HeapKind::Skew => dijkstra::<SkewHeap<Cost>>(graph, source),
-        HeapKind::Leftist => dijkstra::<LeftistHeap<Cost>>(graph, source),
     }
 }
 
@@ -618,7 +589,7 @@ pub fn dijkstra_filtered(
     let mut dist = vec![Cost::INFINITY; n];
     let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
     let mut settled = vec![false; n];
-    let mut stats = DijkstraStats::default();
+    let mut stats = SearchStats::default();
     let mut queue: BinaryHeap<Cost> = BinaryHeap::with_capacity(n);
 
     if !banned_nodes[source] {
@@ -730,7 +701,7 @@ mod tests {
         b.add_edge(0, 1, Cost::new(2), t);
         b.add_edge(0, 1, Cost::new(5), t);
         let g = b.build();
-        let tree = dijkstra::<PairingHeap<Cost>>(&g, 0);
+        let tree = dijkstra::<BinaryHeap<Cost>>(&g, 0);
         assert_eq!(tree.dist[1], Cost::new(2));
         let (_, e) = g.edge(tree.parent[1].expect("has parent").1);
         assert_eq!(e.cost, Cost::new(2));
@@ -807,7 +778,7 @@ mod tests {
         let mut ws = DijkstraWorkspace::new();
         let mut queue: FibonacciHeap<SearchKey> = FibonacciHeap::with_capacity(g.node_count());
         for target in 0..g.node_count() {
-            ws.run_masked_to(&g, 0, &mut queue, &mask, target);
+            ws.run_guided_to(&g, 0, &mut queue, Some(&mask), target, &Unguided);
             assert_eq!(ws.dist()[target], full.dist[target], "dist to {target}");
             // Walk the parent chain: it must reproduce the full run's path.
             let mut path = vec![target];

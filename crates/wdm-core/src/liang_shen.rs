@@ -7,7 +7,7 @@
 //! last is Dijkstra on its ≤ `2kn + 2` nodes.
 
 use crate::auxiliary::{AuxStats, AuxiliaryGraph};
-use crate::dijkstra::{dijkstra_with, DijkstraStats, ShortestPathTree};
+use crate::dijkstra::{dijkstra_with, SearchStats, ShortestPathTree};
 use crate::{Cost, Semilightpath, WdmError, WdmNetwork};
 use heaps::HeapKind;
 use wdm_graph::NodeId;
@@ -24,7 +24,7 @@ pub struct RouteResult {
     /// Edge count of the search graph that was built.
     pub search_edges: usize,
     /// Dijkstra operation counters.
-    pub dijkstra: DijkstraStats,
+    pub dijkstra: SearchStats,
     /// Construction accounting (present for the layered-graph algorithm,
     /// absent for baselines with a different construction).
     pub aux_stats: Option<AuxStats>,
@@ -106,7 +106,7 @@ impl LiangShenRouter {
                 path: Some(Semilightpath::new(Vec::new(), Cost::ZERO)),
                 search_nodes: 0,
                 search_edges: 0,
-                dijkstra: DijkstraStats::default(),
+                dijkstra: SearchStats::default(),
                 aux_stats: None,
             });
         }
@@ -194,7 +194,7 @@ impl SemilightpathTree {
     }
 
     /// Dijkstra operation counters for the tree computation.
-    pub fn dijkstra_stats(&self) -> DijkstraStats {
+    pub fn dijkstra_stats(&self) -> SearchStats {
         self.tree.stats
     }
 

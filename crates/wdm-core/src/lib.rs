@@ -94,8 +94,8 @@ pub use cfz::CfzRouter;
 pub use conversion::{ConversionMatrix, ConversionPolicy};
 pub use cost::Cost;
 pub use dijkstra::{
-    dijkstra, dijkstra_masked, dijkstra_with, DijkstraStats, Potential, SearchKey, SearchStats,
-    ShortestPathTree, Unguided,
+    dijkstra, dijkstra_masked, dijkstra_with, Potential, SearchKey, SearchStats, ShortestPathTree,
+    Unguided,
 };
 pub use error::{RouteError, WdmError};
 pub use k_shortest::k_shortest_semilightpaths;

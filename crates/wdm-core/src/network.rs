@@ -2,7 +2,6 @@
 //! structure.
 
 use crate::{ConversionPolicy, Cost, Wavelength, WavelengthSet, WdmError};
-use serde::{Deserialize, Serialize};
 use wdm_graph::{DiGraph, LinkId, NodeId};
 
 /// The wavelengths available on one link, with their traversal costs.
@@ -10,7 +9,7 @@ use wdm_graph::{DiGraph, LinkId, NodeId};
 /// This is the paper's `Λ(e)` together with `w(e, λ)` for `λ ∈ Λ(e)`;
 /// wavelengths not listed have `w(e, λ) = ∞`. Entries are kept sorted by
 /// wavelength.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LinkWavelengths {
     entries: Vec<(Wavelength, Cost)>,
 }
@@ -74,7 +73,7 @@ impl LinkWavelengths {
 /// assert_eq!(net.wavelengths_on(0.into()).len(), 1);
 /// # Ok::<(), wdm_core::WdmError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WdmNetwork {
     graph: DiGraph,
     k: usize,

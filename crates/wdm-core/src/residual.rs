@@ -594,7 +594,7 @@ impl ResidualState {
     /// Costs (and blocked verdicts) are identical to routing on a freshly
     /// rebuilt residual `G_{s,t}`; see the module docs for the argument.
     /// The path is canonical: the one
-    /// [`DijkstraWorkspace::run_masked_to`] returns without a potential,
+    /// [`DijkstraWorkspace::run_guided_to`] returns without a potential,
     /// through any heap. The first search toward `t` on this state fills
     /// `t`'s lower bounds (one reverse Dijkstra over the `n`-node
     /// topology, counted in [`SearchStats::potential_fills`]).

@@ -1,6 +1,5 @@
 //! Wavelength identifiers and wavelength sets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A wavelength `λ_i` out of the network's set `Λ = {λ_0, …, λ_{k-1}}`.
@@ -16,9 +15,7 @@ use std::fmt;
 /// assert_eq!(l.index(), 2);
 /// assert_eq!(l.to_string(), "λ2");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Wavelength(u32);
 
 impl Wavelength {
@@ -75,7 +72,7 @@ impl fmt::Display for Wavelength {
 /// let t = WavelengthSet::from_indices(4, [1, 3]);
 /// assert_eq!(s.intersection(&t).iter().count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WavelengthSet {
     k: usize,
     blocks: Vec<u64>,

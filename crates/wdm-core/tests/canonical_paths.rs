@@ -265,7 +265,14 @@ fn lambda_route<Q: IndexedPriorityQueue<SearchKey>>(
     }
     let mut ws = DijkstraWorkspace::new();
     let mut queue = Q::with_capacity(g.node_count());
-    ws.run_masked_to(&g, s.index(), &mut queue, &mask, t.index());
+    ws.run_guided_to(
+        &g,
+        s.index(),
+        &mut queue,
+        Some(&mask),
+        t.index(),
+        &wdm_core::Unguided,
+    );
     let total = ws.dist()[t.index()];
     if total.is_infinite() {
         return None;

@@ -1,6 +1,5 @@
 //! Compact adjacency-list directed multigraph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in a [`DiGraph`].
@@ -15,9 +14,7 @@ use std::fmt;
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(v.to_string(), "v3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -64,9 +61,7 @@ impl fmt::Display for NodeId {
 /// let e = g.add_link(0, 1);
 /// assert_eq!(e.index(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(u32);
 
 impl LinkId {
@@ -105,7 +100,7 @@ impl fmt::Display for LinkId {
 /// Following the paper's notation, `tail(e)` is where the link leaves and
 /// `head(e)` where it enters: a link `e = ⟨u, v⟩` has `tail(e) = u` and
 /// `head(e) = v`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     source: NodeId,
     target: NodeId,
@@ -160,7 +155,7 @@ impl fmt::Display for Link {
 /// assert_eq!(g.max_out_degree(), 2);
 /// assert_eq!(g.max_degree(), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiGraph {
     links: Vec<Link>,
     out_adj: Vec<Vec<LinkId>>,
@@ -418,18 +413,5 @@ mod tests {
         assert_eq!(v.index(), 1);
         g.add_link(0, v);
         assert_eq!(g.in_degree(v), 1);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = DiGraph::from_links(3, [(0, 1), (1, 2), (2, 0)]);
-        let json = serde_json_like(&g);
-        assert!(json.contains("links"));
-    }
-
-    /// Minimal serialization smoke test without pulling serde_json in: use
-    /// the Debug formatting of the Serialize-derived structure.
-    fn serde_json_like(g: &DiGraph) -> String {
-        format!("{g:?}")
     }
 }

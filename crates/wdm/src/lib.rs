@@ -10,8 +10,8 @@
 //!   Theorem-2 restrictions, and the Chlamtac–Faragó–Zhang baseline;
 //! * [`distributed`] — the message-passing simulator and the distributed
 //!   protocols of Theorem 3 / Corollary 2;
-//! * [`heaps`] — the priority-queue substrate (Fibonacci, pairing, binary,
-//!   array) behind the solvers.
+//! * [`heaps`] — the priority-queue substrate (Fibonacci, binary, array)
+//!   behind the solvers.
 //!
 //! The most common items are re-exported at the crate root and in
 //! [`prelude`].
