@@ -205,7 +205,7 @@ fn e20(quick: bool) -> Vec<String> {
     use std::collections::VecDeque;
     use wdm_core::csr::{EdgeMask, EdgeRole};
     use wdm_core::dijkstra::DijkstraWorkspace;
-    use wdm_core::{PersistentAuxGraph, Unguided};
+    use wdm_core::{ResidualState, SearchScratch, Unguided};
     const LIVE_CAP: usize = 64;
     println!("\n## E20 — search size against n and k (goal-directed vs unguided)\n");
     println!("| n | k | aux nodes | settled guided | settled unguided | relaxed guided | relaxed unguided | links/path |");
@@ -223,7 +223,8 @@ fn e20(quick: bool) -> Vec<String> {
         for mult in [1usize, 4, 16] {
             let k = k0 * mult;
             let net = bounded_instance(n, k, k0, (k + k0) as u64);
-            let mut engine = PersistentAuxGraph::new(&net);
+            let state = ResidualState::new(&net);
+            let mut scratch = SearchScratch::for_state(&state);
             let aux = AuxiliaryGraph::for_all_pairs(&net);
             let g = aux.graph();
             // The unguided run's own mask, indexed by (link, λ).
@@ -244,8 +245,8 @@ fn e20(quick: bool) -> Vec<String> {
                 let s = rng.gen_range(0..n);
                 let t = (s + rng.gen_range(1..n)) % n;
                 let (s, t) = (NodeId::new(s), NodeId::new(t));
-                let path = engine.route_optimal(s, t);
-                let totals = engine.take_search_totals();
+                let path = state.route_optimal(&mut scratch, s, t);
+                let totals = scratch.take_search_totals();
                 guided[0] += totals.settled;
                 guided[1] += totals.relaxed;
                 fills += totals.potential_fills;
@@ -263,13 +264,13 @@ fn e20(quick: bool) -> Vec<String> {
                 accepted += 1;
                 hops += path.len();
                 for h in path.hops() {
-                    engine.set_busy(h.link, h.wavelength, true);
+                    state.try_acquire(h.link, h.wavelength);
                     mask.set(edge_of[h.link.index()][h.wavelength.index()]);
                 }
                 live.push_back(path);
                 if live.len() > LIVE_CAP {
                     for h in live.pop_front().expect("over the cap").hops() {
-                        engine.set_busy(h.link, h.wavelength, false);
+                        state.release(h.link, h.wavelength);
                         mask.clear(edge_of[h.link.index()][h.wavelength.index()]);
                     }
                 }

@@ -79,19 +79,6 @@ pub fn min_time(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Median wall-clock seconds of `iters` runs of `f` (min 1 run).
-pub fn median_time(iters: usize, mut f: impl FnMut()) -> f64 {
-    let iters = iters.max(1);
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    samples[samples.len() / 2]
-}
-
 /// Formats seconds as engineering-friendly microseconds/milliseconds.
 pub fn fmt_time(seconds: f64) -> String {
     if seconds < 1e-3 {
@@ -142,14 +129,6 @@ mod tests {
     #[test]
     fn min_time_is_positive_and_bounded_by_samples() {
         let t = min_time(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn median_time_is_positive() {
-        let t = median_time(3, || {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(t >= 0.0);

@@ -12,7 +12,7 @@
 //!
 //! 1. [`spec`] — the reference: [`SpecEngine`], a test-only engine that
 //!    keeps a plain busy matrix and rebuilds a
-//!    [`wdm_core::PersistentAuxGraph`] on every request. It shares no
+//!    [`wdm_core::ResidualState`] on every request. It shares no
 //!    code with the engine's transactions; the engine-vs-spec property
 //!    suite (`tests/provisioning_conformance.rs`) drives both through
 //!    random serial interleavings and requires identical ids, hops,

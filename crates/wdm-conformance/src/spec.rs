@@ -17,9 +17,9 @@
 //!   depend only on the network, the busy set and the endpoints, so the
 //!   gate's exact path comparison checks the engine's search kernel too.
 //! * **Single-wavelength policies** and **blocked causes** still go
-//!   through a freshly built [`PersistentAuxGraph`]: the wavelength scan
-//!   of [`Policy::route_shared`] and the reachability probes, without a
-//!   memo.
+//!   through a freshly built [`ResidualState`] and [`SearchScratch`]:
+//!   the wavelength scan of [`Policy::route_shared`] and the
+//!   reachability probes, without a memo.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use heaps::{FibonacciHeap, IndexedPriorityQueue};
 use wdm_core::csr::{EdgeMask, EdgeRole};
 use wdm_core::dijkstra::DijkstraWorkspace;
-use wdm_core::{AuxiliaryGraph, PersistentAuxGraph, Semilightpath, Unguided, WdmNetwork};
+use wdm_core::{AuxiliaryGraph, ResidualState, SearchScratch, Semilightpath, Unguided, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
 use wdm_rwa::{BlockCause, ConnectionId, Policy, RwaError};
 
@@ -80,17 +80,19 @@ impl SpecEngine {
         }
     }
 
-    /// A from-scratch routing structure with the busy matrix replayed.
-    fn rebuild(&self) -> PersistentAuxGraph {
-        let mut graph = PersistentAuxGraph::new(&self.base);
+    /// A from-scratch routing structure with the busy matrix replayed,
+    /// and a scratch to search it with.
+    fn rebuild(&self) -> (ResidualState, SearchScratch) {
+        let state = ResidualState::new(&self.base);
         for (e, _) in self.base.graph().links() {
             for (w, _) in self.base.wavelengths_on(e).iter() {
                 if self.busy[e.index()][w.index()] {
-                    graph.set_busy(e, w, true);
+                    state.try_acquire(e, w);
                 }
             }
         }
-        graph
+        let scratch = SearchScratch::for_state(&state);
+        (state, scratch)
     }
 
     /// The cheapest semilightpath `s → t` on the busy matrix, by plain
@@ -138,9 +140,8 @@ impl SpecEngine {
         let route = if matches!(policy, Policy::Optimal) {
             self.route_optimal(s, t)
         } else {
-            let mut graph = self.rebuild();
-            let (state, scratch) = graph.split_mut();
-            policy.route_shared(state, scratch, s, t)
+            let (state, mut scratch) = self.rebuild();
+            policy.route_shared(&state, &mut scratch, s, t)
         };
         match route {
             Some(path) if !path.is_empty() => {
@@ -170,14 +171,13 @@ impl SpecEngine {
     /// capacity-blocked otherwise. `s == t` carries nothing and is never
     /// routable.
     fn classify(&self, s: NodeId, t: NodeId, policy: Policy) -> BlockCause {
-        let mut graph = self.rebuild();
-        let (state, scratch) = graph.split_mut();
+        let (state, mut scratch) = self.rebuild();
         let failed = &self.failed;
         let reachable = s != t
             && if matches!(policy, Policy::Optimal) {
-                state.reachable_when_free_excluding(scratch, s, t, failed)
+                state.reachable_when_free(&mut scratch, s, t, failed)
             } else {
-                state.reachable_when_free_single_wavelength_excluding(scratch, s, t, failed)
+                state.reachable_when_free_single_wavelength(&mut scratch, s, t, failed)
             };
         if reachable {
             BlockCause::Capacity

@@ -104,23 +104,6 @@ impl CsrGraph {
             },
         )
     }
-
-    /// Iterates the outgoing edges of `node`, skipping edges whose dense
-    /// index is set in `mask`.
-    ///
-    /// This is the residual-capacity view of the graph: the structure is
-    /// shared and immutable, only the mask changes between searches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn out_edges_masked<'a>(
-        &'a self,
-        node: usize,
-        mask: &'a EdgeMask,
-    ) -> impl Iterator<Item = EdgeRef> + 'a {
-        self.out_edges(node).filter(move |e| !mask.is_set(e.index))
-    }
 }
 
 /// A bitmask over the dense edge indices of a [`CsrGraph`].
@@ -138,11 +121,9 @@ impl CsrGraph {
 /// the relaxed ordering audited in `wdm_obs::ordering` — mask *bits*
 /// never carry cross-thread consistency decisions on their own; the
 /// concurrent engine layers a sharded seqlock on top (versions carry
-/// the ordering), and single-threaded users see no atomics at all: the
-/// `&mut self` methods ([`set`](Self::set), [`clear`](Self::clear),
-/// [`set_to`](Self::set_to), [`clear_all`](Self::clear_all)) go through
-/// `get_mut` and compile to the same plain word ops as before, so
-/// single-threaded behaviour is bit-identical.
+/// the ordering). An exclusive owner's `&mut self` methods
+/// ([`set`](Self::set), [`clear`](Self::clear)) go through `get_mut`
+/// and compile to plain word ops.
 ///
 /// # Examples
 ///
@@ -163,33 +144,6 @@ pub struct EdgeMask {
     len: usize,
     set_count: AtomicUsize,
 }
-
-impl Clone for EdgeMask {
-    fn clone(&self) -> Self {
-        EdgeMask {
-            bits: self
-                .bits
-                .iter()
-                .map(|w| AtomicU64::new(w.load(RELAXED)))
-                .collect(),
-            len: self.len,
-            set_count: AtomicUsize::new(self.set_count.load(RELAXED)),
-        }
-    }
-}
-
-impl PartialEq for EdgeMask {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && self
-                .bits
-                .iter()
-                .zip(&other.bits)
-                .all(|(a, b)| a.load(RELAXED) == b.load(RELAXED))
-    }
-}
-
-impl Eq for EdgeMask {}
 
 impl EdgeMask {
     /// A mask over `len` edges with every bit clear.
@@ -271,27 +225,6 @@ impl EdgeMask {
         true
     }
 
-    /// Sets bit `index` to `value`; returns `true` when the bit changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set_to(&mut self, index: usize, value: bool) -> bool {
-        if value {
-            self.set(index)
-        } else {
-            self.clear(index)
-        }
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.bits {
-            *w.get_mut() = 0;
-        }
-        *self.set_count.get_mut() = 0;
-    }
-
     /// Atomically sets bit `index` through `&self`; returns `true` when
     /// this call changed it (i.e. the caller won the flip).
     ///
@@ -330,21 +263,6 @@ impl EdgeMask {
         }
         self.set_count.fetch_sub(1, RELAXED);
         true
-    }
-
-    /// Atomically sets bit `index` to `value` through `&self`; returns
-    /// `true` when the bit changed. The shared counterpart of
-    /// [`set_to`](Self::set_to).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn fetch_set_to(&self, index: usize, value: bool) -> bool {
-        if value {
-            self.fetch_set(index)
-        } else {
-            self.fetch_clear(index)
-        }
     }
 }
 
@@ -503,9 +421,9 @@ mod tests {
         assert!(mask.clear(64));
         assert!(!mask.clear(64), "second clear is a no-op");
         assert_eq!(mask.set_count(), 3);
-        assert!(mask.set_to(64, true));
-        assert!(!mask.set_to(0, true));
-        mask.clear_all();
+        for i in [0, 63, 129] {
+            assert!(mask.clear(i));
+        }
         assert_eq!(mask.set_count(), 0);
         assert!((0..130).all(|i| !mask.is_set(i)));
     }
@@ -523,20 +441,17 @@ mod tests {
         // with the &mut API, including the changed-bit return values.
         let mut a = EdgeMask::all_clear(130);
         let b = EdgeMask::all_clear(130);
+        let same = |a: &EdgeMask, b: &EdgeMask| {
+            a.set_count() == b.set_count() && (0..130).all(|i| a.is_set(i) == b.is_set(i))
+        };
         for i in [0, 63, 64, 129, 64, 0] {
             assert_eq!(a.set(i), b.fetch_set(i), "set {i}");
         }
-        assert_eq!(a, b);
-        assert_eq!(a.set_count(), b.set_count());
+        assert!(same(&a, &b));
         for i in [63, 63, 129] {
             assert_eq!(a.clear(i), b.fetch_clear(i), "clear {i}");
         }
-        assert_eq!(a, b);
-        for (i, v) in [(5, true), (5, true), (5, false), (64, false)] {
-            assert_eq!(a.set_to(i, v), b.fetch_set_to(i, v), "set_to {i} {v}");
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.set_count(), b.set_count());
+        assert!(same(&a, &b));
     }
 
     #[test]
@@ -557,35 +472,5 @@ mod tests {
         assert_eq!(winners.iter().sum::<usize>(), mask.len());
         assert_eq!(mask.set_count(), mask.len());
         assert!((0..mask.len()).all(|i| mask.is_set(i)));
-    }
-
-    #[test]
-    fn clone_and_eq_see_current_bits() {
-        let src = EdgeMask::all_clear(70);
-        src.fetch_set(3);
-        src.fetch_set(69);
-        let copy = src.clone();
-        assert_eq!(copy, src);
-        assert!(copy.is_set(3) && copy.is_set(69) && !copy.is_set(4));
-        assert_eq!(copy.set_count(), 2);
-        copy.fetch_clear(3);
-        assert_ne!(copy, src);
-    }
-
-    #[test]
-    fn masked_adjacency_skips_set_edges() {
-        let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(5), EdgeRole::Tap);
-        b.add_edge(0, 2, Cost::new(7), EdgeRole::Tap);
-        b.add_edge(2, 1, Cost::new(1), EdgeRole::Tap);
-        let g = b.build();
-        let mut mask = EdgeMask::all_clear(g.edge_count());
-        mask.set(0);
-        let out0: Vec<usize> = g.out_edges_masked(0, &mask).map(|e| e.target).collect();
-        assert_eq!(out0, vec![2]);
-        let out2: Vec<usize> = g.out_edges_masked(2, &mask).map(|e| e.target).collect();
-        assert_eq!(out2, vec![1]);
-        mask.clear(0);
-        assert_eq!(g.out_edges_masked(0, &mask).count(), 2);
     }
 }

@@ -568,66 +568,6 @@ pub fn dijkstra_with(kind: HeapKind, graph: &CsrGraph, source: usize) -> Shortes
     }
 }
 
-/// Dijkstra restricted to a subgraph: nodes with `banned_nodes[v] = true`
-/// are never entered or left, and edges whose dense index is in
-/// `banned_edges` are skipped. Used by Yen's k-shortest-paths spur
-/// searches.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or `banned_nodes.len()` differs from
-/// the node count. A banned source yields an all-infinite tree.
-pub fn dijkstra_filtered(
-    graph: &CsrGraph,
-    source: usize,
-    banned_nodes: &[bool],
-    banned_edges: &std::collections::HashSet<usize>,
-) -> ShortestPathTree {
-    let n = graph.node_count();
-    assert!(source < n, "source {source} out of range");
-    assert_eq!(banned_nodes.len(), n, "one ban flag per node");
-    let mut dist = vec![Cost::INFINITY; n];
-    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut stats = SearchStats::default();
-    let mut queue: BinaryHeap<Cost> = BinaryHeap::with_capacity(n);
-
-    if !banned_nodes[source] {
-        dist[source] = Cost::ZERO;
-        queue.push(source, Cost::ZERO);
-        stats.pushes += 1;
-    }
-    while let Some((u, du)) = queue.pop_min() {
-        settled[u] = true;
-        stats.settled += 1;
-        for edge in graph.out_edges(u) {
-            stats.relaxed += 1;
-            let v = edge.target;
-            if settled[v] || banned_nodes[v] || banned_edges.contains(&edge.index) {
-                continue;
-            }
-            let candidate = du + edge.cost;
-            if candidate < dist[v] {
-                if dist[v].is_infinite() {
-                    stats.pushes += 1;
-                } else {
-                    stats.decrease_keys += 1;
-                }
-                dist[v] = candidate;
-                parent[v] = Some((u, edge.index));
-                queue.push_or_decrease(v, candidate);
-                stats.improved += 1;
-            }
-        }
-    }
-    ShortestPathTree {
-        dist,
-        parent,
-        source,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

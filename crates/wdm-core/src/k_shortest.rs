@@ -14,8 +14,10 @@
 //! or rank among the k cheapest in degenerate cost structures).
 
 use crate::auxiliary::AuxiliaryGraph;
-use crate::dijkstra::{dijkstra_filtered, ShortestPathTree};
+use crate::csr::EdgeMask;
+use crate::dijkstra::DijkstraWorkspace;
 use crate::{Cost, Semilightpath, WdmError, WdmNetwork};
+use heaps::IndexedPriorityQueue;
 use std::collections::{BinaryHeap, HashSet};
 use wdm_graph::NodeId;
 
@@ -30,15 +32,16 @@ struct AuxPath {
 }
 
 impl AuxPath {
-    fn from_tree(tree: &ShortestPathTree, sink: usize) -> Option<AuxPath> {
-        let cost = tree.dist[sink];
+    /// The path to `sink` of the last search run on `ws`.
+    fn from_search(ws: &DijkstraWorkspace, sink: usize) -> Option<AuxPath> {
+        let cost = ws.dist()[sink];
         if cost.is_infinite() {
             return None;
         }
         let mut nodes = vec![sink];
         let mut edges = Vec::new();
         let mut at = sink;
-        while let Some((prev, edge)) = tree.parent[at] {
+        while let Some((prev, edge)) = ws.parent()[at] {
             nodes.push(prev);
             edges.push(edge);
             at = prev;
@@ -139,11 +142,19 @@ pub fn k_shortest_semilightpaths(
     let aux = AuxiliaryGraph::for_pair(network, s, t);
     let graph = aux.graph();
     let (source, sink) = aux.pair_terminals();
-    let no_bans_nodes = vec![false; graph.node_count()];
-    let no_bans_edges = HashSet::new();
+    // One workspace, heap and ban mask serve every search.
+    let mut ws = DijkstraWorkspace::with_capacity(graph.node_count());
+    let mut heap = heaps::BinaryHeap::with_capacity(graph.node_count());
+    let mut banned = EdgeMask::all_clear(graph.edge_count());
+    let mut banned_list: Vec<usize> = Vec::new();
+    // in_edges[v]: the edges entering v, masked to ban v.
+    let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); graph.node_count()];
+    for i in 0..graph.edge_count() {
+        in_edges[graph.edge(i).1.target].push(i);
+    }
 
-    let first_tree = dijkstra_filtered(graph, source, &no_bans_nodes, &no_bans_edges);
-    let Some(first) = AuxPath::from_tree(&first_tree, sink) else {
+    ws.run(graph, source, &mut heap);
+    let Some(first) = AuxPath::from_search(&ws, sink) else {
         return Ok(Vec::new());
     };
 
@@ -164,23 +175,26 @@ pub fn k_shortest_semilightpaths(
             let root_nodes = &last.nodes[..=spur_idx];
             let root_edges = &last.edges[..spur_idx];
 
-            // Ban the next edge of every accepted path sharing this root.
-            let mut banned_edges = HashSet::new();
+            // Ban the next edge of every accepted path sharing this root,
+            // and every edge into the root's interior nodes so spur paths
+            // are loopless. The spur node itself is never banned.
+            banned_list.clear();
             for p in &accepted {
                 if p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root_nodes {
-                    if let Some(&e) = p.edges.get(spur_idx) {
-                        banned_edges.insert(e);
-                    }
+                    banned_list.extend(p.edges.get(spur_idx));
                 }
             }
-            // Ban the root's interior nodes so spur paths are loopless.
-            let mut banned_nodes = vec![false; graph.node_count()];
             for &v in &root_nodes[..spur_idx] {
-                banned_nodes[v] = true;
+                banned_list.extend(&in_edges[v]);
             }
-
-            let tree = dijkstra_filtered(graph, spur_node, &banned_nodes, &banned_edges);
-            if let Some(spur) = AuxPath::from_tree(&tree, sink) {
+            for &e in &banned_list {
+                banned.set(e);
+            }
+            ws.run_masked(graph, spur_node, &mut heap, &banned);
+            for &e in &banned_list {
+                banned.clear(e);
+            }
+            if let Some(spur) = AuxPath::from_search(&ws, sink) {
                 let mut nodes = root_nodes.to_vec();
                 nodes.extend_from_slice(&spur.nodes[1..]);
                 let mut edges = root_edges.to_vec();

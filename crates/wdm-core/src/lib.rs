@@ -101,7 +101,7 @@ pub use error::{RouteError, WdmError};
 pub use k_shortest::k_shortest_semilightpaths;
 pub use liang_shen::{find_optimal_semilightpath, LiangShenRouter, RouteResult, SemilightpathTree};
 pub use network::{LinkWavelengths, WdmNetwork, WdmNetworkBuilder};
-pub use residual::{AcquireOutcome, PersistentAuxGraph, ResidualState, SearchScratch};
+pub use residual::{AcquireOutcome, ResidualState, SearchScratch};
 pub use route::{Hop, Semilightpath};
 pub use survivability::{disjoint_semilightpath_pair, DisjointPair, Disjointness};
 pub use wavelength::{Wavelength, WavelengthSet};

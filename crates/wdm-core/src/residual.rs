@@ -42,21 +42,19 @@
 //!
 //! # Sharing across threads
 //!
-//! The structure splits into two halves:
+//! Residual routing has one interface, in two halves:
 //!
 //! * [`ResidualState`] — the graphs, busy masks, and (link, λ) index.
-//!   Routing and reachability probes take `&self`; busy flips come in an
-//!   exclusive flavour (`&mut self`, plain word ops — the
-//!   single-threaded hot path) and a shared flavour
-//!   ([`try_acquire_shared`](ResidualState::try_acquire_shared) /
-//!   [`release_shared`](ResidualState::release_shared), atomic RMWs for
-//!   the concurrent engine, which layers its own conflict protocol on
-//!   top).
+//!   Everything takes `&self`: routing, reachability probes, and the
+//!   busy flips [`try_acquire`](ResidualState::try_acquire) /
+//!   [`release`](ResidualState::release), atomic RMWs on which the
+//!   provisioning engine layers its own conflict protocol.
 //! * [`SearchScratch`] — the per-thread Dijkstra workspace, heap, and
 //!   probe masks. One per searching thread; never shared.
 //!
-//! [`PersistentAuxGraph`] bundles one of each behind the original
-//! single-threaded API, so existing callers are untouched.
+//! A single-threaded caller builds one of each; a multi-threaded one
+//! shares the state (the engine wraps it in an `Arc`) and gives each
+//! thread its own scratch.
 
 use crate::auxiliary::{AuxNodeKind, AuxiliaryGraph};
 use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
@@ -70,7 +68,7 @@ use wdm_obs::ordering::{ACQUIRE, RELAXED, RELEASE};
 /// One per-wavelength view of the physical topology: the subgraph of links
 /// carrying `λ`, with its own busy mask. Lets single-wavelength (lightpath)
 /// policies go rebuild-free too.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LambdaGraph {
     graph: CsrGraph,
     mask: EdgeMask,
@@ -204,27 +202,6 @@ fn table_entry(d: Cost) -> u32 {
     }
 }
 
-impl Clone for LowerBounds {
-    fn clone(&self) -> Self {
-        // Flags first: a row seen ready is complete before it is copied.
-        let ready = self
-            .ready
-            .iter()
-            .map(|r| AtomicBool::new(r.load(ACQUIRE)))
-            .collect();
-        LowerBounds {
-            n: self.n,
-            reverse: self.reverse.clone(),
-            table: self
-                .table
-                .iter()
-                .map(|h| AtomicU32::new(h.load(RELAXED)))
-                .collect(),
-            ready,
-        }
-    }
-}
-
 /// One filled row of [`LowerBounds`] as a search [`Potential`].
 struct TargetBounds<'a> {
     row: &'a [AtomicU32],
@@ -245,8 +222,7 @@ impl Potential for TargetBounds<'_> {
     }
 }
 
-/// Outcome of a shared-mode resource acquisition
-/// ([`ResidualState::try_acquire_shared`]).
+/// Outcome of a resource acquisition ([`ResidualState::try_acquire`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcquireOutcome {
     /// The caller won the flip: the resource was free and is now busy,
@@ -265,11 +241,32 @@ pub enum AcquireOutcome {
 ///
 /// All routing queries take `&self` plus a caller-owned
 /// [`SearchScratch`], so any number of threads may search one state
-/// concurrently while flipping busy bits through the shared-mode
-/// methods. Consistency across multiple bits is the caller's protocol —
-/// see `wdm_obs::ordering` for the seqlock audit the concurrent engine
+/// concurrently while flipping busy bits through
+/// [`try_acquire`](Self::try_acquire) and [`release`](Self::release).
+/// Consistency across multiple bits is the caller's protocol — see
+/// `wdm_obs::ordering` for the seqlock audit the provisioning engine
 /// builds on.
-#[derive(Debug, Clone)]
+///
+/// # Examples
+///
+/// ```
+/// use wdm_core::{AcquireOutcome, Cost, ResidualState, SearchScratch, WdmNetwork, Wavelength};
+/// use wdm_graph::{DiGraph, LinkId};
+///
+/// let g = DiGraph::from_links(2, [(0, 1)]);
+/// let net = WdmNetwork::builder(g, 1).link_wavelengths(0, [(0, 4)]).build()?;
+/// let state = ResidualState::new(&net);
+/// let mut scratch = SearchScratch::for_state(&state);
+/// let p = state.route_optimal(&mut scratch, 0.into(), 1.into()).expect("free");
+/// assert_eq!(p.cost(), Cost::new(4));
+/// let (link, lambda) = (LinkId::new(0), Wavelength::new(0));
+/// assert_eq!(state.try_acquire(link, lambda), AcquireOutcome::Acquired);
+/// assert!(state.route_optimal(&mut scratch, 0.into(), 1.into()).is_none());
+/// assert!(state.release(link, lambda));
+/// assert!(state.route_optimal(&mut scratch, 0.into(), 1.into()).is_some());
+/// # Ok::<(), wdm_core::WdmError>(())
+/// ```
+#[derive(Debug)]
 pub struct ResidualState {
     aux: AuxiliaryGraph,
     /// Busy mask over the aux graph's edges (only traversal bits are set).
@@ -292,7 +289,7 @@ pub struct ResidualState {
 /// per-request graphs are mid-sized, so the flat sift beats pointer
 /// chasing, and it matches the legacy lightpath routine's heap for the
 /// per-wavelength searches.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SearchScratch {
     ws: DijkstraWorkspace,
     heap: BinaryHeap<SearchKey>,
@@ -368,11 +365,11 @@ impl ResidualState {
             self.bounds.n,
             "a conversion rebuild keeps the topology"
         );
-        let mut state = Self::with_bounds(base, std::mem::take(&mut self.bounds));
+        let state = Self::with_bounds(base, std::mem::take(&mut self.bounds));
         for (link, per_link) in self.aux_edge.iter().enumerate() {
             for &(wavelength, idx) in per_link {
                 if self.mask.is_set(idx as usize) {
-                    state.set_busy(LinkId::new(link), wavelength, true);
+                    state.try_acquire(LinkId::new(link), wavelength);
                 }
             }
         }
@@ -466,11 +463,6 @@ impl ResidualState {
         }
     }
 
-    /// The persistent `G_all` structure.
-    pub fn aux(&self) -> &AuxiliaryGraph {
-        &self.aux
-    }
-
     /// The base network's global wavelength count `k`.
     pub fn k(&self) -> usize {
         self.lambda.len()
@@ -485,37 +477,14 @@ impl ResidualState {
             .map(|pos| per_link[pos].1 as usize)
     }
 
-    /// Marks `(link, λ)` busy (`true`) or free (`false`) in place
-    /// through exclusive access — the single-threaded hot path (plain
-    /// word ops, no atomic RMWs).
-    ///
-    /// Returns `false` — and changes nothing — when the base network does
-    /// not carry `λ` on `link` (there is no corresponding traversal edge;
-    /// an engine may still *account* such a pair as blocked, e.g. during a
-    /// fibre cut, without consulting this structure). Setting a bit to its
-    /// current value is a no-op. Either way the operation is `O(log k0)`
-    /// and allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn set_busy(&mut self, link: LinkId, wavelength: Wavelength, busy: bool) -> bool {
-        let Some(aux_idx) = self.aux_edge_of(link, wavelength) else {
-            return false;
-        };
-        self.mask.set_to(aux_idx, busy);
-        let lg = &mut self.lambda[wavelength.index()];
-        let e = lg.edge_of_link[link.index()];
-        debug_assert_ne!(e, NO_EDGE, "λ-graph edge exists whenever the aux edge does");
-        lg.mask.set_to(e as usize, busy);
-        true
-    }
-
-    /// Attempts to acquire `(link, λ)` through `&self` — the concurrent
-    /// engine's flavour of [`set_busy`](Self::set_busy)`(…, true)`.
+    /// Attempts to mark `(link, λ)` busy.
     ///
     /// On [`AcquireOutcome::Acquired`] the caller owns the resource and
     /// this call has flipped both the aux-graph bit and the λ-graph bit.
+    /// [`AcquireOutcome::NoSuchResource`] changes nothing: the base
+    /// network does not carry `λ` on `link`, so there is no traversal
+    /// edge (an engine may still *account* such a pair as blocked, e.g.
+    /// during a fibre cut). The flip is `O(log k0)` and allocation-free.
     /// The RMWs are relaxed (see `wdm_obs::ordering`): callers must
     /// bracket acquisitions with their own ordering protocol before
     /// concluding anything about *other* resources.
@@ -523,7 +492,7 @@ impl ResidualState {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn try_acquire_shared(&self, link: LinkId, wavelength: Wavelength) -> AcquireOutcome {
+    pub fn try_acquire(&self, link: LinkId, wavelength: Wavelength) -> AcquireOutcome {
         let Some(aux_idx) = self.aux_edge_of(link, wavelength) else {
             return AcquireOutcome::NoSuchResource;
         };
@@ -539,16 +508,15 @@ impl ResidualState {
         AcquireOutcome::Acquired
     }
 
-    /// Releases `(link, λ)` through `&self` — the shared counterpart of
-    /// [`set_busy`](Self::set_busy)`(…, false)`. Returns `false` when
-    /// the base does not carry the resource (nothing changed). Releasing
-    /// an already-free resource is a no-op; only the owner should call
-    /// this (the concurrent engine's protocol guarantees it).
+    /// Marks `(link, λ)` free again. Returns `false` when the base does
+    /// not carry the resource (nothing changed). Releasing an
+    /// already-free resource is a no-op; only the owner should call this
+    /// (the engine's protocol guarantees it).
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn release_shared(&self, link: LinkId, wavelength: Wavelength) -> bool {
+    pub fn release(&self, link: LinkId, wavelength: Wavelength) -> bool {
         let Some(aux_idx) = self.aux_edge_of(link, wavelength) else {
             return false;
         };
@@ -575,14 +543,6 @@ impl ResidualState {
     /// Number of (link, λ) resources currently masked busy.
     pub fn busy_count(&self) -> usize {
         self.mask.set_count()
-    }
-
-    /// Frees every resource (e.g. after a full teardown).
-    pub fn clear_busy(&mut self) {
-        self.mask.clear_all();
-        for lg in &mut self.lambda {
-            lg.mask.clear_all();
-        }
     }
 
     /// Cheapest semilightpath `s → t` on the residual network — the
@@ -629,42 +589,24 @@ impl ResidualState {
             .extract_semilightpath_from(scratch.ws.dist(), scratch.ws.parent(), sink)
     }
 
-    /// Whether `t` is reachable from `s` when **every** resource is
-    /// free — i.e. on the unmasked persistent structure. Used to
-    /// classify blocked requests: a pair that fails this probe is
-    /// blocked by topology (`no_path`), anything else by occupancy.
+    /// Whether `t` is reachable from `s` when **every** resource is free
+    /// and every wavelength of each link in `excluded` is unavailable.
+    /// Used to classify blocked requests: while fibres are cut, a pair
+    /// that fails this probe with the cut links excluded is blocked by
+    /// topology (`no_path`), anything else by occupancy.
     ///
-    /// `s == t` is trivially reachable. The probe's search work is
-    /// accumulated into the totals like any other run; callers that
-    /// only meter hot-path searches should drain totals before probing
-    /// and discard the probe's delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free(&self, scratch: &mut SearchScratch, s: NodeId, t: NodeId) -> bool {
-        if s == t {
-            return true;
-        }
-        let (source, _) = self.aux.all_pairs_terminals(s);
-        let (_, sink) = self.aux.all_pairs_terminals(t);
-        let h = self.bounds.toward(scratch, t, Some(&self.phys));
-        scratch
-            .ws
-            .run_guided_to(self.aux.graph(), source, &mut scratch.heap, None, sink, &h);
-        scratch.ws.dist()[sink].is_finite()
-    }
-
-    /// Like [`reachable_when_free`](Self::reachable_when_free) but with
-    /// every wavelength of each link in `excluded` unavailable — the
-    /// probe behind failed-link-aware blocked-cause classification:
-    /// while fibres are cut, a pair whose only free-network routes
-    /// crossed one of them is blocked by topology, not capacity.
+    /// With no excluded link the search runs on the unmasked persistent
+    /// structure; otherwise on a scratch-local probe mask holding only
+    /// the excluded links' bits, all clear again on return. `s == t` is
+    /// trivially reachable. The probe's search work is accumulated into
+    /// the totals like any other run; callers that only meter hot-path
+    /// searches should drain totals before probing and discard the
+    /// probe's delta.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint or any excluded link is out of range.
-    pub fn reachable_when_free_excluding(
+    pub fn reachable_when_free(
         &self,
         scratch: &mut SearchScratch,
         s: NodeId,
@@ -674,36 +616,36 @@ impl ResidualState {
         if s == t {
             return true;
         }
-        if scratch.probe_aux.len() != self.aux.graph().edge_count() {
-            scratch.probe_aux = EdgeMask::all_clear(self.aux.graph().edge_count());
-        }
-        for link in excluded {
-            for &(_, idx) in &self.aux_edge[link.index()] {
-                scratch.probe_aux.set(idx as usize);
-            }
+        let g = self.aux.graph();
+        let cut = || {
+            excluded
+                .iter()
+                .flat_map(|link| &self.aux_edge[link.index()])
+                .map(|&(_, idx)| idx as usize)
+        };
+        if !excluded.is_empty() && scratch.probe_aux.len() != g.edge_count() {
+            scratch.probe_aux = EdgeMask::all_clear(g.edge_count());
         }
         let (source, _) = self.aux.all_pairs_terminals(s);
         let (_, sink) = self.aux.all_pairs_terminals(t);
         let h = self.bounds.toward(scratch, t, Some(&self.phys));
-        scratch.ws.run_guided_to(
-            self.aux.graph(),
-            source,
-            &mut scratch.heap,
-            Some(&scratch.probe_aux),
-            sink,
-            &h,
-        );
+        for e in cut() {
+            scratch.probe_aux.set(e);
+        }
+        let mask = (!excluded.is_empty()).then_some(&scratch.probe_aux);
+        scratch
+            .ws
+            .run_guided_to(g, source, &mut scratch.heap, mask, sink, &h);
         let reachable = scratch.ws.dist()[sink].is_finite();
-        for link in excluded {
-            for &(_, idx) in &self.aux_edge[link.index()] {
-                scratch.probe_aux.clear(idx as usize);
-            }
+        for e in cut() {
+            scratch.probe_aux.clear(e);
         }
         reachable
     }
 
     /// Whether some **single** wavelength connects `s` to `t` when every
-    /// resource is free — the no-conversion counterpart of
+    /// resource is free and the links in `excluded` are unavailable — the
+    /// no-conversion counterpart of
     /// [`reachable_when_free`](Self::reachable_when_free), matching what
     /// first-fit / lightpath-only policies could ever route.
     ///
@@ -712,35 +654,8 @@ impl ResidualState {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free_single_wavelength(
-        &self,
-        scratch: &mut SearchScratch,
-        s: NodeId,
-        t: NodeId,
-    ) -> bool {
-        if s == t {
-            return false;
-        }
-        let h = self.bounds.toward(scratch, t, None);
-        for lg in &self.lambda {
-            scratch
-                .ws
-                .run_guided_to(&lg.graph, s.index(), &mut scratch.heap, None, t.index(), &h);
-            if scratch.ws.dist()[t.index()].is_finite() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The single-wavelength counterpart of
-    /// [`reachable_when_free_excluding`](Self::reachable_when_free_excluding).
-    ///
-    /// # Panics
-    ///
     /// Panics if an endpoint or any excluded link is out of range.
-    pub fn reachable_when_free_single_wavelength_excluding(
+    pub fn reachable_when_free_single_wavelength(
         &self,
         scratch: &mut SearchScratch,
         s: NodeId,
@@ -750,7 +665,7 @@ impl ResidualState {
         if s == t {
             return false;
         }
-        if scratch.probe_lambda.len() != self.lambda.len() {
+        if !excluded.is_empty() && scratch.probe_lambda.len() != self.lambda.len() {
             scratch.probe_lambda = self
                 .lambda
                 .iter()
@@ -758,27 +673,25 @@ impl ResidualState {
                 .collect();
         }
         let h = self.bounds.toward(scratch, t, None);
-        for (lg, probe) in self.lambda.iter().zip(&mut scratch.probe_lambda) {
-            for link in excluded {
-                let e = lg.edge_of_link[link.index()];
-                if e != NO_EDGE {
-                    probe.set(e as usize);
-                }
+        for (li, lg) in self.lambda.iter().enumerate() {
+            // The excluded links' edges on λ; a link lacking λ has none.
+            let cut = || {
+                excluded
+                    .iter()
+                    .map(|link| lg.edge_of_link[link.index()])
+                    .filter(|&e| e != NO_EDGE)
+                    .map(|e| e as usize)
+            };
+            for e in cut() {
+                scratch.probe_lambda[li].set(e);
             }
-            scratch.ws.run_guided_to(
-                &lg.graph,
-                s.index(),
-                &mut scratch.heap,
-                Some(probe),
-                t.index(),
-                &h,
-            );
+            let mask = (!excluded.is_empty()).then(|| &scratch.probe_lambda[li]);
+            scratch
+                .ws
+                .run_guided_to(&lg.graph, s.index(), &mut scratch.heap, mask, t.index(), &h);
             let reachable = scratch.ws.dist()[t.index()].is_finite();
-            for link in excluded {
-                let e = lg.edge_of_link[link.index()];
-                if e != NO_EDGE {
-                    probe.clear(e as usize);
-                }
+            for e in cut() {
+                scratch.probe_lambda[li].clear(e);
             }
             if reachable {
                 return true;
@@ -835,159 +748,6 @@ impl ResidualState {
     }
 }
 
-/// The persistent, maskable residual-routing structure for one base
-/// network: one [`ResidualState`] bundled with one [`SearchScratch`]
-/// behind a single-threaded API. After construction a request costs one
-/// heap-driven Dijkstra and zero structural work.
-///
-/// Multi-threaded users split the halves instead: share the state (the
-/// concurrent engine wraps it in an `Arc`) and give each thread its own
-/// scratch via [`SearchScratch::for_state`].
-///
-/// # Examples
-///
-/// ```
-/// use wdm_core::{Cost, PersistentAuxGraph, WdmNetwork, Wavelength};
-/// use wdm_graph::{DiGraph, LinkId};
-///
-/// let g = DiGraph::from_links(2, [(0, 1)]);
-/// let net = WdmNetwork::builder(g, 1).link_wavelengths(0, [(0, 4)]).build()?;
-/// let mut residual = PersistentAuxGraph::new(&net);
-/// let p = residual.route_optimal(0.into(), 1.into()).expect("free");
-/// assert_eq!(p.cost(), Cost::new(4));
-/// residual.set_busy(LinkId::new(0), Wavelength::new(0), true);
-/// assert!(residual.route_optimal(0.into(), 1.into()).is_none());
-/// residual.set_busy(LinkId::new(0), Wavelength::new(0), false);
-/// assert!(residual.route_optimal(0.into(), 1.into()).is_some());
-/// # Ok::<(), wdm_core::WdmError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PersistentAuxGraph {
-    state: ResidualState,
-    scratch: SearchScratch,
-}
-
-impl PersistentAuxGraph {
-    /// Builds the persistent structure for `base` with every resource
-    /// free. This is the once-per-engine `O(k²n + km)` cost the per-request
-    /// path no longer pays.
-    pub fn new(base: &WdmNetwork) -> Self {
-        let state = ResidualState::new(base);
-        let scratch = SearchScratch::for_state(&state);
-        PersistentAuxGraph { state, scratch }
-    }
-
-    /// The shareable state half, e.g. to seed a concurrent engine.
-    pub fn state(&self) -> &ResidualState {
-        &self.state
-    }
-
-    /// Consumes the bundle, yielding the state half (the scratch is
-    /// rebuilt per thread via [`SearchScratch::for_state`]).
-    pub fn into_state(self) -> ResidualState {
-        self.state
-    }
-
-    /// Borrows both halves at once, for callers that route through the
-    /// state API directly while holding the bundle.
-    pub fn split_mut(&mut self) -> (&ResidualState, &mut SearchScratch) {
-        (&self.state, &mut self.scratch)
-    }
-
-    /// The persistent `G_all` structure.
-    pub fn aux(&self) -> &AuxiliaryGraph {
-        self.state.aux()
-    }
-
-    /// The base network's global wavelength count `k`.
-    pub fn k(&self) -> usize {
-        self.state.k()
-    }
-
-    /// Marks `(link, λ)` busy (`true`) or free (`false`) in place; see
-    /// [`ResidualState::set_busy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn set_busy(&mut self, link: LinkId, wavelength: Wavelength, busy: bool) -> bool {
-        self.state.set_busy(link, wavelength, busy)
-    }
-
-    /// Whether `(link, λ)` is currently masked busy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn is_busy(&self, link: LinkId, wavelength: Wavelength) -> bool {
-        self.state.is_busy(link, wavelength)
-    }
-
-    /// Number of (link, λ) resources currently masked busy.
-    pub fn busy_count(&self) -> usize {
-        self.state.busy_count()
-    }
-
-    /// Frees every resource (e.g. after a full teardown).
-    pub fn clear_busy(&mut self) {
-        self.state.clear_busy();
-    }
-
-    /// Cheapest semilightpath `s → t` on the residual network; see
-    /// [`ResidualState::route_optimal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn route_optimal(&mut self, s: NodeId, t: NodeId) -> Option<Semilightpath> {
-        self.state.route_optimal(&mut self.scratch, s, t)
-    }
-
-    /// Drains the search-operation totals accumulated by every routing
-    /// call (optimal and per-λ alike) since the last drain; see
-    /// [`SearchScratch::take_search_totals`].
-    pub fn take_search_totals(&mut self) -> crate::SearchStats {
-        self.scratch.take_search_totals()
-    }
-
-    /// Free-network reachability probe; see
-    /// [`ResidualState::reachable_when_free`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free(&mut self, s: NodeId, t: NodeId) -> bool {
-        self.state.reachable_when_free(&mut self.scratch, s, t)
-    }
-
-    /// Single-wavelength free-network reachability probe; see
-    /// [`ResidualState::reachable_when_free_single_wavelength`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free_single_wavelength(&mut self, s: NodeId, t: NodeId) -> bool {
-        self.state
-            .reachable_when_free_single_wavelength(&mut self.scratch, s, t)
-    }
-
-    /// Cheapest single-wavelength path on `lambda`; see
-    /// [`ResidualState::route_single_wavelength`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint or `lambda` is out of range.
-    pub fn route_single_wavelength(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        lambda: Wavelength,
-    ) -> Option<Semilightpath> {
-        self.state
-            .route_single_wavelength(&mut self.scratch, s, t, lambda)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1003,6 +763,13 @@ mod tests {
             .uniform_conversion(ConversionPolicy::Uniform(Cost::new(1)))
             .build()
             .expect("valid")
+    }
+
+    /// A fresh state for `net` and a scratch to search it with.
+    fn state_for(net: &WdmNetwork) -> (ResidualState, SearchScratch) {
+        let state = ResidualState::new(net);
+        let scratch = SearchScratch::for_state(&state);
+        (state, scratch)
     }
 
     /// Routes on a freshly restricted clone — the legacy rebuild path.
@@ -1023,7 +790,6 @@ mod tests {
     #[test]
     fn masked_route_matches_legacy_rebuild_costs() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
         let busy_sets: [&[(usize, usize)]; 4] = [
             &[],
             &[(0, 0)],
@@ -1031,12 +797,15 @@ mod tests {
             &[(0, 0), (0, 1)], // link 0 fully busy → blocked
         ];
         for busy in busy_sets {
-            residual.clear_busy();
+            let (state, mut scratch) = state_for(&net);
             for &(l, lam) in busy {
-                assert!(residual.set_busy(LinkId::new(l), Wavelength::new(lam), true));
+                assert_eq!(
+                    state.try_acquire(LinkId::new(l), Wavelength::new(lam)),
+                    AcquireOutcome::Acquired
+                );
             }
             for (s, t) in [(0, 2), (0, 1), (1, 2), (2, 0)] {
-                let masked = residual.route_optimal(NodeId::new(s), NodeId::new(t));
+                let masked = state.route_optimal(&mut scratch, NodeId::new(s), NodeId::new(t));
                 let legacy = legacy_route(&net, busy, NodeId::new(s), NodeId::new(t));
                 match (&masked, &legacy) {
                     (Some(a), Some(b)) => {
@@ -1058,63 +827,36 @@ mod tests {
     #[test]
     fn flips_are_idempotent_and_reversible() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
+        let (state, mut scratch) = state_for(&net);
         let link = LinkId::new(0);
         let lam = Wavelength::new(0);
-        assert!(!residual.is_busy(link, lam));
-        assert!(residual.set_busy(link, lam, true));
-        assert!(residual.set_busy(link, lam, true), "idempotent set is ok");
-        assert!(residual.is_busy(link, lam));
-        assert_eq!(residual.busy_count(), 1);
-        assert!(residual.set_busy(link, lam, false));
-        assert_eq!(residual.busy_count(), 0);
-        let before = residual.route_optimal(0.into(), 2.into()).expect("free");
+        assert!(!state.is_busy(link, lam));
+        assert_eq!(state.try_acquire(link, lam), AcquireOutcome::Acquired);
+        assert_eq!(
+            state.try_acquire(link, lam),
+            AcquireOutcome::Busy,
+            "a held resource cannot be acquired twice"
+        );
+        assert!(state.is_busy(link, lam));
+        assert_eq!(state.busy_count(), 1);
+        assert!(state.release(link, lam));
+        assert!(
+            state.release(link, lam),
+            "releasing a free resource is a no-op"
+        );
+        assert_eq!(state.busy_count(), 0);
+        let before = state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .expect("free");
         assert_eq!(before.cost(), Cost::new(20));
-    }
-
-    #[test]
-    fn shared_acquire_matches_exclusive_set_busy() {
-        let net = chain();
-        let mut exclusive = PersistentAuxGraph::new(&net);
-        let shared = ResidualState::new(&net);
-        let mut scratch = SearchScratch::for_state(&shared);
-        let link = LinkId::new(0);
-        let lam = Wavelength::new(0);
-        assert_eq!(
-            shared.try_acquire_shared(link, lam),
-            AcquireOutcome::Acquired
-        );
-        assert_eq!(shared.try_acquire_shared(link, lam), AcquireOutcome::Busy);
-        exclusive.set_busy(link, lam, true);
-        // Same busy state → same routes, both flavours.
-        for (s, t) in [(0, 2), (0, 1), (1, 2)] {
-            let a = exclusive.route_optimal(NodeId::new(s), NodeId::new(t));
-            let b = shared.route_optimal(&mut scratch, NodeId::new(s), NodeId::new(t));
-            assert_eq!(a.map(|p| p.cost()), b.map(|p| p.cost()), "{s}->{t}");
-        }
-        assert!(shared.release_shared(link, lam));
-        assert_eq!(shared.busy_count(), 0);
-        // Absent resources are reported, not flipped.
-        let g = DiGraph::from_links(2, [(0, 1)]);
-        let sparse = WdmNetwork::builder(g, 3)
-            .link_wavelengths(0, [(1, 5)])
-            .build()
-            .expect("valid");
-        let st = ResidualState::new(&sparse);
-        assert_eq!(
-            st.try_acquire_shared(LinkId::new(0), Wavelength::new(0)),
-            AcquireOutcome::NoSuchResource
-        );
-        assert!(!st.release_shared(LinkId::new(0), Wavelength::new(2)));
     }
 
     #[test]
     fn conversion_rebuild_keeps_busy_bits_and_filled_bounds() {
         let mut net = chain();
-        let mut state = ResidualState::new(&net);
-        let mut scratch = SearchScratch::for_state(&state);
+        let (mut state, mut scratch) = state_for(&net);
         // λ0 busy on link 0: the cheapest 0 → 2 converts at node 1.
-        state.set_busy(LinkId::new(0), Wavelength::new(0), true);
+        state.try_acquire(LinkId::new(0), Wavelength::new(0));
         let before = state.route_optimal(&mut scratch, 0.into(), 2.into());
         assert_eq!(before.map(|p| p.cost()), Some(Cost::new(12 + 1 + 10)));
         assert_eq!(scratch.take_search_totals().potential_fills, 1);
@@ -1131,9 +873,8 @@ mod tests {
 
         // The rebuilt state routes exactly like one built for the new
         // network from scratch.
-        let mut fresh = ResidualState::new(&net);
-        fresh.set_busy(LinkId::new(0), Wavelength::new(0), true);
-        let mut fresh_scratch = SearchScratch::for_state(&fresh);
+        let (fresh, mut fresh_scratch) = state_for(&net);
+        fresh.try_acquire(LinkId::new(0), Wavelength::new(0));
         for (s, t) in [(0, 2), (0, 1), (1, 2), (2, 0)] {
             let (s, t) = (NodeId::new(s), NodeId::new(t));
             assert_eq!(
@@ -1147,40 +888,40 @@ mod tests {
     #[test]
     fn excluding_probes_mask_only_the_excluded_link() {
         let net = chain();
-        let state = ResidualState::new(&net);
-        let mut scratch = SearchScratch::for_state(&state);
+        let (state, mut scratch) = state_for(&net);
         // Free network: 0 → 2 reachable, also on a single wavelength.
-        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into()));
-        assert!(state.reachable_when_free_single_wavelength(&mut scratch, 0.into(), 2.into()));
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &[]));
+        assert!(state.reachable_when_free_single_wavelength(&mut scratch, 0.into(), 2.into(), &[]));
         // Excluding the only middle link cuts 0 → 2 but not 0 → 1.
         let cut = [LinkId::new(1)];
-        assert!(!state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &cut));
-        assert!(state.reachable_when_free_excluding(&mut scratch, 0.into(), 1.into(), &cut));
-        assert!(!state.reachable_when_free_single_wavelength_excluding(
+        assert!(!state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &cut));
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 1.into(), &cut));
+        assert!(!state.reachable_when_free_single_wavelength(
             &mut scratch,
             0.into(),
             2.into(),
             &cut
         ));
-        assert!(state.reachable_when_free_single_wavelength_excluding(
+        assert!(state.reachable_when_free_single_wavelength(
             &mut scratch,
             0.into(),
             1.into(),
             &cut
         ));
-        // An empty exclusion set degenerates to the plain probe; a
-        // multi-link set masks every listed link at once.
-        assert!(state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &[]));
-        assert!(!state.reachable_when_free_excluding(
+        // A multi-link set masks every listed link at once.
+        assert!(!state.reachable_when_free(
             &mut scratch,
             0.into(),
             1.into(),
             &[LinkId::new(0), LinkId::new(1)]
         ));
         // The probe masks are scratch-local and restored after each call:
-        // the same probes answer identically a second time, and normal
-        // routing still sees a fully free network.
-        assert!(!state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &cut));
+        // the same probes answer identically a second time, an empty
+        // exclusion set sees the whole network again, and normal routing
+        // still sees a fully free network.
+        assert!(!state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &cut));
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &[]));
+        assert!(state.reachable_when_free_single_wavelength(&mut scratch, 0.into(), 2.into(), &[]));
         assert!(state
             .route_optimal(&mut scratch, 0.into(), 2.into())
             .is_some());
@@ -1194,56 +935,71 @@ mod tests {
             .link_wavelengths(0, [(1, 5)])
             .build()
             .expect("valid");
-        let mut residual = PersistentAuxGraph::new(&net);
-        // λ0 and λ2 are not carried by link 0: flips report false and
-        // leave routing untouched (a fibre-cut engine may mark all k).
-        assert!(!residual.set_busy(LinkId::new(0), Wavelength::new(0), true));
-        assert!(!residual.set_busy(LinkId::new(0), Wavelength::new(2), true));
-        assert_eq!(residual.busy_count(), 0);
-        assert!(residual.route_optimal(0.into(), 1.into()).is_some());
+        let (state, mut scratch) = state_for(&net);
+        // λ0 and λ2 are not carried by link 0: flips report it and leave
+        // routing untouched (a fibre-cut engine may mark all k).
+        for lam in [0, 2] {
+            let lam = Wavelength::new(lam);
+            assert_eq!(
+                state.try_acquire(LinkId::new(0), lam),
+                AcquireOutcome::NoSuchResource
+            );
+            assert!(!state.release(LinkId::new(0), lam));
+            assert!(!state.is_busy(LinkId::new(0), lam));
+        }
+        assert_eq!(state.busy_count(), 0);
+        assert!(state
+            .route_optimal(&mut scratch, 0.into(), 1.into())
+            .is_some());
     }
 
     #[test]
     fn single_wavelength_routes_respect_masks() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
-        let p = residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(0))
+        let (state, mut scratch) = state_for(&net);
+        let p = state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(0))
             .expect("λ0 free");
         assert_eq!(p.cost(), Cost::new(20));
         assert!(p.is_lightpath());
-        residual.set_busy(LinkId::new(1), Wavelength::new(0), true);
-        assert!(residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(0))
+        state.try_acquire(LinkId::new(1), Wavelength::new(0));
+        assert!(state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(0))
             .is_none());
-        let alt = residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(1))
+        let alt = state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(1))
             .expect("λ1 free");
         assert_eq!(alt.cost(), Cost::new(24));
         // s == t mirrors the legacy routine's None.
-        assert!(residual
-            .route_single_wavelength(1.into(), 1.into(), Wavelength::new(0))
+        assert!(state
+            .route_single_wavelength(&mut scratch, 1.into(), 1.into(), Wavelength::new(0))
             .is_none());
     }
 
     #[test]
     fn trivial_and_blocked_queries() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
-        let empty = residual.route_optimal(1.into(), 1.into()).expect("s == t");
+        let (state, mut scratch) = state_for(&net);
+        let empty = state
+            .route_optimal(&mut scratch, 1.into(), 1.into())
+            .expect("s == t");
         assert!(empty.is_empty());
         assert_eq!(empty.cost(), Cost::ZERO);
         // 2 has no outgoing links.
-        assert!(residual.route_optimal(2.into(), 0.into()).is_none());
+        assert!(state
+            .route_optimal(&mut scratch, 2.into(), 0.into())
+            .is_none());
     }
 
     #[test]
     fn search_totals_accumulate_across_requests_and_drain() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
-        assert_eq!(residual.take_search_totals(), Default::default());
-        residual.route_optimal(0.into(), 2.into()).expect("free");
-        let one = residual.take_search_totals();
+        let (state, mut scratch) = state_for(&net);
+        assert_eq!(scratch.take_search_totals(), Default::default());
+        state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .expect("free");
+        let one = scratch.take_search_totals();
         assert!(one.settled > 0 && one.relaxed > 0 && one.pushes > 0);
         // The first request to a target fills its potential, once.
         assert_eq!(one.potential_fills, 1);
@@ -1252,47 +1008,44 @@ mod tests {
             ..one
         };
         // Two identical requests cost exactly twice one request.
-        residual.route_optimal(0.into(), 2.into()).expect("free");
-        residual.route_optimal(0.into(), 2.into()).expect("free");
+        state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .expect("free");
+        state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .expect("free");
         let mut twice = crate::SearchStats::default();
         twice.accumulate(&one);
         twice.accumulate(&one);
-        assert_eq!(residual.take_search_totals(), twice);
+        assert_eq!(scratch.take_search_totals(), twice);
         // Masked searches report their skips.
-        residual.set_busy(LinkId::new(0), Wavelength::new(0), true);
-        residual.route_optimal(0.into(), 2.into()).expect("λ1 free");
-        assert!(residual.take_search_totals().masked_skips > 0);
+        state.try_acquire(LinkId::new(0), Wavelength::new(0));
+        state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .expect("λ1 free");
+        assert!(scratch.take_search_totals().masked_skips > 0);
         // s == t short-circuits without touching the kernels.
-        residual.route_optimal(1.into(), 1.into()).expect("trivial");
-        assert_eq!(residual.take_search_totals(), Default::default());
+        state
+            .route_optimal(&mut scratch, 1.into(), 1.into())
+            .expect("trivial");
+        assert_eq!(scratch.take_search_totals(), Default::default());
     }
 
     #[test]
     fn free_reachability_ignores_masks() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
+        let (state, mut scratch) = state_for(&net);
         // Saturate link 0 completely: routing blocks, but the free
         // topology still connects 0 → 2.
-        residual.set_busy(LinkId::new(0), Wavelength::new(0), true);
-        residual.set_busy(LinkId::new(0), Wavelength::new(1), true);
-        assert!(residual.route_optimal(0.into(), 2.into()).is_none());
-        assert!(residual.reachable_when_free(0.into(), 2.into()));
+        state.try_acquire(LinkId::new(0), Wavelength::new(0));
+        state.try_acquire(LinkId::new(0), Wavelength::new(1));
+        assert!(state
+            .route_optimal(&mut scratch, 0.into(), 2.into())
+            .is_none());
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &[]));
         // Node 2 has no outgoing links: blocked by topology.
-        assert!(!residual.reachable_when_free(2.into(), 0.into()));
-        assert!(residual.reachable_when_free(1.into(), 1.into()));
-    }
-
-    #[test]
-    fn clone_preserves_mask_state() {
-        let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
-        residual.set_busy(LinkId::new(0), Wavelength::new(0), true);
-        let mut copy = residual.clone();
-        assert!(copy.is_busy(LinkId::new(0), Wavelength::new(0)));
-        assert_eq!(
-            copy.route_optimal(0.into(), 2.into()).map(|p| p.cost()),
-            residual.route_optimal(0.into(), 2.into()).map(|p| p.cost())
-        );
+        assert!(!state.reachable_when_free(&mut scratch, 2.into(), 0.into(), &[]));
+        assert!(state.reachable_when_free(&mut scratch, 1.into(), 1.into(), &[]));
     }
 
     #[test]
@@ -1320,8 +1073,8 @@ mod tests {
             }
             scope.spawn(|| {
                 for _ in 0..200 {
-                    if state.try_acquire_shared(link, lam) == AcquireOutcome::Acquired {
-                        state.release_shared(link, lam);
+                    if state.try_acquire(link, lam) == AcquireOutcome::Acquired {
+                        state.release(link, lam);
                     }
                 }
             });

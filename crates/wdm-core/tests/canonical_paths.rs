@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use wdm_core::csr::{CsrBuilder, EdgeMask, EdgeRole};
 use wdm_core::dijkstra::{dijkstra, DijkstraWorkspace, Potential, SearchKey};
 use wdm_core::{
-    reference, AuxiliaryGraph, ConversionPolicy, Cost, PersistentAuxGraph, Semilightpath,
+    reference, AuxiliaryGraph, ConversionPolicy, Cost, ResidualState, SearchScratch, Semilightpath,
     Wavelength, WdmNetwork,
 };
 use wdm_graph::{DiGraph, LinkId, NodeId};
@@ -128,7 +128,8 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let net = network(&mut rng);
     let aux = AuxiliaryGraph::for_all_pairs(&net);
-    let mut engine = PersistentAuxGraph::new(&net);
+    let engine = ResidualState::new(&net);
+    let mut scratch = SearchScratch::for_state(&engine);
 
     // Random busy (link, λ) pairs, plus whole links cut the way the
     // engine marks a fibre cut: every wavelength busy.
@@ -141,7 +142,7 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
         for (w, _) in net.wavelengths_on(e).iter() {
             if cut || rng.gen_bool(0.25) {
                 busy[e.index()][w.index()] = true;
-                engine.set_busy(e, w, true);
+                engine.try_acquire(e, w);
             }
         }
     }
@@ -162,7 +163,7 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
                 continue;
             }
             let (s, t) = (NodeId::new(s), NodeId::new(t));
-            let guided = engine.route_optimal(s, t);
+            let guided = engine.route_optimal(&mut scratch, s, t);
             let h = TestPotential::new(&net, &aux, t);
             let others = [
                 (
@@ -213,7 +214,7 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
             }
             for lambda in 0..net.k() {
                 let lambda = Wavelength::new(lambda);
-                let guided = engine.route_single_wavelength(s, t, lambda);
+                let guided = engine.route_single_wavelength(&mut scratch, s, t, lambda);
                 for unguided in [
                     lambda_route::<BinaryHeap<_>>(&net, &busy, s, t, lambda),
                     lambda_route::<FibonacciHeap<_>>(&net, &busy, s, t, lambda),
@@ -325,10 +326,11 @@ fn zero_cost_cycle_on_a_shortest_path_terminates() {
         .expect("valid");
     let aux = AuxiliaryGraph::for_all_pairs(&net);
     let mask = EdgeMask::all_clear(aux.graph().edge_count());
-    let mut engine = PersistentAuxGraph::new(&net);
+    let engine = ResidualState::new(&net);
+    let mut scratch = SearchScratch::for_state(&engine);
     for (s, t) in [(0, 3), (0, 2), (0, 1), (1, 3), (2, 3)] {
         let (s, t) = (NodeId::new(s), NodeId::new(t));
-        let path = engine.route_optimal(s, t).expect("connected");
+        let path = engine.route_optimal(&mut scratch, s, t).expect("connected");
         path.validate(&net).expect("valid path");
         assert_eq!(
             path.cost(),

@@ -25,8 +25,9 @@
 //! SARIF 2.1.0. The `wdm-lint` binary drives them; `--deny all` turns
 //! any deny-severity finding into a non-zero exit, which CI gates on. A
 //! committed [`baseline`] file grandfathers known findings so CI fails
-//! only on new ones. `wdm-rwa` also runs [`model::verify_network`] on
-//! every engine construction in debug builds.
+//! only on new ones. `wdm-conformance`'s `SpecEngine::new` also runs
+//! [`model::verify_network`] on every network it is built for, in debug
+//! builds.
 //!
 //! Suppression is explicit and per-site: a comment
 //! `// wdm-lint: allow(no_unwrap) — reason` (or the

@@ -14,8 +14,8 @@
 //!   multigraph in endpoints, wavelength, cost, and multiplicity;
 //! * **M5** — super-source/sink taps are zero-cost and sided correctly;
 //! * **M6** — the `(link, λ) → edge` cross-index is in-bounds, unique, and
-//!   complete, and [`PersistentAuxGraph`] busy flips are involutions with
-//!   release;
+//!   complete, and [`ResidualState`] busy flips (the engine's
+//!   `try_acquire` / `release`) are involutions;
 //! * **M7** — the Restriction 1/2 gate agrees with an independent
 //!   recomputation straight off the link table.
 //!
@@ -28,8 +28,8 @@ use crate::findings::{Finding, Rule};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use wdm_core::csr::EdgeRole;
 use wdm_core::{
-    restrictions, AuxNodeKind, AuxStats, AuxiliaryGraph, Cost, PersistentAuxGraph, Wavelength,
-    WdmNetwork,
+    restrictions, AcquireOutcome, AuxNodeKind, AuxStats, AuxiliaryGraph, Cost, ResidualState,
+    Wavelength, WdmNetwork,
 };
 use wdm_graph::LinkId;
 
@@ -574,69 +574,41 @@ pub fn verify_view(view: &ModelView, network: &WdmNetwork, instance: &str) -> Ve
     out
 }
 
-/// Dynamically checks that [`PersistentAuxGraph`] busy flips are
-/// involutions with release, over every `(link, λ)` pair of the base
-/// network — the runtime half of M6.
+/// Dynamically checks that [`ResidualState`] busy flips — the
+/// `try_acquire` / `release` pair every engine request runs — are
+/// involutions, over every `(link, λ)` pair of the base network: the
+/// runtime half of M6.
 pub fn verify_mask_involution(network: &WdmNetwork, instance: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut residual = PersistentAuxGraph::new(network);
+    let mut finding = |detail: String| out.push(Finding::model(Rule::MaskIndex, instance, detail));
+    let state = ResidualState::new(network);
     for (e, _) in network.graph().links() {
         for li in 0..network.k() {
             let w = Wavelength::new(li);
-            let available = network.link_cost(e, w).is_finite();
-            if !available {
-                if residual.set_busy(e, w, true) {
-                    out.push(Finding::model(
-                        Rule::MaskIndex,
-                        instance,
-                        format!(
-                            "set_busy acquired (link {}, λ{li}) which the base network \
-                             does not carry",
-                            e.index()
-                        ),
+            let at = format!("(link {}, λ{li})", e.index());
+            if !network.link_cost(e, w).is_finite() {
+                if state.try_acquire(e, w) != AcquireOutcome::NoSuchResource {
+                    finding(format!(
+                        "try_acquire found {at}, which the base network does not carry"
                     ));
                 }
                 continue;
             }
-            if residual.is_busy(e, w) {
-                out.push(Finding::model(
-                    Rule::MaskIndex,
-                    instance,
-                    format!(
-                        "(link {}, λ{li}) busy on a freshly built structure",
-                        e.index()
-                    ),
-                ));
+            if state.is_busy(e, w) {
+                finding(format!("{at} busy on a freshly built structure"));
             }
-            residual.set_busy(e, w, true);
-            if !residual.is_busy(e, w) {
-                out.push(Finding::model(
-                    Rule::MaskIndex,
-                    instance,
-                    format!(
-                        "acquire of (link {}, λ{li}) did not mark it busy",
-                        e.index()
-                    ),
-                ));
+            if state.try_acquire(e, w) != AcquireOutcome::Acquired || !state.is_busy(e, w) {
+                finding(format!("acquire of {at} did not mark it busy"));
             }
-            residual.set_busy(e, w, false);
-            if residual.is_busy(e, w) {
-                out.push(Finding::model(
-                    Rule::MaskIndex,
-                    instance,
-                    format!("release of (link {}, λ{li}) did not free it", e.index()),
-                ));
+            if !state.release(e, w) || state.is_busy(e, w) {
+                finding(format!("release of {at} did not free it"));
             }
         }
     }
-    if residual.busy_count() != 0 {
-        out.push(Finding::model(
-            Rule::MaskIndex,
-            instance,
-            format!(
-                "acquire/release sweep left busy_count = {}, expected 0",
-                residual.busy_count()
-            ),
+    if state.busy_count() != 0 {
+        finding(format!(
+            "acquire/release sweep left busy_count = {}, expected 0",
+            state.busy_count()
         ));
     }
     out

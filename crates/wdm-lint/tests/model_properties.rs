@@ -170,7 +170,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The atomic-mask half of M6, under interleaved shared flips: a
-    /// seeded sequence of `try_acquire_shared` / `release_shared` calls
+    /// seeded sequence of `try_acquire` / `release` calls
     /// (the concurrent engine's primitive operations) must behave as an
     /// involution on exactly the touched `(link, λ)` pair — acquire
     /// succeeds iff the pair is free, release succeeds iff it is busy,
@@ -210,7 +210,7 @@ proptest! {
             let was_busy = reference.contains(&(e, li));
             let carried_pair = carried.contains(&(e, li));
             if acquire {
-                let got = state.try_acquire_shared(link, w);
+                let got = state.try_acquire(link, w);
                 let want = if !carried_pair {
                     AcquireOutcome::NoSuchResource
                 } else if was_busy {
@@ -221,9 +221,9 @@ proptest! {
                 };
                 prop_assert_eq!(got, want, "acquire ({e}, λ{li})");
             } else {
-                // `release_shared` returns whether the base carries the
+                // `release` returns whether the base carries the
                 // resource; releasing an already-free pair is a no-op.
-                let got = state.release_shared(link, w);
+                let got = state.release(link, w);
                 prop_assert_eq!(got, carried_pair, "release ({e}, λ{li})");
                 reference.remove(&(e, li));
             }
@@ -243,7 +243,7 @@ proptest! {
         // Drain and hand the state to the M6 sweep: a fresh-equivalent
         // mask must pass the full involution check with zero findings.
         for &(e, li) in &carried {
-            state.release_shared(LinkId::new(e), Wavelength::new(li));
+            state.release(LinkId::new(e), Wavelength::new(li));
         }
         prop_assert_eq!(state.busy_count(), 0);
         let findings = wdm_lint::verify_mask_involution(&network, "shared-flips");

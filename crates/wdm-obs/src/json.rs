@@ -316,15 +316,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar; input is &str so the
-                    // byte stream is valid UTF-8 by construction.
+                    // Copy the run up to the next quote or backslash in one
+                    // step, so a string costs time linear in its length.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -436,11 +440,12 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1} unicode é";
+        let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1} unicode é λ€𝄞";
         let mut doc = String::from("\"");
         escape_into(&mut doc, nasty);
         doc.push('"');
         assert_eq!(parse(&doc).unwrap(), Value::String(nasty.to_string()));
+        assert_eq!(parse("\"λλ").unwrap_err().message, "unterminated string");
     }
 
     #[test]

@@ -97,6 +97,7 @@ use crate::policy::Policy;
 use crate::{ConnectionId, RwaError};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -185,8 +186,10 @@ struct Shared {
     /// writer owns the shard's wavelengths.
     shards: Vec<AtomicU64>,
     /// Active connections. Locked only between two interleaving
-    /// points, never across one.
-    active: Mutex<HashMap<ConnectionId, Connection>>,
+    /// points, never across one. The engine assigns the keys, so no
+    /// client chooses what is inserted, and a fixed-key hasher makes the
+    /// map's growth (and so its allocations) repeat from run to run.
+    active: Mutex<HashMap<ConnectionId, Connection, BuildHasherDefault<DefaultHasher>>>,
     next_id: AtomicU64,
     accepted: AtomicU64,
     blocked: AtomicU64,
@@ -204,7 +207,8 @@ struct Shared {
     /// blocked-cause classification for the duration of one probe.
     failed: Mutex<Vec<LinkId>>,
     /// The blocked-cause memo. Locked only to copy one entry out or put
-    /// one in, never across a probe.
+    /// one in, never across a probe. Clients choose its keys, so it keeps
+    /// the randomly seeded hasher.
     memo: Mutex<HashMap<MemoKey, MemoEntry>>,
     /// Base (link, λ) resource count, for utilization.
     total_resources: usize,
@@ -299,16 +303,11 @@ impl Shared {
             _ => {
                 let probed = {
                     let failed = lock(&self.failed);
-                    let state = &self.state;
-                    match (converts, failed.is_empty()) {
-                        (true, true) => state.reachable_when_free(scratch, s, t),
-                        (true, false) => {
-                            state.reachable_when_free_excluding(scratch, s, t, &failed)
-                        }
-                        (false, true) => state.reachable_when_free_single_wavelength(scratch, s, t),
-                        (false, false) => state.reachable_when_free_single_wavelength_excluding(
-                            scratch, s, t, &failed,
-                        ),
+                    if converts {
+                        self.state.reachable_when_free(scratch, s, t, &failed)
+                    } else {
+                        self.state
+                            .reachable_when_free_single_wavelength(scratch, s, t, &failed)
                     }
                 };
                 let _ = scratch.take_search_totals();
@@ -436,7 +435,7 @@ impl Shared {
         lambda: Wavelength,
         trace: Option<&TxnTrace>,
     ) -> AcquireOutcome {
-        let got = self.state.try_acquire_shared(link, lambda);
+        let got = self.state.try_acquire(link, lambda);
         if got == AcquireOutcome::Acquired {
             self.note_flip(link, lambda, 1, trace);
         }
@@ -446,7 +445,7 @@ impl Shared {
     /// Frees an owned `(link, λ)` and accounts the flip; `false` when
     /// the base does not carry the resource (nothing changed).
     fn free(&self, link: LinkId, lambda: Wavelength, trace: Option<&TxnTrace>) -> bool {
-        let freed = self.state.release_shared(link, lambda);
+        let freed = self.state.release(link, lambda);
         if freed {
             self.note_flip(link, lambda, -1, trace);
         }
@@ -568,7 +567,7 @@ impl ConcurrentEngine {
                 base: base.clone(),
                 state,
                 shards: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-                active: Mutex::new(HashMap::new()),
+                active: Mutex::new(HashMap::default()),
                 next_id: AtomicU64::new(0),
                 accepted: AtomicU64::new(0),
                 blocked: AtomicU64::new(0),

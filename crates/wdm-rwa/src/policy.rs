@@ -256,14 +256,13 @@ mod tests {
 
     #[test]
     fn masked_routes_agree_with_rebuild_routes() {
-        use wdm_core::PersistentAuxGraph;
         let net = conversion_needed();
-        let mut residual = PersistentAuxGraph::new(&net);
-        let (state, scratch) = residual.split_mut();
+        let state = ResidualState::new(&net);
+        let mut scratch = SearchScratch::for_state(&state);
         for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
             for s in 0..3usize {
                 for t in 0..3usize {
-                    let masked = policy.route_shared(state, scratch, s.into(), t.into());
+                    let masked = policy.route_shared(&state, &mut scratch, s.into(), t.into());
                     let rebuilt = policy.route(&net, s.into(), t.into());
                     match (&masked, &rebuilt) {
                         (Some(a), Some(b)) => {

@@ -45,7 +45,7 @@ pub enum Request {
         /// Link index to restore.
         link: usize,
     },
-    /// Provision a batch of `(s, t)` pairs with all-pairs pre-screening.
+    /// Provision a batch of `(s, t)` pairs, one after another in order.
     Batch {
         /// The request pairs, in order.
         pairs: Vec<(usize, usize)>,
