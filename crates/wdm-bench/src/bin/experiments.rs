@@ -192,15 +192,15 @@ fn provenance() -> String {
 
 /// E20 — how big is one request's search? Settled nodes and relaxed
 /// edges per provision of the engine's goal-directed search against the
-/// unguided canonical kernel on the same residual states, on E6's
-/// Section-IV instances (`k0` fixed, `k` grown 16×, `n` grown 8×).
+/// same production kernel run with the `Unguided` potential on the same
+/// residual states, so the columns differ by goal direction alone, on
+/// E6's Section-IV instances (`k0` fixed, `k` grown 16×, `n` grown 8×).
 ///
 /// A seeded churn provisions random pairs and releases the oldest
-/// connection beyond 64 live ones; every provision runs both kernels,
+/// connection beyond 64 live ones; every provision runs both searches,
 /// which must return the same path. Returns record lines for
 /// `BENCH_provisioning.json`.
 fn e20(quick: bool) -> Vec<String> {
-    use heaps::{BinaryHeap, IndexedPriorityQueue};
     use rand::Rng;
     use std::collections::VecDeque;
     use wdm_core::csr::{EdgeMask, EdgeRole};
@@ -236,7 +236,6 @@ fn e20(quick: bool) -> Vec<String> {
             }
             let mut mask = EdgeMask::all_clear(g.edge_count());
             let mut ws = DijkstraWorkspace::with_capacity(g.node_count());
-            let mut heap = BinaryHeap::with_capacity(g.node_count());
             let mut rng = SmallRng::seed_from_u64((n * 1000 + k) as u64);
             let mut live: VecDeque<wdm_core::Semilightpath> = VecDeque::new();
             let (mut guided, mut unguided) = ([0usize; 2], [0usize; 2]);
@@ -252,7 +251,7 @@ fn e20(quick: bool) -> Vec<String> {
                 fills += totals.potential_fills;
                 let (source, _) = aux.all_pairs_terminals(s);
                 let (_, sink) = aux.all_pairs_terminals(t);
-                ws.run_guided_to(g, source, &mut heap, Some(&mask), sink, &Unguided);
+                ws.run_guided_to(g, source, Some(&mask), sink, &Unguided);
                 unguided[0] += ws.stats().settled;
                 unguided[1] += ws.stats().relaxed;
                 assert_eq!(

@@ -10,12 +10,13 @@
 //! * **Optimal routes** share only the graph construction and the path
 //!   decoding. Each request builds a fresh `G_all`
 //!   ([`AuxiliaryGraph::for_all_pairs`]), masks it from the spec's own
-//!   busy matrix, and runs the plain, unguided canonical Dijkstra
-//!   ([`DijkstraWorkspace::run_guided_to`] with the `Unguided`
-//!   potential, on a Fibonacci heap). The engine runs the goal-directed
-//!   search on its persistent state and a binary heap. Canonical routes
-//!   depend only on the network, the busy set and the endpoints, so the
-//!   gate's exact path comparison checks the engine's search kernel too.
+//!   busy matrix, and runs the plain, unguided canonical Dijkstra as the
+//!   heap-generic decrease-key loop ([`reference::guided_search`] with
+//!   the `Unguided` potential, on a Fibonacci heap). The engine runs its
+//!   own kernel, goal-directed on a lazy frontier that stops early, on
+//!   its persistent state. Canonical routes depend only on the network,
+//!   the busy set and the endpoints, so the gate's exact path comparison
+//!   checks the engine's search kernel against code it does not share.
 //! * **Single-wavelength policies** and **blocked causes** still go
 //!   through a freshly built [`ResidualState`] and [`SearchScratch`]:
 //!   the wavelength scan of [`Policy::route_shared`] and the
@@ -24,10 +25,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use heaps::{FibonacciHeap, IndexedPriorityQueue};
+use heaps::FibonacciHeap;
 use wdm_core::csr::{EdgeMask, EdgeRole};
-use wdm_core::dijkstra::DijkstraWorkspace;
-use wdm_core::{AuxiliaryGraph, ResidualState, SearchScratch, Semilightpath, Unguided, WdmNetwork};
+use wdm_core::{
+    reference, AuxiliaryGraph, ResidualState, SearchScratch, Semilightpath, Unguided, WdmNetwork,
+};
 use wdm_graph::{LinkId, NodeId};
 use wdm_rwa::{BlockCause, ConnectionId, Policy, RwaError};
 
@@ -114,10 +116,14 @@ impl SpecEngine {
         }
         let (source, _) = aux.all_pairs_terminals(s);
         let (_, sink) = aux.all_pairs_terminals(t);
-        let mut ws = DijkstraWorkspace::new();
-        let mut heap = FibonacciHeap::with_capacity(g.node_count());
-        ws.run_guided_to(g, source, &mut heap, Some(&mask), sink, &Unguided);
-        aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink)
+        let tree = reference::guided_search::<FibonacciHeap<_>, _>(
+            g,
+            source,
+            Some(&mask),
+            sink,
+            &Unguided,
+        );
+        aux.extract_semilightpath(&tree, sink)
     }
 
     /// Routes and, on success, locks `s → t` under `policy`.

@@ -1,36 +1,43 @@
-//! Dijkstra's algorithm over the CSR search graphs, generic in the heap.
+//! Dijkstra's algorithm over the CSR search graphs.
 //!
 //! Theorem 1's running time rests on Dijkstra with a Fibonacci heap
 //! (`O(m' + n'·log n')` on a graph with `n'` nodes and `m'` edges); the CFZ
 //! baseline of Section III-C is charged with an array-scan Dijkstra
 //! (`O(n'² + m')`). Both are the same relaxation loop over a different
-//! [`IndexedPriorityQueue`], so this module implements it once, generically,
-//! and dispatches on [`HeapKind`] for run-time selection.
+//! [`IndexedPriorityQueue`], so the full-tree runs implement it once,
+//! generically, and dispatch on [`HeapKind`] for run-time selection.
 //!
-//! Point-to-point queries (one request's route) use a second, targeted
+//! Point-to-point queries (one request's route) use one targeted
 //! kernel, [`DijkstraWorkspace::run_guided_to`]: goal-directed by an
-//! optional consistent [`Potential`] (A*), and canonical in its ties, so
-//! the path it returns is the same with or without the potential and
-//! with any heap.
+//! optional consistent [`Potential`] (A*), canonical in its ties, and
+//! queued on a lazy frontier of packed integer keys that it stops
+//! reading as soon as the target's label is final. The heap-generic
+//! decrease-key loop it replaced is its test oracle,
+//! [`reference::guided_search`](crate::reference::guided_search): the
+//! path is the same with or without the potential, and the same as the
+//! oracle's through any heap.
 
 use crate::csr::{CsrGraph, EdgeMask};
 use crate::Cost;
 use heaps::{ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue};
+use std::cmp::Reverse;
 
 /// Operation counters from one search-kernel run, for the experiment
 /// tables and the observability layer.
 ///
-/// The heap-operation counts are derived inside the relaxation loop
-/// rather than by instrumenting the [`IndexedPriorityQueue`] trait:
-/// an improvement on a node whose tentative distance was still infinite
-/// is a `push`, an improvement on a finite one is an effective
-/// `decrease_key`, and `pop_min`s equal [`settled`](Self::settled).
-/// Counting here keeps every heap implementation untouched and costs
-/// one branch that the optimizer folds into the existing infinity
-/// check.
+/// The queue-operation counts are derived inside the relaxation loop
+/// rather than by instrumenting a queue: an improvement on a node whose
+/// tentative distance was still infinite is a `push`, an improvement on
+/// a finite one is a `decrease_key`, whether the queue lowers the key in
+/// place (full-tree runs) or queues a fresh entry beside the stale one
+/// (targeted runs). Counting here keeps every heap implementation
+/// untouched and costs one branch that the optimizer folds into the
+/// existing infinity check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// Nodes settled (`pop_min` count).
+    /// Nodes settled: pops of a node's final label. A targeted run skips
+    /// stale frontier entries uncounted, and counts the pop it stops at
+    /// without relaxing its edges.
     pub settled: usize,
     /// Edges relaxed (out-edges scanned from settled nodes).
     pub relaxed: usize,
@@ -38,9 +45,12 @@ pub struct SearchStats {
     pub improved: usize,
     /// Edges skipped because their dense index was set in the mask.
     pub masked_skips: usize,
-    /// Queue insertions (first-time improvements plus the source push).
+    /// First labels: improvements on nodes whose distance was still
+    /// infinite, plus the source.
     pub pushes: usize,
-    /// Effective key decreases (improvements on already-queued nodes).
+    /// Improvements on nodes that already held a finite label. A
+    /// full-tree run lowers the queued key; a targeted run queues one
+    /// more entry and skips the stale one when it pops.
     pub decrease_keys: usize,
     /// Per-target potentials computed for goal-directed searches. Their
     /// own search work is not counted in the fields above, which meter
@@ -95,10 +105,6 @@ impl ShortestPathTree {
     }
 }
 
-/// Priority of a targeted search: a node's cost plus its potential,
-/// then its hop count (see [`DijkstraWorkspace::run_guided_to`]).
-pub type SearchKey = (Cost, u32);
-
 /// A lower bound on the remaining cost from a node to a targeted
 /// search's target: the potential `h` of goal-directed (A*) search.
 ///
@@ -128,30 +134,30 @@ impl Potential for Unguided {
 ///
 /// Running `n` searches over the shared all-pairs auxiliary graph
 /// (Corollary 1) allocates `O(kn)` vectors per search when done
-/// naively. A workspace keeps those arenas — distance, parent and hop
-/// count — alive across runs and records which nodes a run wrote, so
-/// the next run resets only those: a run costs what it touches, not
-/// the size of the graph. The arenas are as long as the largest graph
-/// searched so far; one workspace serves graphs of different sizes
-/// (`G_all` and the per-wavelength graphs) without refilling them.
-/// Combined with a reused heap (see [`IndexedPriorityQueue::clear`]),
-/// one search runs allocation-free after the first on a graph of its
-/// size.
+/// naively. A workspace keeps those arenas — distance, parent, hop
+/// count and the targeted kernel's frontier — alive across runs and
+/// records which nodes a run wrote, so the next run resets only those:
+/// a run costs what it touches, not the size of the graph. The arenas
+/// are as long as the largest graph searched so far; one workspace
+/// serves graphs of different sizes (`G_all` and the per-wavelength
+/// graphs) without refilling them. After the first run on a graph of
+/// its size a targeted search runs allocation-free, and so does a
+/// full-tree one with a reused heap (see [`IndexedPriorityQueue::clear`]).
 ///
 /// Two kernels share the arenas:
 ///
 /// * Full-tree runs ([`run`](Self::run), [`run_masked`](Self::run_masked))
-///   key the heap by cost alone; among equal-cost parents the first
-///   relaxation to reach a node's final distance wins, so ties follow
-///   the heap's settle order. They keep their own loop for the narrower
-///   key: routed through the canonical kernel, the all-pairs matrices
-///   and the paper's golden paths stay the same, but the twice-as-wide
-///   [`SearchKey`] makes the array-scan heap that the CFZ baseline is
-///   charged with about 1.8× slower.
+///   are generic over the caller's [`IndexedPriorityQueue`] and key it
+///   by cost alone, with decrease-key: Theorem 1's Fibonacci heap, the
+///   CFZ baseline's array scan and the E9 heap ablation all run here.
+///   Among equal-cost parents the first relaxation to reach a node's
+///   final distance wins, so ties follow the heap's settle order.
 /// * Targeted runs ([`run_guided_to`](Self::run_guided_to), with or
-///   without a potential) are *canonical*: the path they leave depends
-///   only on the graph, the mask and the endpoints, never on the heap
-///   or the potential (see `run_guided_to`).
+///   without a potential) queue on the workspace's own frontier, a
+///   binary heap of packed integer keys without decrease-key, and stop
+///   once the target's label is final. They are *canonical*: the path
+///   they leave depends only on the graph, the mask and the endpoints,
+///   never on the potential (see `run_guided_to`).
 ///
 /// The computed tree is read in place via [`dist`](Self::dist) /
 /// [`parent`](Self::parent), or materialized with
@@ -177,9 +183,11 @@ impl Potential for Unguided {
 pub struct DijkstraWorkspace {
     dist: Vec<Cost>,
     parent: Vec<Option<(usize, usize)>>,
-    /// Edge count of each node's current label (targeted runs only;
-    /// meaningful where `dist` is finite).
+    /// Edge count of each node's current label, zeroed when the node
+    /// settles (targeted runs only; meaningful where `dist` is finite).
     hops: Vec<u32>,
+    /// The targeted kernel's queue: `frontier_entry`s, smallest first.
+    frontier: std::collections::BinaryHeap<Reverse<u128>>,
     /// Nodes whose `dist`/`parent` the last run wrote. Every other
     /// entry is infinite/`None`, so a reset clears only these.
     touched: Vec<usize>,
@@ -188,6 +196,22 @@ pub struct DijkstraWorkspace {
     stats: SearchStats,
     totals: SearchStats,
     source: usize,
+}
+
+/// The low 32 bits of a `frontier_entry`: a node id, or shifted down,
+/// a hop count.
+const LOW_32: u128 = 0xFFFF_FFFF;
+
+/// A targeted run's frontier entry for a label of `node`: its key
+/// `d(node) + h(node)` in the high 64 bits, then its hop count, then the
+/// node, so that comparing two entries compares `(key, hops, node)`.
+/// A finite key is below `u64::MAX`, and node ids and hop counts fit in
+/// 32 bits (`CsrBuilder` asserts the node count does; a hop count is at
+/// most the node count).
+#[inline]
+fn frontier_entry(key: u64, hops: u32, node: usize) -> u128 {
+    debug_assert!(u32::try_from(node).is_ok(), "node ids are u32-encoded");
+    (u128::from(key) << 64) | (u128::from(hops) << 32) | node as u128
 }
 
 impl DijkstraWorkspace {
@@ -202,6 +226,7 @@ impl DijkstraWorkspace {
             dist: Vec::with_capacity(n),
             parent: Vec::with_capacity(n),
             hops: Vec::with_capacity(n),
+            frontier: std::collections::BinaryHeap::with_capacity(n),
             touched: Vec::with_capacity(n),
             len: 0,
             stats: SearchStats::default(),
@@ -211,24 +236,27 @@ impl DijkstraWorkspace {
     }
 
     /// Resets the arenas for a graph of `n` nodes: clears the entries
-    /// the last run touched and grows the arenas if `n` exceeds them.
+    /// the last run touched and the frontier, and grows the arenas if
+    /// `n` exceeds them.
     fn reset(&mut self, n: usize) {
         for &v in &self.touched {
             self.dist[v] = Cost::INFINITY;
             self.parent[v] = None;
         }
         self.touched.clear();
+        self.frontier.clear();
         if self.dist.len() < n {
             self.dist.resize(n, Cost::INFINITY);
             self.parent.resize(n, None);
             self.hops.resize(n, 0);
+            self.frontier.reserve(n);
         }
         self.len = n;
         self.stats = SearchStats::default();
     }
 
-    /// Records `v`'s first finite label: a queue insertion, and an entry
-    /// the next [`reset`](Self::reset) must clear.
+    /// Records `v`'s first finite label: a `push`, and an entry the next
+    /// [`reset`](Self::reset) must clear.
     fn touch(&mut self, v: usize) {
         self.touched.push(v);
         self.stats.pushes += 1;
@@ -284,12 +312,18 @@ impl DijkstraWorkspace {
     /// Labels are compared as `(cost, hops)` pairs: among equal-cost
     /// paths the one with fewer edges wins, and a node keeps, among the
     /// in-edges that give it exactly its label, the one with the
-    /// smallest dense edge index. Each node is queued under
-    /// `(d(v) + h(v), hops(v))`, where `h` is `potential`; nodes with
-    /// `h = ∞` are never queued. The run stops when `target` is settled.
+    /// smallest dense edge index. Each label of a node `v` is queued as
+    /// one frontier entry `(d(v) + h(v), hops(v), v)`, packed into a
+    /// `u128`, where `h` is `potential`; nodes with `h = ∞` are never
+    /// queued. An improvement queues a fresh entry instead of lowering a
+    /// key, and an entry that no longer matches its node's label is
+    /// skipped when it pops. The run stops at the first live entry whose
+    /// `(key, hops)` is not below the target's: that pop fixes a final
+    /// label and is counted as settled, as the decrease-key loop counted
+    /// its pop of the target, but nothing is relaxed from it.
     ///
     /// Why the result is exact and canonical, for any consistent `h`
-    /// (the zero potential included) and any heap:
+    /// (the zero potential included):
     ///
     /// * Every edge has the positive reduced weight
     ///   `(c + h(v) − h(u), 1)`, so nodes settle in increasing label
@@ -298,28 +332,37 @@ impl DijkstraWorkspace {
     /// * A tight in-edge of a node (one that gives it exactly its label)
     ///   comes from a tail with a strictly smaller key, so every such
     ///   tail is settled — and has offered its edge — before the node
-    ///   itself. When `target` settles, every node on its parent chain
-    ///   therefore holds the smallest-index tight in-edge of all tight
-    ///   in-edges in the graph: a function of the graph, the mask and
-    ///   the endpoints alone.
+    ///   itself. When the run stops, every node on the target's parent
+    ///   chain therefore holds the smallest-index tight in-edge of all
+    ///   tight in-edges in the graph: a function of the graph, the mask
+    ///   and the endpoints alone.
+    /// * The early stop loses nothing: the frontier pops entries in
+    ///   increasing `(key, hops)` order, and every edge raises
+    ///   `(key, hops)` strictly, so no entry popped at or past the
+    ///   target's `(key, hops)` can lower the target's label or be the
+    ///   tail of a tight in-edge of it or of any node on its parent
+    ///   chain: those tails all lie strictly below and are settled.
     /// * Labels strictly decrease along parent pointers, so the parent
     ///   walk terminates even where zero-cost edges form cycles.
+    ///
+    /// The path is the one [`reference::guided_search`] leaves with any
+    /// heap, the decrease-key loop this kernel replaced.
     ///
     /// `dist[target]` and the parent chain behind it are final. Entries
     /// of nodes not settled at cut-off are unspecified; read only the
     /// target's path after a targeted run.
     ///
+    /// [`reference::guided_search`]: crate::reference::guided_search
+    ///
     /// # Panics
     ///
-    /// Panics if `source` or `target` is out of range, if `queue` was
-    /// created with a capacity below the graph's node count, or if
+    /// Panics if `source` or `target` is out of range, or if
     /// `mask.len()` differs from the graph's edge count.
     // wdm-lint: hot-path
-    pub fn run_guided_to<Q: IndexedPriorityQueue<SearchKey>, P: Potential>(
+    pub fn run_guided_to<P: Potential>(
         &mut self,
         graph: &CsrGraph,
         source: usize,
-        queue: &mut Q,
         mask: Option<&EdgeMask>,
         target: usize,
         potential: &P,
@@ -327,30 +370,47 @@ impl DijkstraWorkspace {
         let n = graph.node_count();
         assert!(source < n, "source {source} out of range");
         assert!(target < n, "target {target} out of range");
-        assert!(
-            queue.capacity() >= n,
-            "queue capacity {} below node count {n}",
-            queue.capacity()
-        );
         if let Some(mask) = mask {
             assert_eq!(mask.len(), graph.edge_count(), "one mask bit per edge");
         }
         self.reset(n);
         self.source = source;
-        queue.clear();
 
-        let h_source = potential.at(source);
-        if h_source.is_finite() {
+        // The target's `(key, hops)` as the smallest entry that carries
+        // them; above every entry while the target has no label.
+        let mut stop_at = u128::MAX;
+        // `Cost::value` by path: wdm-lint's call graph would resolve a
+        // bare `.value()` to every workspace method of that name.
+        if let Some(h_source) = Cost::value(potential.at(source)) {
             self.dist[source] = Cost::ZERO;
             self.hops[source] = 0;
             self.touch(source);
-            queue.push(source, (h_source, 0));
+            if source == target {
+                stop_at = frontier_entry(h_source, 0, 0);
+            }
+            self.frontier
+                .push(Reverse(frontier_entry(h_source, 0, source)));
         }
-        while let Some((u, (_, hops_u))) = queue.pop_min() {
+        while let Some(Reverse(entry)) = self.frontier.pop() {
+            // wdm-lint: cast-checked: masked to the low 32 bits, a node id
+            let u = (entry & LOW_32) as usize;
+            // wdm-lint: cast-checked: masked to 32 bits, the hop count
+            let hops_u = ((entry >> 32) & LOW_32) as u32;
+            // A node's first entry to pop carries its label; settling
+            // zeroes its hop count, which no later entry of it can carry
+            // (only the source's single entry has zero hops). A settled
+            // label is final, and a zero hop count keeps it so: no
+            // candidate is cheaper, and every one has at least one hop.
+            if hops_u != self.hops[u] {
+                continue;
+            }
             self.stats.settled += 1;
-            if u == target {
+            // The target's label is final once no live entry lies below
+            // its `(key, hops)`.
+            if entry >= stop_at {
                 break;
             }
+            self.hops[u] = 0;
             let du = self.dist[u];
             let next = hops_u.saturating_add(1);
             for edge in graph.out_edges(u) {
@@ -361,10 +421,9 @@ impl DijkstraWorkspace {
                 self.stats.relaxed += 1;
                 let v = edge.target;
                 let candidate = du + edge.cost;
-                let key = candidate + potential.at(v);
-                if key.is_infinite() {
+                let Some(key) = Cost::value(candidate + potential.at(v)) else {
                     continue;
-                }
+                };
                 // An infinite `dv` loses to any finite candidate, so a
                 // stale hop count beside it is never read.
                 let dv = self.dist[v];
@@ -377,7 +436,10 @@ impl DijkstraWorkspace {
                     self.dist[v] = candidate;
                     self.hops[v] = next;
                     self.parent[v] = Some((u, edge.index));
-                    queue.push_or_decrease(v, (key, next));
+                    if v == target {
+                        stop_at = frontier_entry(key, next, 0);
+                    }
+                    self.frontier.push(Reverse(frontier_entry(key, next, v)));
                     self.stats.improved += 1;
                 } else if (candidate, next) == (dv, self.hops[v])
                     && self.parent[v].is_some_and(|(_, e)| edge.index < e)
@@ -716,9 +778,8 @@ mod tests {
         let mask = EdgeMask::all_clear(g.edge_count());
         let full = dijkstra_masked::<FibonacciHeap<Cost>>(&g, 0, &mask);
         let mut ws = DijkstraWorkspace::new();
-        let mut queue: FibonacciHeap<SearchKey> = FibonacciHeap::with_capacity(g.node_count());
         for target in 0..g.node_count() {
-            ws.run_guided_to(&g, 0, &mut queue, Some(&mask), target, &Unguided);
+            ws.run_guided_to(&g, 0, Some(&mask), target, &Unguided);
             assert_eq!(ws.dist()[target], full.dist[target], "dist to {target}");
             // Walk the parent chain: it must reproduce the full run's path.
             let mut path = vec![target];
@@ -784,9 +845,8 @@ mod tests {
         let g = diamond();
         let full = dijkstra::<FibonacciHeap<Cost>>(&g, 0);
         let mut ws = DijkstraWorkspace::new();
-        let mut queue: FibonacciHeap<SearchKey> = FibonacciHeap::with_capacity(g.node_count());
         for target in 0..g.node_count() {
-            ws.run_guided_to(&g, 0, &mut queue, None, target, &Unguided);
+            ws.run_guided_to(&g, 0, None, target, &Unguided);
             assert_eq!(ws.dist()[target], full.dist[target], "dist to {target}");
             assert!(ws.stats().settled <= full.stats.settled);
         }
@@ -818,7 +878,6 @@ mod tests {
         let small = b.build();
         let mut ws = DijkstraWorkspace::new();
         let mut cost_heap: BinaryHeap<Cost> = BinaryHeap::with_capacity(big.node_count());
-        let mut key_heap: BinaryHeap<SearchKey> = BinaryHeap::with_capacity(big.node_count());
         for round in 0..3 {
             for (g, source) in [(&big, round), (&small, 2), (&big, 0), (&small, 0)] {
                 let fresh = dijkstra::<BinaryHeap<Cost>>(g, source);
@@ -826,10 +885,56 @@ mod tests {
                 assert_eq!(ws.dist(), &fresh.dist[..], "full run from {source}");
                 assert_eq!(ws.parent(), &fresh.parent[..], "full run from {source}");
                 let target = g.node_count() - 1;
-                ws.run_guided_to(g, source, &mut key_heap, None, target, &Unguided);
+                ws.run_guided_to(g, source, None, target, &Unguided);
                 assert_eq!(ws.dist().len(), g.node_count());
                 assert_eq!(ws.dist()[target], fresh.dist[target], "targeted run");
             }
         }
+    }
+
+    #[test]
+    fn targeted_run_stops_once_the_target_label_is_final() {
+        // 0 → 1 and 0 → 2 at equal cost: once 0 is settled, the
+        // target's label is final. The next pop (node 1, with the
+        // target's key and hops and a smaller id) stops the run; the
+        // decrease-key loop settles 1 and then 2 as well.
+        let mut b = CsrBuilder::new(3);
+        b.add_edge(0, 1, Cost::new(1), EdgeRole::Tap);
+        b.add_edge(0, 2, Cost::new(1), EdgeRole::Tap);
+        let g = b.build();
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_guided_to(&g, 0, None, 2, &Unguided);
+        assert_eq!(ws.dist()[2], Cost::new(1));
+        assert_eq!(ws.parent()[2], Some((0, 1)));
+        assert_eq!(ws.stats().settled, 2);
+        assert_eq!(ws.stats().relaxed, 2);
+        // A run to its own source stops at its first pop.
+        ws.run_guided_to(&g, 0, None, 0, &Unguided);
+        assert_eq!(ws.dist()[0], Cost::ZERO);
+        assert_eq!((ws.stats().settled, ws.stats().relaxed), (1, 0));
+    }
+
+    #[test]
+    fn stale_frontier_entries_are_skipped_not_settled() {
+        // Node 1 is first labelled 2 straight from 0, then improved to 1
+        // through 2: its stale entry (cost 2) pops after it has settled,
+        // before the target's entry, and must not settle it again.
+        // The target's own pop stops the run.
+        let mut b = CsrBuilder::new(4);
+        let t = EdgeRole::Tap;
+        b.add_edge(0, 1, Cost::new(2), t);
+        b.add_edge(0, 2, Cost::ZERO, t);
+        b.add_edge(2, 1, Cost::new(1), t);
+        b.add_edge(1, 3, Cost::new(5), t);
+        let g = b.build();
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_guided_to(&g, 0, None, 3, &Unguided);
+        assert_eq!(ws.dist()[3], Cost::new(6));
+        assert_eq!(ws.to_tree().path_to(3), Some(vec![0, 2, 1, 3]));
+        let s = ws.stats();
+        assert_eq!(s.decrease_keys, 1);
+        assert_eq!(s.pushes, 4);
+        assert_eq!(s.settled, 4, "0, 2, 1 once each, then the target");
+        assert_eq!(s.relaxed, 4);
     }
 }

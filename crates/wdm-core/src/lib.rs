@@ -65,7 +65,8 @@ mod conversion;
 mod cost;
 /// Compressed-sparse-row auxiliary-graph storage and edge masks.
 pub mod csr;
-/// Dijkstra variants (heap-generic, workspace, masked) over CSR graphs.
+/// Dijkstra over CSR graphs: heap-generic full trees and the targeted,
+/// goal-directed kernel, with reusable workspaces and edge masks.
 pub mod dijkstra;
 mod error;
 /// Successive-shortest-path min-cost flow on auxiliary graphs.
@@ -77,7 +78,8 @@ mod liang_shen;
 mod network;
 /// The worked 7-node example instance from the paper (Fig. 1–2).
 pub mod paper_example;
-/// Independent state-space reference solver used as a test oracle.
+/// Test oracles: an independent state-space solver and the heap-generic
+/// targeted search loop.
 pub mod reference;
 mod residual;
 /// Restriction 1/2 predicates gating the paper's fast paths.
@@ -94,8 +96,7 @@ pub use cfz::CfzRouter;
 pub use conversion::{ConversionMatrix, ConversionPolicy};
 pub use cost::Cost;
 pub use dijkstra::{
-    dijkstra, dijkstra_masked, dijkstra_with, Potential, SearchKey, SearchStats, ShortestPathTree,
-    Unguided,
+    dijkstra, dijkstra_masked, dijkstra_with, Potential, SearchStats, ShortestPathTree, Unguided,
 };
 pub use error::{RouteError, WdmError};
 pub use k_shortest::k_shortest_semilightpaths;

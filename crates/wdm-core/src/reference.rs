@@ -1,20 +1,142 @@
-//! An independent reference solver used as a test oracle.
+//! Test oracles: code the production search does not share.
 //!
-//! This is a direct state-space formulation of the optimal-semilightpath
-//! problem that shares no construction code with [`crate::LiangShenRouter`]
-//! or [`crate::CfzRouter`]: Dijkstra over states `(node, wavelength arrived
-//! on)`, where a transition from `(v, λp)` follows an outgoing link `e` on
-//! a wavelength `λq ∈ Λ(e)` at cost `c_v(λp, λq) + w(e, λq)` — exactly one
-//! conversion per node visit, as Equation (1) prescribes.
+//! [`guided_search`] is the targeted search as a heap-generic
+//! decrease-key loop, the oracle of the production kernel
+//! [`DijkstraWorkspace::run_guided_to`](crate::dijkstra::DijkstraWorkspace::run_guided_to),
+//! which queues on a lazy frontier and stops early instead. Both
+//! compare labels as `(cost, hops)` and keep the smallest-index tight
+//! in-edge, so they leave the same canonical path through any heap.
+//!
+//! [`reference_route`] is a direct state-space formulation of the
+//! optimal-semilightpath problem that shares no construction code with
+//! [`crate::LiangShenRouter`] or [`crate::CfzRouter`]: Dijkstra over
+//! states `(node, wavelength arrived on)`, where a transition from
+//! `(v, λp)` follows an outgoing link `e` on a wavelength `λq ∈ Λ(e)` at
+//! cost `c_v(λp, λq) + w(e, λq)` — exactly one conversion per node
+//! visit, as Equation (1) prescribes.
 //!
 //! Being `O(k²·m)` in transitions it is slower than the paper's algorithm,
 //! but its independence makes it the arbiter in cross-validation tests
 //! (including the cases where the CFZ wavelength graph diverges from
 //! Equation (1) by chaining conversions — see [`crate::CfzRouter`] docs).
 
+use crate::csr::{CsrGraph, EdgeMask};
+use crate::dijkstra::{Potential, SearchStats, ShortestPathTree};
 use crate::{Cost, Hop, Semilightpath, WdmError, WdmNetwork};
 use heaps::{BinaryHeap, IndexedPriorityQueue};
 use wdm_graph::NodeId;
+
+/// Goal-directed, canonical search from `source` to `target` through
+/// heap `Q`, skipping edges set in `mask` (if any): the targeted search
+/// as a heap-generic decrease-key loop.
+///
+/// Each node is queued once, under `(d(v) + h(v), hops(v))` with `h`
+/// the `potential`, and an improvement lowers its key in place; nodes
+/// with `h = ∞` are never queued. Labels compare as `(cost, hops)`, a
+/// node keeps the smallest-index in-edge among those that give it
+/// exactly its label, and the run stops once `target` is settled. The
+/// argument of
+/// [`run_guided_to`](crate::dijkstra::DijkstraWorkspace::run_guided_to)
+/// applies unchanged, so the tree's path to `target` is the production
+/// kernel's, whatever the heap; the heaps differ only in which other
+/// nodes settle before the target.
+///
+/// # Panics
+///
+/// Panics if `source` or `target` is out of range, or if `mask.len()`
+/// differs from the graph's edge count.
+///
+/// # Examples
+///
+/// ```
+/// use heaps::FibonacciHeap;
+/// use wdm_core::{reference, AuxiliaryGraph, Unguided, WdmNetwork};
+/// use wdm_graph::DiGraph;
+///
+/// let g = DiGraph::from_links(2, [(0, 1)]);
+/// let net = WdmNetwork::builder(g, 1).link_wavelengths(0, [(0, 4)]).build()?;
+/// let aux = AuxiliaryGraph::for_all_pairs(&net);
+/// let (source, _) = aux.all_pairs_terminals(0.into());
+/// let (_, sink) = aux.all_pairs_terminals(1.into());
+/// let tree =
+///     reference::guided_search::<FibonacciHeap<_>, _>(aux.graph(), source, None, sink, &Unguided);
+/// let path = aux.extract_semilightpath(&tree, sink).expect("routed");
+/// assert_eq!(path.cost(), wdm_core::Cost::new(4));
+/// # Ok::<(), wdm_core::WdmError>(())
+/// ```
+pub fn guided_search<Q: IndexedPriorityQueue<(Cost, u32)>, P: Potential>(
+    graph: &CsrGraph,
+    source: usize,
+    mask: Option<&EdgeMask>,
+    target: usize,
+    potential: &P,
+) -> ShortestPathTree {
+    let n = graph.node_count();
+    assert!(source < n, "source {source} out of range");
+    assert!(target < n, "target {target} out of range");
+    if let Some(mask) = mask {
+        assert_eq!(mask.len(), graph.edge_count(), "one mask bit per edge");
+    }
+    let mut dist = vec![Cost::INFINITY; n];
+    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut hops = vec![0u32; n];
+    let mut stats = SearchStats::default();
+    let mut queue = Q::with_capacity(n);
+
+    let h_source = potential.at(source);
+    if h_source.is_finite() {
+        dist[source] = Cost::ZERO;
+        hops[source] = 0;
+        stats.pushes += 1;
+        queue.push(source, (h_source, 0));
+    }
+    while let Some((u, (_, hops_u))) = queue.pop_min() {
+        stats.settled += 1;
+        if u == target {
+            break;
+        }
+        let du = dist[u];
+        let next = hops_u.saturating_add(1);
+        for edge in graph.out_edges(u) {
+            if mask.is_some_and(|m| m.is_set(edge.index)) {
+                stats.masked_skips += 1;
+                continue;
+            }
+            stats.relaxed += 1;
+            let v = edge.target;
+            let candidate = du + edge.cost;
+            let key = candidate + potential.at(v);
+            if key.is_infinite() {
+                continue;
+            }
+            // An infinite `dv` loses to any finite candidate, so the hop
+            // count beside it is never read.
+            let dv = dist[v];
+            if (candidate, next) < (dv, hops[v]) {
+                if dv.is_infinite() {
+                    stats.pushes += 1;
+                } else {
+                    stats.decrease_keys += 1;
+                }
+                dist[v] = candidate;
+                hops[v] = next;
+                parent[v] = Some((u, edge.index));
+                queue.push_or_decrease(v, (key, next));
+                stats.improved += 1;
+            } else if (candidate, next) == (dv, hops[v])
+                && parent[v].is_some_and(|(_, e)| edge.index < e)
+            {
+                parent[v] = Some((u, edge.index));
+            }
+        }
+    }
+    ShortestPathTree {
+        dist,
+        parent,
+        source,
+        stats,
+    }
+}
 
 /// Finds an optimal semilightpath by state-space Dijkstra.
 ///

@@ -22,9 +22,12 @@
 //! consistent on `G_all` and on every per-λ graph, and busy bits, cuts
 //! and released resources never invalidate it, so routes stay exact and
 //! the search settles roughly the route's corridor instead of every aux
-//! node cheaper than the target. The kernel breaks cost ties
-//! canonically, so a route is the one the plain, unguided kernel returns
-//! on the same mask — with any heap.
+//! node cheaper than the target. The kernel queues on a lazy frontier of
+//! packed integer keys, stops as soon as the target's label is final,
+//! and breaks cost ties canonically, so a route is the one the plain,
+//! unguided kernel returns on the same mask, and the one the
+//! heap-generic decrease-key loop `reference::guided_search` returns
+//! through any heap.
 //!
 //! # Why masking a traversal edge is exactly residual routing
 //!
@@ -49,8 +52,8 @@
 //!   busy flips [`try_acquire`](ResidualState::try_acquire) /
 //!   [`release`](ResidualState::release), atomic RMWs on which the
 //!   provisioning engine layers its own conflict protocol.
-//! * [`SearchScratch`] — the per-thread Dijkstra workspace, heap, and
-//!   probe masks. One per searching thread; never shared.
+//! * [`SearchScratch`] — the per-thread Dijkstra workspaces and probe
+//!   masks. One per searching thread; never shared.
 //!
 //! A single-threaded caller builds one of each; a multi-threaded one
 //! shares the state (the engine wraps it in an `Arc`) and gives each
@@ -58,7 +61,7 @@
 
 use crate::auxiliary::{AuxNodeKind, AuxiliaryGraph};
 use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
-use crate::dijkstra::{DijkstraWorkspace, Potential, SearchKey};
+use crate::dijkstra::{DijkstraWorkspace, Potential};
 use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
 use heaps::{BinaryHeap, IndexedPriorityQueue};
 use std::sync::atomic::{AtomicBool, AtomicU32};
@@ -280,19 +283,19 @@ pub struct ResidualState {
     bounds: LowerBounds,
 }
 
-/// The per-thread half: a reusable [`DijkstraWorkspace`]+heap pair, the
-/// smaller pair that fills lower bounds, and lazily sized probe masks, so
-/// that after warm-up a request costs one heap-driven search and zero
-/// structural work.
+/// The per-thread half: a reusable [`DijkstraWorkspace`] for the
+/// targeted searches, the smaller workspace and heap that fill lower
+/// bounds, and lazily sized probe masks, so that after warm-up a request
+/// costs one search and zero structural work.
 ///
-/// The indexed binary heap wins over the Theorem-1 Fibonacci heap here:
-/// per-request graphs are mid-sized, so the flat sift beats pointer
-/// chasing, and it matches the legacy lightpath routine's heap for the
-/// per-wavelength searches.
+/// The targeted searches queue on the workspace's own frontier (see
+/// [`DijkstraWorkspace::run_guided_to`]): they hardly ever lower a key,
+/// so a lazy heap of packed integer keys outruns the indexed heaps with
+/// decrease-key. The lower-bound fills are full-tree runs over the
+/// `n`-node topology and keep the indexed binary heap.
 #[derive(Debug)]
 pub struct SearchScratch {
     ws: DijkstraWorkspace,
-    heap: BinaryHeap<SearchKey>,
     /// Workspace and heap of the reverse searches that fill potentials,
     /// kept apart so their work never reaches the request counters.
     fill_ws: DijkstraWorkspace,
@@ -314,7 +317,6 @@ impl SearchScratch {
         let cap = state.aux.graph().node_count().max(n_phys);
         SearchScratch {
             ws: DijkstraWorkspace::with_capacity(cap),
-            heap: BinaryHeap::with_capacity(cap),
             fill_ws: DijkstraWorkspace::with_capacity(n_phys),
             fill_heap: BinaryHeap::with_capacity(n_phys),
             fills: 0,
@@ -555,9 +557,10 @@ impl ResidualState {
     /// rebuilt residual `G_{s,t}`; see the module docs for the argument.
     /// The path is canonical: the one
     /// [`DijkstraWorkspace::run_guided_to`] returns without a potential,
-    /// through any heap. The first search toward `t` on this state fills
-    /// `t`'s lower bounds (one reverse Dijkstra over the `n`-node
-    /// topology, counted in [`SearchStats::potential_fills`]).
+    /// and `reference::guided_search` through any heap. The first search
+    /// toward `t` on this state fills `t`'s lower bounds (one reverse
+    /// Dijkstra over the `n`-node topology, counted in
+    /// [`SearchStats::potential_fills`]).
     ///
     /// [`SearchStats::potential_fills`]: crate::SearchStats::potential_fills
     ///
@@ -577,14 +580,9 @@ impl ResidualState {
         let (source, _) = self.aux.all_pairs_terminals(s);
         let (_, sink) = self.aux.all_pairs_terminals(t);
         let h = self.bounds.toward(scratch, t, Some(&self.phys));
-        scratch.ws.run_guided_to(
-            self.aux.graph(),
-            source,
-            &mut scratch.heap,
-            Some(&self.mask),
-            sink,
-            &h,
-        );
+        scratch
+            .ws
+            .run_guided_to(self.aux.graph(), source, Some(&self.mask), sink, &h);
         self.aux
             .extract_semilightpath_from(scratch.ws.dist(), scratch.ws.parent(), sink)
     }
@@ -633,9 +631,7 @@ impl ResidualState {
             scratch.probe_aux.set(e);
         }
         let mask = (!excluded.is_empty()).then_some(&scratch.probe_aux);
-        scratch
-            .ws
-            .run_guided_to(g, source, &mut scratch.heap, mask, sink, &h);
+        scratch.ws.run_guided_to(g, source, mask, sink, &h);
         let reachable = scratch.ws.dist()[sink].is_finite();
         for e in cut() {
             scratch.probe_aux.clear(e);
@@ -688,7 +684,7 @@ impl ResidualState {
             let mask = (!excluded.is_empty()).then(|| &scratch.probe_lambda[li]);
             scratch
                 .ws
-                .run_guided_to(&lg.graph, s.index(), &mut scratch.heap, mask, t.index(), &h);
+                .run_guided_to(&lg.graph, s.index(), mask, t.index(), &h);
             let reachable = scratch.ws.dist()[t.index()].is_finite();
             for e in cut() {
                 scratch.probe_lambda[li].clear(e);
@@ -720,14 +716,9 @@ impl ResidualState {
         }
         let lg = &self.lambda[lambda.index()];
         let h = self.bounds.toward(scratch, t, None);
-        scratch.ws.run_guided_to(
-            &lg.graph,
-            s.index(),
-            &mut scratch.heap,
-            Some(&lg.mask),
-            t.index(),
-            &h,
-        );
+        scratch
+            .ws
+            .run_guided_to(&lg.graph, s.index(), Some(&lg.mask), t.index(), &h);
         let total = scratch.ws.dist()[t.index()];
         if total.is_infinite() {
             return None;

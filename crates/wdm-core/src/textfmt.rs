@@ -156,7 +156,21 @@ pub fn to_text(network: &WdmNetwork) -> String {
     out
 }
 
+/// The largest node count `n` and wavelength count `k` [`from_text`]
+/// accepts.
+pub const SIZE_LIMIT: usize = 1 << 26;
+
+/// The most cells (`k × k`) a conversion matrix read by [`from_text`]
+/// may have: a `matrix` line builds its whole dense table at once, so a
+/// line of a few bytes must not ask for more than 32 MiB (`k` up to
+/// 2,048).
+pub const MAX_MATRIX_CELLS: usize = 1 << 22;
+
 /// Parses a network from the text format.
+///
+/// `n` and `k` are checked against [`SIZE_LIMIT`] on their own lines,
+/// and each may appear once; a `matrix` table of more than
+/// [`MAX_MATRIX_CELLS`] cells is rejected before it is built.
 ///
 /// # Errors
 ///
@@ -189,10 +203,17 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("n") => {
-                n = Some(parse_num(parts.next(), line_no, "node count")?);
+                if n.is_some() {
+                    return Err(err("duplicate `n` line"));
+                }
+                n = Some(parse_size(parts.next(), line_no, "node count")?);
             }
             Some("k") => {
-                k = Some(parse_num(parts.next(), line_no, "wavelength count")?);
+                // A matrix already read is sized by the first `k`.
+                if k.is_some() {
+                    return Err(err("duplicate `k` line"));
+                }
+                k = Some(parse_size(parts.next(), line_no, "wavelength count")?);
             }
             Some("link") => {
                 let tail: usize = parse_num(parts.next(), line_no, "link tail")?;
@@ -247,6 +268,15 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
                     }
                     "matrix" => {
                         let k = k.ok_or_else(|| err("matrix before `k` line"))?;
+                        match k.checked_mul(k) {
+                            Some(cells) if cells <= MAX_MATRIX_CELLS => {}
+                            _ => {
+                                return Err(err(&format!(
+                                    "a {k} x {k} conversion matrix exceeds \
+                                     {MAX_MATRIX_CELLS} cells"
+                                )))
+                            }
+                        }
                         let mut m = ConversionMatrix::forbidden(k);
                         let body = parts.next().ok_or_else(|| err("missing matrix body"))?;
                         if body != "-" {
@@ -293,13 +323,6 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
         line: 0,
         reason: "missing `k` line".to_string(),
     })?;
-    const LIMIT: usize = 1 << 26;
-    if n > LIMIT || k > LIMIT {
-        return Err(ParseError::Malformed {
-            line: 0,
-            reason: format!("instance size out of supported range (n = {n}, k = {k})"),
-        });
-    }
 
     for &(tail, head, _) in &links {
         if tail >= n || head >= n {
@@ -324,6 +347,18 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
         builder = builder.conversion(node, policy);
     }
     Ok(builder.build()?)
+}
+
+/// [`parse_num`] for `n` or `k`, at most [`SIZE_LIMIT`].
+fn parse_size(token: Option<&str>, line: usize, what: &str) -> Result<usize, ParseError> {
+    let size: usize = parse_num(token, line, what)?;
+    if size > SIZE_LIMIT {
+        return Err(ParseError::Malformed {
+            line,
+            reason: format!("{what} {size} exceeds the supported {SIZE_LIMIT}"),
+        });
+    }
+    Ok(size)
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -440,6 +475,52 @@ mod tests {
         // Wavelength beyond k caught by network validation.
         let text = "wdm v1\nn 2\nk 1\nlink 0 1 5:3\n";
         assert!(matches!(from_text(text), Err(ParseError::Invalid(_))));
+    }
+
+    #[test]
+    fn sizes_are_checked_on_their_own_lines() {
+        let too_big = SIZE_LIMIT + 1;
+        for (text, at) in [
+            (format!("wdm v1\nn {too_big}\nk 1\n"), 2),
+            (format!("wdm v1\nn 1\nk {too_big}\nconv 0 matrix -\n"), 3),
+            (
+                "wdm v1\nn 1\nk 4294967296\nconv 0 matrix -\n".to_string(),
+                3,
+            ),
+        ] {
+            let parsed = from_text(&text);
+            assert!(
+                matches!(parsed, Err(ParseError::Malformed { line, .. }) if line == at),
+                "{text:?}: {parsed:?}"
+            );
+        }
+        let text = "wdm v1\nn 1\nk 1\nconv 0 matrix -\nk 2\n";
+        assert!(matches!(
+            from_text(text),
+            Err(ParseError::Malformed { line: 5, .. })
+        ));
+        let text = "wdm v1\nn 1\nn 2\nk 1\n";
+        assert!(matches!(
+            from_text(text),
+            Err(ParseError::Malformed { line: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_matrices_are_rejected_before_they_are_built() {
+        // 2,049² cells is just past the cap; 2²⁶ is the largest `k`.
+        for k in [2049, SIZE_LIMIT] {
+            let text = format!("wdm v1\nn 1\nk {k}\nconv 0 matrix -\n");
+            match from_text(&text) {
+                Err(ParseError::Malformed { line: 4, reason }) => {
+                    assert!(reason.contains("conversion matrix"), "{reason}");
+                }
+                other => panic!("k = {k}: expected a malformed matrix line, got {other:?}"),
+            }
+        }
+        let net = from_text("wdm v1\nn 1\nk 3\nconv 0 matrix 0>2:4\n").expect("parses");
+        let cost = net.conversion_cost(0.into(), Wavelength::new(0), Wavelength::new(2));
+        assert_eq!(cost, Cost::new(4));
     }
 
     #[test]

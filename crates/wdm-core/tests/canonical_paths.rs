@@ -3,18 +3,24 @@
 //! A targeted run compares labels as `(cost, hops)` and keeps, among a
 //! node's equally good in-edges, the one with the smallest edge index,
 //! so the path it returns depends only on the graph, the busy mask and
-//! the endpoints. These properties pin that on random networks with
-//! zero-cost links (so zero-cost cycles and many equal-cost routes
-//! occur), random busy masks and cut links:
+//! the endpoints. The production kernel
+//! ([`DijkstraWorkspace::run_guided_to`]: a lazy frontier of packed
+//! keys that stops once the target's label is final) is checked against
+//! the heap-generic decrease-key loop it replaced,
+//! [`reference::guided_search`], on random networks with zero-cost
+//! links (so zero-cost cycles and many equal-cost routes occur), random
+//! busy masks and cut links:
 //!
-//! * the goal-directed engine route, the same kernel run with a
-//!   test-built potential, and the unguided kernel return the very same
-//!   path through the Binary, Fibonacci and Array heaps, whose settle
-//!   orders differ;
+//! * the reference loop returns one path through the Binary, Fibonacci
+//!   and Array heaps, whose settle orders differ, guided by a test-built
+//!   potential and unguided;
+//! * the goal-directed engine route, the production kernel with the
+//!   test-built potential, and the production kernel unguided all
+//!   return that very path;
 //! * cost and blocked verdict match the independent state-space solver
-//!   [`wdm_core::reference::reference_route`];
-//! * each single-wavelength route matches the unguided kernel on a
-//!   rebuilt per-λ graph;
+//!   [`reference::reference_route`];
+//! * each single-wavelength route matches the reference loop and the
+//!   unguided production kernel on a rebuilt per-λ graph;
 //! * a tight zero-cost cycle on a shortest path terminates and decodes
 //!   to a valid path.
 //!
@@ -24,11 +30,11 @@ use heaps::{ArrayHeap, BinaryHeap, FibonacciHeap, IndexedPriorityQueue};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wdm_core::csr::{CsrBuilder, EdgeMask, EdgeRole};
-use wdm_core::dijkstra::{dijkstra, DijkstraWorkspace, Potential, SearchKey};
+use wdm_core::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
+use wdm_core::dijkstra::{dijkstra, DijkstraWorkspace, Potential};
 use wdm_core::{
     reference, AuxiliaryGraph, ConversionPolicy, Cost, ResidualState, SearchScratch, Semilightpath,
-    Wavelength, WdmNetwork,
+    Unguided, Wavelength, WdmNetwork,
 };
 use wdm_graph::{DiGraph, LinkId, NodeId};
 
@@ -105,8 +111,8 @@ impl Potential for TestPotential {
     }
 }
 
-/// The targeted kernel on `G_all` through heap `Q`, decoded.
-fn kernel_route<Q: IndexedPriorityQueue<SearchKey>, P: Potential>(
+/// The production kernel on `G_all`, decoded.
+fn kernel_route<P: Potential>(
     aux: &AuxiliaryGraph,
     mask: &EdgeMask,
     s: NodeId,
@@ -117,13 +123,65 @@ fn kernel_route<Q: IndexedPriorityQueue<SearchKey>, P: Potential>(
     let (source, _) = aux.all_pairs_terminals(s);
     let (_, sink) = aux.all_pairs_terminals(t);
     let mut ws = DijkstraWorkspace::new();
-    let mut queue = Q::with_capacity(g.node_count());
-    ws.run_guided_to(g, source, &mut queue, Some(mask), sink, potential);
+    ws.run_guided_to(g, source, Some(mask), sink, potential);
     aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink)
 }
 
-/// Checks every kernel and heap against each other and the reference
-/// on one random case; returns how many queries routed.
+/// The reference loop on `G_all` through heap `Q`, decoded.
+fn reference_loop<Q: IndexedPriorityQueue<(Cost, u32)>, P: Potential>(
+    aux: &AuxiliaryGraph,
+    mask: &EdgeMask,
+    s: NodeId,
+    t: NodeId,
+    potential: &P,
+) -> Option<Semilightpath> {
+    let (source, _) = aux.all_pairs_terminals(s);
+    let (_, sink) = aux.all_pairs_terminals(t);
+    let tree = reference::guided_search::<Q, P>(aux.graph(), source, Some(mask), sink, potential);
+    aux.extract_semilightpath(&tree, sink)
+}
+
+/// The reference loop through all three heaps, guided by `h` and
+/// unguided: checks that the six agree and returns their path.
+fn reference_path(
+    aux: &AuxiliaryGraph,
+    mask: &EdgeMask,
+    s: NodeId,
+    t: NodeId,
+    h: &TestPotential,
+) -> Result<Option<Semilightpath>, TestCaseError> {
+    let expected = reference_loop::<BinaryHeap<_>, _>(aux, mask, s, t, &Unguided);
+    let others = [
+        (
+            "fibonacci unguided",
+            reference_loop::<FibonacciHeap<_>, _>(aux, mask, s, t, &Unguided),
+        ),
+        (
+            "array unguided",
+            reference_loop::<ArrayHeap<_>, _>(aux, mask, s, t, &Unguided),
+        ),
+        (
+            "binary guided",
+            reference_loop::<BinaryHeap<_>, _>(aux, mask, s, t, h),
+        ),
+        (
+            "fibonacci guided",
+            reference_loop::<FibonacciHeap<_>, _>(aux, mask, s, t, h),
+        ),
+        (
+            "array guided",
+            reference_loop::<ArrayHeap<_>, _>(aux, mask, s, t, h),
+        ),
+    ];
+    for (label, path) in &others {
+        prop_assert_eq!(path, &expected, "{:?}->{:?}: reference {}", s, t, label);
+    }
+    Ok(expected)
+}
+
+/// Checks the engine and the production kernel against the reference
+/// loop and the state-space solver on one random case; returns how many
+/// queries routed.
 fn check_case(seed: u64) -> Result<usize, TestCaseError> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let net = network(&mut rng);
@@ -163,47 +221,30 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
                 continue;
             }
             let (s, t) = (NodeId::new(s), NodeId::new(t));
-            let guided = engine.route_optimal(&mut scratch, s, t);
             let h = TestPotential::new(&net, &aux, t);
-            let others = [
+            let expected = reference_path(&aux, &mask, s, t, &h)
+                .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
+            let routes = [
+                ("engine", engine.route_optimal(&mut scratch, s, t)),
+                ("kernel guided", kernel_route(&aux, &mask, s, t, &h)),
                 (
-                    "unguided binary",
-                    kernel_route::<BinaryHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
-                ),
-                (
-                    "unguided fibonacci",
-                    kernel_route::<FibonacciHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
-                ),
-                (
-                    "unguided array",
-                    kernel_route::<ArrayHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
-                ),
-                (
-                    "guided binary",
-                    kernel_route::<BinaryHeap<_>, _>(&aux, &mask, s, t, &h),
-                ),
-                (
-                    "guided fibonacci",
-                    kernel_route::<FibonacciHeap<_>, _>(&aux, &mask, s, t, &h),
-                ),
-                (
-                    "guided array",
-                    kernel_route::<ArrayHeap<_>, _>(&aux, &mask, s, t, &h),
+                    "kernel unguided",
+                    kernel_route(&aux, &mask, s, t, &Unguided),
                 ),
             ];
-            for (label, path) in &others {
-                prop_assert_eq!(path, &guided, "seed {} {:?}->{:?}: {}", seed, s, t, label);
+            for (label, path) in &routes {
+                prop_assert_eq!(path, &expected, "seed {} {:?}->{:?}: {}", seed, s, t, label);
             }
             let oracle = reference::reference_route(&residual, s, t).expect("endpoints in range");
             prop_assert_eq!(
-                guided.as_ref().map(Semilightpath::cost),
+                expected.as_ref().map(Semilightpath::cost),
                 oracle.as_ref().map(Semilightpath::cost),
                 "seed {} {:?}->{:?}: cost or blocked verdict",
                 seed,
                 s,
                 t
             );
-            if let Some(path) = &guided {
+            if let Some(path) = &expected {
                 prop_assert!(
                     path.validate(&residual).is_ok(),
                     "seed {}: {:?}",
@@ -215,18 +256,46 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
             for lambda in 0..net.k() {
                 let lambda = Wavelength::new(lambda);
                 let guided = engine.route_single_wavelength(&mut scratch, s, t, lambda);
-                for unguided in [
-                    lambda_route::<BinaryHeap<_>>(&net, &busy, s, t, lambda),
-                    lambda_route::<FibonacciHeap<_>>(&net, &busy, s, t, lambda),
+                let (g, mask) = lambda_graph(&net, &busy, lambda);
+                let fibonacci = reference::guided_search::<FibonacciHeap<_>, _>(
+                    &g,
+                    s.index(),
+                    Some(&mask),
+                    t.index(),
+                    &Unguided,
+                );
+                let binary = reference::guided_search::<BinaryHeap<_>, _>(
+                    &g,
+                    s.index(),
+                    Some(&mask),
+                    t.index(),
+                    &Unguided,
+                );
+                let mut ws = DijkstraWorkspace::new();
+                ws.run_guided_to(&g, s.index(), Some(&mask), t.index(), &Unguided);
+                for (label, other) in [
+                    (
+                        "reference fibonacci",
+                        decode_lambda(&g, &fibonacci.dist, &fibonacci.parent, t),
+                    ),
+                    (
+                        "reference binary",
+                        decode_lambda(&g, &binary.dist, &binary.parent, t),
+                    ),
+                    (
+                        "kernel unguided",
+                        decode_lambda(&g, ws.dist(), ws.parent(), t),
+                    ),
                 ] {
                     prop_assert_eq!(
-                        &unguided,
+                        &other,
                         &guided,
-                        "seed {} {:?}->{:?} on {:?}",
+                        "seed {} {:?}->{:?} on {:?}: {}",
                         seed,
                         s,
                         t,
-                        lambda
+                        lambda,
+                        label
                     );
                 }
             }
@@ -235,15 +304,9 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
     Ok(routed)
 }
 
-/// The unguided kernel on a rebuilt single-wavelength graph (links in
-/// link order, as the engine lays its per-λ graphs out), decoded.
-fn lambda_route<Q: IndexedPriorityQueue<SearchKey>>(
-    net: &WdmNetwork,
-    busy: &[Vec<bool>],
-    s: NodeId,
-    t: NodeId,
-    lambda: Wavelength,
-) -> Option<Semilightpath> {
+/// A rebuilt single-wavelength graph (links in link order, as the
+/// engine lays its per-λ graphs out) and its busy mask.
+fn lambda_graph(net: &WdmNetwork, busy: &[Vec<bool>], lambda: Wavelength) -> (CsrGraph, EdgeMask) {
     let mut b = CsrBuilder::new(net.node_count());
     for (e, l) in net.graph().links() {
         let w = net.link_cost(e, lambda);
@@ -264,23 +327,23 @@ fn lambda_route<Q: IndexedPriorityQueue<SearchKey>>(
             }
         }
     }
-    let mut ws = DijkstraWorkspace::new();
-    let mut queue = Q::with_capacity(g.node_count());
-    ws.run_guided_to(
-        &g,
-        s.index(),
-        &mut queue,
-        Some(&mask),
-        t.index(),
-        &wdm_core::Unguided,
-    );
-    let total = ws.dist()[t.index()];
+    (g, mask)
+}
+
+/// The path to `t` of a search on a single-wavelength graph, decoded.
+fn decode_lambda(
+    g: &CsrGraph,
+    dist: &[Cost],
+    parent: &[Option<(usize, usize)>],
+    t: NodeId,
+) -> Option<Semilightpath> {
+    let total = dist[t.index()];
     if total.is_infinite() {
         return None;
     }
     let mut hops = Vec::new();
     let mut at = t.index();
-    while let Some((prev, edge)) = ws.parent()[at] {
+    while let Some((prev, edge)) = parent[at] {
         if let EdgeRole::Traversal { link, wavelength } = g.edge(edge).1.role {
             hops.push(wdm_core::Hop { link, wavelength });
         }
@@ -343,9 +406,10 @@ fn zero_cost_cycle_on_a_shortest_path_terminates() {
         // The label order prefers fewer hops, so the loop is never taken.
         assert!(path.len() <= 2, "{path:?}");
         for unguided in [
-            kernel_route::<BinaryHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
-            kernel_route::<FibonacciHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
-            kernel_route::<ArrayHeap<_>, _>(&aux, &mask, s, t, &wdm_core::Unguided),
+            kernel_route(&aux, &mask, s, t, &Unguided),
+            reference_loop::<BinaryHeap<_>, _>(&aux, &mask, s, t, &Unguided),
+            reference_loop::<FibonacciHeap<_>, _>(&aux, &mask, s, t, &Unguided),
+            reference_loop::<ArrayHeap<_>, _>(&aux, &mask, s, t, &Unguided),
         ] {
             assert_eq!(unguided.as_ref(), Some(&path));
         }
