@@ -5,10 +5,13 @@
 //! what fraction of dynamic lightpath requests find no acceptable
 //! route? This crate answers it empirically, the way the simulation
 //! literature around Liang & Shen does — Poisson arrivals with
-//! exponential holding times driven through the repo's
-//! [`wdm_rwa::ProvisioningEngine`], swept over Erlang load × wavelength
+//! exponential holding times replayed through the repo's
+//! [`wdm_rwa::ProvisioningEngine`] by [`wdm_rwa::Replay`], the loop
+//! behind [`wdm_rwa::simulate`], swept over Erlang load × wavelength
 //! count × converter density on the five reference WANs
-//! ([`wdm_graph::topology::ReferenceTopology`]).
+//! ([`wdm_graph::topology::ReferenceTopology`]). A replica's counts are
+//! a [`wdm_rwa::BlockingStats`]; a sweep point sums its replicas with
+//! [`wdm_rwa::BlockingStats::add`].
 //!
 //! Three design rules keep campaigns trustworthy:
 //!
@@ -20,10 +23,11 @@
 //!    bit-identical for any worker count, so `--threads` is purely a
 //!    wall-clock knob.
 //! 2. **Cause-split accounting.** Blocked requests are split into
-//!    no-path vs capacity using the engine's memoized classifier
-//!    ([`wdm_rwa::BlockCause`]), because the split is what tells an
-//!    operator whether more wavelengths (capacity) or more converters /
-//!    fibres (no-path) would have helped.
+//!    no-path vs capacity by the engine's memoized classifier
+//!    ([`wdm_rwa::BlockCause`]), read per request by the replay,
+//!    because the split is what tells an operator whether more
+//!    wavelengths (capacity) or more converters / fibres (no-path)
+//!    would have helped.
 //! 3. **Closed-form anchoring.** On a two-node instance the simulated
 //!    blocking must reproduce the Erlang-B loss formula
 //!    ([`erlang::erlang_b`]); the test suite pins that, so estimator
@@ -44,11 +48,11 @@ pub mod erlang;
 pub mod placer;
 /// The parallel sweep runner and BENCH record rendering.
 pub mod runner;
-/// One simulation replica: Poisson arrivals through the engine.
+/// One simulation replica: Poisson arrivals replayed through the engine.
 pub mod sim;
 
 pub use config::CampaignConfig;
 pub use erlang::erlang_b;
 pub use placer::{e18_placement_record, place_converters, Placement, PlacerConfig};
 pub use runner::{build_wan, converter_nodes, e18_record, run_campaign, PointResult};
-pub use sim::{run_replica, ReplicaStats};
+pub use sim::run_replica;

@@ -16,9 +16,9 @@ use rand::rngs::{stream_seed, SmallRng};
 use rand::SeedableRng;
 use wdm_core::WdmNetwork;
 use wdm_graph::NodeId;
-use wdm_rwa::Policy;
+use wdm_rwa::{BlockingStats, Policy};
 
-use crate::sim::{run_replica, ReplicaStats};
+use crate::sim::run_replica;
 
 /// Placement search parameters.
 #[derive(Debug, Clone)]
@@ -46,15 +46,15 @@ pub struct Placement {
     /// when no further converter strictly reduced blocking).
     pub chosen: Vec<NodeId>,
     /// Zero-converter baseline counts.
-    pub baseline: ReplicaStats,
+    pub baseline: BlockingStats,
     /// Counts with `chosen` converters enabled.
-    pub placed: ReplicaStats,
+    pub placed: BlockingStats,
 }
 
 impl Placement {
     /// Absolute blocking-probability reduction achieved.
     pub fn improvement(&self) -> f64 {
-        self.baseline.blocking() - self.placed.blocking()
+        self.baseline.blocking_probability() - self.placed.blocking_probability()
     }
 }
 
@@ -68,8 +68,8 @@ impl Placement {
 /// best candidate; the search stops early when a round improves
 /// nothing. Deterministic in `(net, cfg)`.
 pub fn place_converters(net: &WdmNetwork, cfg: &PlacerConfig) -> Placement {
-    let eval = |enabled: &[NodeId]| -> ReplicaStats {
-        let mut total = ReplicaStats::default();
+    let eval = |enabled: &[NodeId]| -> BlockingStats {
+        let mut total = BlockingStats::default();
         for r in 0..cfg.replicas.max(1) {
             // Common random numbers: replica r's stream is the same for
             // every candidate set, so comparisons are paired.
@@ -108,7 +108,7 @@ pub fn place_converters(net: &WdmNetwork, cfg: &PlacerConfig) -> Placement {
     candidates.sort_by_key(|&v| (usize::MAX - (g.in_degree(v) + g.out_degree(v)), v.index()));
 
     for _ in 0..cfg.budget {
-        let mut round_best: Option<(ReplicaStats, NodeId)> = None;
+        let mut round_best: Option<(BlockingStats, NodeId)> = None;
         for &cand in candidates.iter().filter(|v| !chosen.contains(v)) {
             let mut trial = chosen.clone();
             trial.push(cand);
@@ -149,9 +149,9 @@ pub fn e18_placement_record(net_name: &str, k: usize, cfg: &PlacerConfig, p: &Pl
         load = cfg.load,
         budget = p.budget,
         placed = nodes.join(", "),
-        base = p.baseline.blocking(),
-        after = p.placed.blocking(),
-        bnp = p.baseline.no_path,
-        bcap = p.baseline.capacity,
+        base = p.baseline.blocking_probability(),
+        after = p.placed.blocking_probability(),
+        bnp = p.baseline.blocked_no_path,
+        bcap = p.baseline.blocked_capacity,
     )
 }

@@ -11,9 +11,10 @@ use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceC
 use wdm_core::WdmNetwork;
 use wdm_graph::topology::ReferenceTopology;
 use wdm_graph::NodeId;
+use wdm_rwa::BlockingStats;
 
 use crate::config::CampaignConfig;
-use crate::sim::{run_replica, ReplicaStats};
+use crate::sim::run_replica;
 
 /// RNG stream index for instance structure (link costs).
 const STREAM_NET: u64 = 0;
@@ -32,7 +33,7 @@ pub struct PointResult {
     /// Converters that density enabled (`ceil(density · n)`).
     pub converters: usize,
     /// Counts summed over every replica of the point.
-    pub stats: ReplicaStats,
+    pub stats: BlockingStats,
 }
 
 /// Builds the campaign instance for a reference WAN: `k` wavelengths,
@@ -103,7 +104,7 @@ pub fn run_campaign(net: &WdmNetwork, cfg: &CampaignConfig) -> Vec<PointResult> 
     // a function of j alone.
     let jobs = points.len() * cfg.replicas;
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ReplicaStats>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<BlockingStats>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let workers = cfg.threads.min(jobs).max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -135,7 +136,7 @@ pub fn run_campaign(net: &WdmNetwork, cfg: &CampaignConfig) -> Vec<PointResult> 
         .iter()
         .enumerate()
         .map(|(p, (load, density, converters))| {
-            let mut stats = ReplicaStats::default();
+            let mut stats = BlockingStats::default();
             for r in 0..cfg.replicas {
                 match slots[p * cfg.replicas + r].lock() {
                     Ok(slot) => match slot.as_ref() {
@@ -170,8 +171,8 @@ pub fn e18_record(net_name: &str, k: usize, cfg: &CampaignConfig, p: &PointResul
         reps = cfg.replicas,
         acc = p.stats.accepted,
         blk = p.stats.blocked,
-        np = p.stats.no_path,
-        cap = p.stats.capacity,
-        blocking = p.stats.blocking(),
+        np = p.stats.blocked_no_path,
+        cap = p.stats.blocked_capacity,
+        blocking = p.stats.blocking_probability(),
     )
 }

@@ -43,7 +43,7 @@ fn estimator_matches_erlang_b_on_a_single_link() {
     };
     let results = run_campaign(&net, &cfg);
     assert_eq!(results.len(), 1);
-    let got = results[0].stats.blocking();
+    let got = results[0].stats.blocking_probability();
     let want = erlang_b(k, total_load / 2.0);
     assert!(
         (got - want).abs() < 0.02,
@@ -51,11 +51,11 @@ fn estimator_matches_erlang_b_on_a_single_link() {
     );
     // Full availability and a direct fibre each way: every block is a
     // capacity block.
-    assert_eq!(results[0].stats.no_path, 0);
-    assert_eq!(results[0].stats.blocked, results[0].stats.capacity);
+    assert_eq!(results[0].stats.blocked_no_path, 0);
+    assert_eq!(results[0].stats.blocked, results[0].stats.blocked_capacity);
     assert_eq!(
         results[0].stats.accepted + results[0].stats.blocked,
-        results[0].stats.requests
+        results[0].stats.offered
     );
 }
 

@@ -214,10 +214,10 @@ impl Command for Campaign {
                     out,
                     "  load {:>6}  blocking {:.4}  (accepted {}, no-path {}, capacity {})",
                     p.load,
-                    p.stats.blocking(),
+                    p.stats.blocking_probability(),
                     p.stats.accepted,
-                    p.stats.no_path,
-                    p.stats.capacity
+                    p.stats.blocked_no_path,
+                    p.stats.blocked_capacity
                 );
                 records.push(e18_record(topo.name(), cfg.k, &cfg, p));
             }
@@ -241,8 +241,8 @@ impl Command for Campaign {
                     "placement  : budget {budget} at load {} -> [{}], blocking {:.4} -> {:.4}",
                     pcfg.load,
                     ids.join(","),
-                    placement.baseline.blocking(),
-                    placement.placed.blocking()
+                    placement.baseline.blocking_probability(),
+                    placement.placed.blocking_probability()
                 );
                 records.push(wdm_campaign::e18_placement_record(
                     topo.name(),

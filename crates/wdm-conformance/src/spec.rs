@@ -19,8 +19,8 @@
 //!   checks the engine's search kernel against code it does not share.
 //! * **Single-wavelength policies** and **blocked causes** still go
 //!   through a freshly built [`ResidualState`] and [`SearchScratch`]:
-//!   the wavelength scan of [`Policy::route_shared`] and the
-//!   reachability probes, without a memo.
+//!   the wavelength scan of [`Policy::route`] and the reachability
+//!   probes, without a memo.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -147,7 +147,7 @@ impl SpecEngine {
             self.route_optimal(s, t)
         } else {
             let (state, mut scratch) = self.rebuild();
-            policy.route_shared(&state, &mut scratch, s, t)
+            policy.route(&state, &mut scratch, s, t)
         };
         match route {
             Some(path) if !path.is_empty() => {

@@ -697,9 +697,8 @@ impl ResidualState {
     }
 
     /// Cheapest single-wavelength path `s → t` on wavelength `lambda` of
-    /// the residual network (the lightpath-only building block). Mirrors
-    /// the legacy per-λ rebuild exactly, including returning `None` for
-    /// `s == t`.
+    /// the residual network (the lightpath-only building block). `s ==
+    /// t` returns `None`: a lightpath crosses at least one link.
     ///
     /// # Panics
     ///

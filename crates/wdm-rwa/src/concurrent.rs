@@ -256,7 +256,7 @@ impl Shared {
         trace: Option<&TxnTrace>,
     ) -> Option<Semilightpath> {
         let route_start = trace.map(|tr| tr.writer.now_ns());
-        let path = policy.route_shared(&self.state, scratch, s, t);
+        let path = policy.route(&self.state, scratch, s, t);
         self.flush_search(scratch);
         if let (Some(tr), Some(t0)) = (trace, route_start) {
             tr.writer.span(

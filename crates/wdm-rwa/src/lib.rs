@@ -21,8 +21,11 @@
 //!   first-fit wavelength assignment baseline;
 //! * [`workload`] — static and Poisson arrival/holding workload
 //!   generators;
-//! * [`simulate`] — an event-driven arrival/departure loop producing
-//!   [`BlockingStats`].
+//! * [`Replay`] — the one arrival/departure replay loop: each offer
+//!   releases the connections due by the arrival, provisions the
+//!   request and counts the outcome into [`BlockingStats`]. [`simulate`]
+//!   runs it over a fresh engine; the campaign replicas and `wdm
+//!   serve-workload` step it over engines of their own.
 //!
 //! The rebuild-per-request reference the engine is checked against is
 //! not here: it is the test-only `SpecEngine` of the `wdm-conformance`
@@ -99,4 +102,4 @@ pub use concurrent::{ConcurrentEngine, ConcurrentHandle, RaceInjection};
 pub use engine::{ConnectionId, ProvisioningEngine, RoutingMode, RwaError};
 pub use metrics::BlockCause;
 pub use policy::Policy;
-pub use stats::{simulate, BlockingStats};
+pub use stats::{simulate, BlockingStats, Replay};

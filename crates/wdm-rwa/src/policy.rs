@@ -1,10 +1,6 @@
 //! Routing policies for provisioning.
 
-use wdm_core::csr::{CsrBuilder, EdgeRole};
-use wdm_core::{
-    dijkstra_with, Cost, HeapKind, Hop, LiangShenRouter, ResidualState, SearchScratch,
-    Semilightpath, Wavelength, WdmNetwork,
-};
+use wdm_core::{ResidualState, SearchScratch, Semilightpath, Wavelength};
 use wdm_graph::NodeId;
 
 /// How a connection request is routed on the residual network.
@@ -25,54 +21,20 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Routes `s → t` on an explicit `network` snapshot, returning `None`
-    /// when blocked.
-    ///
-    /// This is the rebuild-per-request path: every call reconstructs the
-    /// search structures from scratch. The provisioning engine routes on
-    /// a persistent masked state with [`route_shared`](Self::route_shared)
-    /// instead; call this directly when routing on a one-off network (or
-    /// residual snapshot) outside an engine.
-    pub fn route(self, network: &WdmNetwork, s: NodeId, t: NodeId) -> Option<Semilightpath> {
-        match self {
-            Policy::Optimal => LiangShenRouter::new().route(network, s, t).ok()?.path,
-            Policy::LightpathOnly => {
-                // Best single-wavelength shortest path over all λ.
-                let mut best: Option<Semilightpath> = None;
-                for lambda in 0..network.k() {
-                    if let Some(p) = single_wavelength_path(network, s, t, Wavelength::new(lambda))
-                    {
-                        if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
-                            best = Some(p);
-                        }
-                    }
-                }
-                best
-            }
-            Policy::FirstFit => {
-                for lambda in 0..network.k() {
-                    if let Some(p) = single_wavelength_path(network, s, t, Wavelength::new(lambda))
-                    {
-                        return Some(p);
-                    }
-                }
-                None
-            }
-        }
-    }
-
     /// Routes `s → t` on a masked [`ResidualState`] through a
-    /// caller-owned scratch, returning `None` when blocked — the one
-    /// wavelength scan every masked caller shares.
+    /// caller-owned scratch, returning `None` when blocked.
     ///
-    /// Mirrors [`route`](Self::route) policy-for-policy — same
-    /// wavelength scan order, same strict-improvement best-path
-    /// selection — but pays zero construction: each candidate is one
-    /// masked, goal-directed search over the state's persistent graphs,
-    /// whose cost ties break canonically. The engine routes every
-    /// request here; the conformance spec routes its single-wavelength
-    /// policies here on a per-request rebuilt state.
-    pub fn route_shared(
+    /// Each candidate is one masked, goal-directed search over the
+    /// state's persistent graphs, whose cost ties break canonically:
+    /// [`Optimal`](Self::Optimal) searches the auxiliary graph once;
+    /// the single-wavelength policies scan wavelengths in index order,
+    /// [`LightpathOnly`](Self::LightpathOnly) keeping the first of the
+    /// cheapest and [`FirstFit`](Self::FirstFit) stopping at the first
+    /// that routes. `s == t` routes only under `Optimal`, as an empty
+    /// path. The engine routes every request here; the conformance
+    /// spec routes its single-wavelength policies here on a per-request
+    /// rebuilt state.
+    pub fn route(
         self,
         state: &ResidualState,
         scratch: &mut SearchScratch,
@@ -123,56 +85,14 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// Shortest path from `s` to `t` using only links that carry `lambda`.
-fn single_wavelength_path(
-    network: &WdmNetwork,
-    s: NodeId,
-    t: NodeId,
-    lambda: Wavelength,
-) -> Option<Semilightpath> {
-    let g = network.graph();
-    let mut b = CsrBuilder::new(g.node_count());
-    for (e, l) in g.links() {
-        let w = network.link_cost(e, lambda);
-        if w.is_finite() {
-            b.add_edge(
-                l.tail().index(),
-                l.head().index(),
-                w,
-                EdgeRole::Traversal {
-                    link: e,
-                    wavelength: lambda,
-                },
-            );
-        }
-    }
-    let csr = b.build();
-    let tree = dijkstra_with(HeapKind::Binary, &csr, s.index());
-    let total = tree.dist[t.index()];
-    if total.is_infinite() || s == t {
-        return None;
-    }
-    let mut hops = Vec::new();
-    let mut at = t.index();
-    while let Some((prev, edge_idx)) = tree.parent[at] {
-        let (_, edge) = csr.edge(edge_idx);
-        if let EdgeRole::Traversal { link, wavelength } = edge.role {
-            hops.push(Hop { link, wavelength });
-        }
-        at = prev;
-    }
-    hops.reverse();
-    let path = Semilightpath::new(hops, total);
-    debug_assert_eq!(path.cost(), total);
-    debug_assert!(total != Cost::INFINITY);
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdm_core::ConversionPolicy;
-    use wdm_graph::DiGraph;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
+    use wdm_core::{ConversionPolicy, Cost, LiangShenRouter, WdmNetwork};
+    use wdm_graph::{topology, DiGraph, LinkId};
 
     /// 0 → 1 → 2 where the λ0 path is broken at link 1 and the only
     /// through-route needs a conversion.
@@ -186,17 +106,67 @@ mod tests {
             .expect("valid")
     }
 
+    /// Routes `s → t` under `policy` on a fresh, all-free state of `net`.
+    fn route(policy: Policy, net: &WdmNetwork, s: usize, t: usize) -> Option<Semilightpath> {
+        let state = ResidualState::new(net);
+        let mut scratch = SearchScratch::for_state(&state);
+        policy.route(&state, &mut scratch, s.into(), t.into())
+    }
+
+    /// What `policy` must return on the free network `net`, computed by
+    /// the Theorem-1 router on network snapshots: the whole network for
+    /// `Optimal`, and for the single-wavelength policies one snapshot
+    /// restricted to each λ — sharing no code with the state's per-λ
+    /// graphs.
+    fn oracle(policy: Policy, net: &WdmNetwork, s: NodeId, t: NodeId) -> Option<Semilightpath> {
+        let router = LiangShenRouter::new();
+        let on = |lambda: usize| {
+            let only = net.restrict(|_, w| w == Wavelength::new(lambda));
+            router.route(&only, s, t).ok()?.path
+        };
+        match policy {
+            Policy::Optimal => router.route(net, s, t).ok()?.path,
+            _ if s == t => None,
+            Policy::LightpathOnly => (0..net.k()).filter_map(on).fold(
+                None,
+                |best: Option<Semilightpath>, p| match best {
+                    Some(b) if b.cost() <= p.cost() => Some(b),
+                    _ => Some(p),
+                },
+            ),
+            Policy::FirstFit => (0..net.k()).find_map(on),
+        }
+    }
+
+    /// Every policy agrees with [`oracle`] on cost and verdict for every
+    /// ordered pair of `net` routed on `state`, whose busy resources
+    /// `free` leaves out.
+    fn assert_agrees_with_oracle(net: &WdmNetwork, state: &ResidualState, free: &WdmNetwork) {
+        let mut scratch = SearchScratch::for_state(state);
+        for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
+            for s in 0..net.node_count() {
+                for t in 0..net.node_count() {
+                    let (s, t) = (NodeId::new(s), NodeId::new(t));
+                    let masked = policy.route(state, &mut scratch, s, t);
+                    let want = oracle(policy, free, s, t);
+                    let summary =
+                        |p: &Option<Semilightpath>| p.as_ref().map(|p| (p.cost(), p.is_empty()));
+                    assert_eq!(summary(&masked), summary(&want), "{policy} {s}->{t}");
+                    if let Some(p) = &masked {
+                        p.validate(free).expect("routes use free resources only");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn optimal_uses_conversion_where_lightpath_blocks() {
         let net = conversion_needed();
-        let p = Policy::Optimal
-            .route(&net, 0.into(), 2.into())
-            .expect("routes");
+        let p = route(Policy::Optimal, &net, 0, 2).expect("routes");
         assert_eq!(p.conversion_count(), 1);
-        assert!(Policy::LightpathOnly
-            .route(&net, 0.into(), 2.into())
-            .is_none());
-        assert!(Policy::FirstFit.route(&net, 0.into(), 2.into()).is_none());
+        assert!(route(Policy::LightpathOnly, &net, 0, 2).is_none());
+        assert!(route(Policy::FirstFit, &net, 0, 2).is_none());
     }
 
     #[test]
@@ -207,14 +177,10 @@ mod tests {
             .build()
             .expect("valid");
         // λ2 is cheaper, but first-fit takes λ1 (lowest available index).
-        let ff = Policy::FirstFit
-            .route(&net, 0.into(), 1.into())
-            .expect("routes");
+        let ff = route(Policy::FirstFit, &net, 0, 1).expect("routes");
         assert_eq!(ff.hops()[0].wavelength, Wavelength::new(1));
         // LightpathOnly picks the cheapest wavelength.
-        let lp = Policy::LightpathOnly
-            .route(&net, 0.into(), 1.into())
-            .expect("routes");
+        let lp = route(Policy::LightpathOnly, &net, 0, 1).expect("routes");
         assert_eq!(lp.hops()[0].wavelength, Wavelength::new(2));
         assert_eq!(lp.cost(), Cost::new(1));
     }
@@ -228,12 +194,8 @@ mod tests {
             .uniform_conversion(ConversionPolicy::Uniform(Cost::new(100)))
             .build()
             .expect("valid");
-        let opt = Policy::Optimal
-            .route(&net, 0.into(), 2.into())
-            .expect("routes");
-        let lp = Policy::LightpathOnly
-            .route(&net, 0.into(), 2.into())
-            .expect("routes");
+        let opt = route(Policy::Optimal, &net, 0, 2).expect("routes");
+        let lp = route(Policy::LightpathOnly, &net, 0, 2).expect("routes");
         assert_eq!(opt.cost(), lp.cost());
         assert_eq!(opt.cost(), Cost::new(7));
     }
@@ -242,7 +204,7 @@ mod tests {
     fn policies_validate_their_paths() {
         let net = conversion_needed();
         for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
-            if let Some(p) = policy.route(&net, 0.into(), 1.into()) {
+            if let Some(p) = route(policy, &net, 0, 1) {
                 p.validate(&net).expect("valid path");
             }
         }
@@ -257,23 +219,33 @@ mod tests {
     #[test]
     fn masked_routes_agree_with_rebuild_routes() {
         let net = conversion_needed();
-        let state = ResidualState::new(&net);
-        let mut scratch = SearchScratch::for_state(&state);
-        for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
-            for s in 0..3usize {
-                for t in 0..3usize {
-                    let masked = policy.route_shared(&state, &mut scratch, s.into(), t.into());
-                    let rebuilt = policy.route(&net, s.into(), t.into());
-                    match (&masked, &rebuilt) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.cost(), b.cost(), "{policy} {s}->{t}");
-                            assert_eq!(a.is_empty(), b.is_empty(), "{policy} {s}->{t}");
-                        }
-                        (None, None) => {}
-                        other => panic!("verdict mismatch {policy} {s}->{t}: {other:?}"),
+        assert_agrees_with_oracle(&net, &ResidualState::new(&net), &net);
+
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let graph = topology::random_sparse(8, 4, 4, &mut rng).expect("feasible");
+            let net = random_network(
+                graph,
+                &InstanceConfig {
+                    k: 3,
+                    availability: Availability::Probability(0.7),
+                    link_cost: (1, 9),
+                    conversion: ConversionSpec::Uniform { lo: 0, hi: 4 },
+                },
+                &mut rng,
+            )
+            .expect("valid");
+            let state = ResidualState::new(&net);
+            for link in 0..net.link_count() {
+                for lambda in 0..net.k() {
+                    if rng.gen_bool(0.3) {
+                        let _ = state.try_acquire(LinkId::new(link), Wavelength::new(lambda));
                     }
                 }
             }
+            assert!(state.busy_count() > 0, "seed {seed} leaves something busy");
+            let free = net.restrict(|l, w| !state.is_busy(l, w));
+            assert_agrees_with_oracle(&net, &state, &free);
         }
     }
 }
