@@ -278,6 +278,46 @@ fn serve_workload_reruns_byte_identical() {
 }
 
 #[test]
+fn serve_workload_restored_connection_still_departs() {
+    // One wavelength per link; 0 → 1 direct at cost 1 or around through
+    // 2 at cost 10. The cut of link 0 before request 1 tears down
+    // request 0 (due to depart at t = 1) and restores it on 0 → 2 → 1
+    // under a new id. That restored connection must depart on time and
+    // free link 1 for request 2 (0 → 2 at t = 5).
+    let dir = std::env::temp_dir().join("wdm-cli-test-serve-restore");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let net = dir.join("tri.wdm");
+    let trace = dir.join("tri.trace");
+    std::fs::write(
+        &net,
+        "wdm v1\nn 3\nk 1\nlink 0 1 0:1\nlink 0 2 0:5\nlink 2 1 0:5\nlink 1 0 0:1\n",
+    )
+    .expect("write instance");
+    std::fs::write(&trace, "0 1 0.0 1.0\n1 0 0.5 100\n0 2 5.0 100\n").expect("write trace");
+    let (net_s, trace_s) = (net.to_str().expect("utf8"), trace.to_str().expect("utf8"));
+    let (code, out) = run_args(&[
+        "serve-workload",
+        net_s,
+        "--trace",
+        trace_s,
+        "--fail-link",
+        "0",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("(1 restored, 0 lost)"), "{out}");
+    for line in [
+        "accepted   : 3",
+        "blocked    : 0",
+        "released   : 2",
+        "utilization: 0.7500",
+    ] {
+        assert!(out.lines().any(|l| l == line), "want `{line}` in:\n{out}");
+    }
+    std::fs::remove_file(&net).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
 fn serve_workload_usage_errors() {
     let (code, _) = run_args(&["serve-workload"]);
     assert_eq!(code, 2, "file required");
