@@ -13,7 +13,8 @@ use rand::SeedableRng;
 use std::time::Instant;
 use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
 use wdm_core::WdmNetwork;
-use wdm_graph::topology;
+use wdm_graph::{topology, NodeId};
+use wdm_rwa::{Policy, ProvisioningEngine};
 
 /// Builds the standard sparse-WAN instance: `n` nodes, `m = 3n` directed
 /// links (`n`-cycle + `n/2` chords, both directions), degree ≤ 6, `k`
@@ -49,6 +50,42 @@ pub fn bounded_instance(n: usize, k: usize, k0: usize, seed: u64) -> WdmNetwork 
     let mut rng = SmallRng::seed_from_u64(seed);
     let graph = topology::random_sparse(n, n / 2, 6, &mut rng).expect("feasible sparse WAN");
     random_network(graph, &InstanceConfig::bounded(k, k0), &mut rng).expect("valid instance")
+}
+
+/// The fixed request mix of the provisioning experiments (E13–E15,
+/// E17): pair `i` runs from `s = 7i mod n` to `(s + 1 + 13i mod (n − 1))
+/// mod n`, never to itself.
+///
+/// # Panics
+///
+/// Panics if `n < 2`.
+pub fn churn_pairs(n: usize, requests: usize) -> Vec<(NodeId, NodeId)> {
+    (0..requests)
+        .map(|i| {
+            let s = (i * 7) % n;
+            let t = (s + 1 + (i * 13) % (n - 1)) % n;
+            (NodeId::new(s), NodeId::new(t))
+        })
+        .collect()
+}
+
+/// One steady-state churn cycle: provisions every pair under
+/// [`Policy::Optimal`], then releases every accepted connection, so the
+/// engine ends as it started.
+///
+/// # Panics
+///
+/// Panics if a connection it provisioned is no longer active.
+pub fn churn(engine: &mut ProvisioningEngine, pairs: &[(NodeId, NodeId)]) {
+    let mut ids = Vec::new();
+    for &(s, t) in pairs {
+        if let Ok(id) = engine.provision(s, t, Policy::Optimal) {
+            ids.push(id);
+        }
+    }
+    for id in ids {
+        engine.release(id).expect("active");
+    }
 }
 
 /// `⌈log2 n⌉`, the paper's "small k" regime.
@@ -108,6 +145,20 @@ mod tests {
         let net = bounded_instance(32, 64, 2, 2);
         assert_eq!(net.k(), 64);
         assert!(net.k0() <= 2);
+    }
+
+    #[test]
+    fn churn_pairs_are_distinct_and_churn_leaves_the_engine_empty() {
+        let net = sparse_instance(16, 4, 3);
+        let pairs = churn_pairs(16, 40);
+        assert_eq!(pairs.len(), 40);
+        assert!(pairs.iter().all(|(s, t)| s != t && t.index() < 16));
+        let mut engine = ProvisioningEngine::new(&net);
+        churn(&mut engine, &pairs);
+        let (accepted, _, released) = engine.totals();
+        assert!(accepted > 0);
+        assert_eq!(released, accepted);
+        assert_eq!(engine.active_count(), 0);
     }
 
     #[test]

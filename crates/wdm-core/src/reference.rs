@@ -122,7 +122,6 @@ pub fn guided_search<Q: IndexedPriorityQueue<(Cost, u32)>, P: Potential>(
                 hops[v] = next;
                 parent[v] = Some((u, edge.index));
                 queue.push_or_decrease(v, (key, next));
-                stats.improved += 1;
             } else if (candidate, next) == (dv, hops[v])
                 && parent[v].is_some_and(|(_, e)| edge.index < e)
             {

@@ -4,10 +4,9 @@
 //! that watches it must cost nanoseconds. This crate provides exactly
 //! that: lock-free [`Counter`]s and [`Gauge`]s (relaxed atomics), a
 //! log₂-bucketed [`Histogram`] whose `observe` is two relaxed
-//! `fetch_add`s plus a `leading_zeros`, manual [`Span`] timers, and a
-//! [`MetricsRegistry`] that hands the same `Arc`'d instrument back for
-//! the same `(name, labels)` pair so producers and consumers meet by
-//! name alone.
+//! `fetch_add`s plus a `leading_zeros`, and a [`MetricsRegistry`] that
+//! hands the same `Arc`'d instrument back for the same `(name, labels)`
+//! pair so producers and consumers meet by name alone.
 //!
 //! Export paths are pull-based and allocation-free on the hot side:
 //! [`MetricsRegistry::render_prometheus`] emits the Prometheus text
@@ -59,14 +58,12 @@ pub mod json;
 mod metric;
 pub mod ordering;
 mod registry;
-mod span;
 pub mod trace;
 
 pub use fsutil::write_atomic;
 pub use histogram::{Histogram, BUCKET_COUNT};
 pub use metric::{Counter, Gauge};
 pub use registry::MetricsRegistry;
-pub use span::Span;
 pub use trace::{
     FlightRecorder, RootVerdict, TailSampling, TraceEventKind, TraceId, TraceRecord, TraceSnapshot,
     TraceWriter,

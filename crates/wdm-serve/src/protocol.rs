@@ -171,25 +171,11 @@ fn policy_field(value: &Value) -> Result<Option<Policy>, String> {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
+/// Escapes `s` for embedding inside a JSON string literal, by the rules
+/// of [`wdm_obs::json::escape_into`].
 pub fn escape_json(s: &str) -> String {
     let mut escaped = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut escaped,
-                    format_args!("\\u{:04x}", u32::from(c)),
-                );
-            }
-            c => escaped.push(c),
-        }
-    }
+    wdm_obs::json::escape_into(&mut escaped, s);
     escaped
 }
 
