@@ -3,7 +3,7 @@
 //! [`ConcurrentEngine`]. Every operation runs the transaction code in
 //! [`crate::concurrent`]; this module adds no state of its own.
 
-use crate::concurrent::{ConcurrentEngine, ConcurrentHandle};
+use crate::concurrent::{ConcurrentEngine, ConcurrentHandle, ProvisionOutcome};
 use crate::policy::Policy;
 use std::error::Error;
 use std::fmt;
@@ -198,6 +198,17 @@ impl ProvisioningEngine {
         policy: Policy,
     ) -> Result<ConnectionId, RwaError> {
         self.handle.provision(s, t, policy)
+    }
+
+    /// [`provision`](Self::provision) returning the full outcome: the
+    /// committed route's summary, or the blocked cause.
+    pub(crate) fn provision_outcome(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+    ) -> Result<ProvisionOutcome, RwaError> {
+        self.handle.provision_outcome(s, t, policy, None, u64::MAX)
     }
 
     /// Provisions a batch of requests serially, in order — exactly the
