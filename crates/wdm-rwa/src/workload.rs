@@ -182,7 +182,7 @@ impl std::error::Error for TraceError {}
 /// Blank lines and `#` comments are skipped. `holding` accepts `inf` for
 /// connections that never depart. Endpoints must be distinct and below
 /// `n_nodes`; arrivals must be finite, non-negative, and non-decreasing
-/// (the simulators process departures in arrival order).
+/// and holdings positive, as [`crate::Replay`] requires.
 ///
 /// # Errors
 ///
