@@ -26,7 +26,7 @@
 
 use crate::csr::{CsrBuilder, CsrGraph, EdgeRole};
 use crate::dijkstra::ShortestPathTree;
-use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
+use crate::{Cost, Semilightpath, Wavelength, WdmNetwork};
 use wdm_graph::NodeId;
 
 /// Which terminals the auxiliary graph is equipped with.
@@ -491,23 +491,7 @@ impl AuxiliaryGraph {
         parent: &[Option<(usize, usize)>],
         sink: usize,
     ) -> Option<Semilightpath> {
-        let total = dist[sink];
-        if total.is_infinite() {
-            return None;
-        }
-        // One exact allocation for the returned path; growth doubling
-        // on the backward walk is what this avoids on the hot path.
-        let mut hops = Vec::with_capacity(8);
-        let mut at = sink;
-        while let Some((prev, edge_idx)) = parent[at] {
-            let (_, edge) = self.graph.edge(edge_idx);
-            if let EdgeRole::Traversal { link, wavelength } = edge.role {
-                hops.push(Hop { link, wavelength });
-            }
-            at = prev;
-        }
-        hops.reverse();
-        Some(Semilightpath::new(hops, total))
+        self.graph.decode_semilightpath(dist, parent, sink)
     }
 }
 

@@ -37,7 +37,7 @@
 use crate::csr::{CsrBuilder, EdgeRole};
 use crate::dijkstra::dijkstra_with;
 use crate::liang_shen::RouteResult;
-use crate::{Cost, Hop, Semilightpath, Wavelength, WdmError, WdmNetwork};
+use crate::{Cost, Semilightpath, Wavelength, WdmError, WdmNetwork};
 use heaps::HeapKind;
 use wdm_graph::NodeId;
 
@@ -183,24 +183,8 @@ impl CfzRouter {
         let graph = builder.build();
         let tree = dijkstra_with(self.heap, &graph, source);
 
-        let path = if tree.dist[sink].is_infinite() {
-            None
-        } else {
-            let mut hops = Vec::new();
-            let mut at = sink;
-            while let Some((prev, edge_idx)) = tree.parent[at] {
-                let (_, edge) = graph.edge(edge_idx);
-                if let EdgeRole::Traversal { link, wavelength } = edge.role {
-                    hops.push(Hop { link, wavelength });
-                }
-                at = prev;
-            }
-            hops.reverse();
-            Some(Semilightpath::new(hops, tree.dist[sink]))
-        };
-
         Ok(RouteResult {
-            path,
+            path: graph.decode_semilightpath(&tree.dist, &tree.parent, sink),
             search_nodes: graph.node_count(),
             search_edges: graph.edge_count(),
             dijkstra: tree.stats,

@@ -5,7 +5,7 @@
 //! share this compressed-sparse-row representation and a single Dijkstra
 //! implementation ([`crate::dijkstra()`]).
 
-use crate::{Cost, Wavelength};
+use crate::{Cost, Hop, Semilightpath, Wavelength};
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::RELAXED;
@@ -103,6 +103,37 @@ impl CsrGraph {
                 role: self.roles[index],
             },
         )
+    }
+
+    /// Decodes a shortest-path tree over this graph, given as per-node
+    /// `dist` and `parent` (`(predecessor, edge index)`) slices, into the
+    /// semilightpath reaching `sink`, or `None` when `sink` is unreachable.
+    ///
+    /// The path records exactly the traversal edges (link, wavelength) in
+    /// travel order — the mapping of Theorem 1 — and carries `dist[sink]`
+    /// as its cost.
+    pub(crate) fn decode_semilightpath(
+        &self,
+        dist: &[Cost],
+        parent: &[Option<(usize, usize)>],
+        sink: usize,
+    ) -> Option<Semilightpath> {
+        let total = dist[sink];
+        if total.is_infinite() {
+            return None;
+        }
+        // One exact allocation for the returned path; growth doubling
+        // on the backward walk is what this avoids on the hot path.
+        let mut hops = Vec::with_capacity(8);
+        let mut at = sink;
+        while let Some((prev, edge)) = parent[at] {
+            if let EdgeRole::Traversal { link, wavelength } = self.roles[edge] {
+                hops.push(Hop { link, wavelength });
+            }
+            at = prev;
+        }
+        hops.reverse();
+        Some(Semilightpath::new(hops, total))
     }
 }
 

@@ -62,7 +62,7 @@
 use crate::auxiliary::{AuxNodeKind, AuxiliaryGraph};
 use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
 use crate::dijkstra::{DijkstraWorkspace, Potential};
-use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
+use crate::{Cost, Semilightpath, Wavelength, WdmNetwork};
 use heaps::{BinaryHeap, IndexedPriorityQueue};
 use std::sync::atomic::{AtomicBool, AtomicU32};
 use wdm_graph::{LinkId, NodeId};
@@ -718,23 +718,8 @@ impl ResidualState {
         scratch
             .ws
             .run_guided_to(&lg.graph, s.index(), Some(&lg.mask), t.index(), &h);
-        let total = scratch.ws.dist()[t.index()];
-        if total.is_infinite() {
-            return None;
-        }
-        // One exact allocation for the returned path; the search itself
-        // runs entirely in `scratch`.
-        let mut hops = Vec::with_capacity(8);
-        let mut at = t.index();
-        while let Some((prev, edge_idx)) = scratch.ws.parent()[at] {
-            let (_, edge) = lg.graph.edge(edge_idx);
-            if let EdgeRole::Traversal { link, wavelength } = edge.role {
-                hops.push(Hop { link, wavelength });
-            }
-            at = prev;
-        }
-        hops.reverse();
-        Some(Semilightpath::new(hops, total))
+        lg.graph
+            .decode_semilightpath(scratch.ws.dist(), scratch.ws.parent(), t.index())
     }
 }
 

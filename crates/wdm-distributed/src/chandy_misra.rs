@@ -1,115 +1,25 @@
 //! Chandy–Misra distributed single-source shortest paths with
-//! Dijkstra–Scholten termination detection.
+//! Dijkstra–Scholten termination detection, on a plain weighted graph.
 //!
 //! This is the distributed SSSP primitive the paper builds Theorem 3 on
 //! (citing Chandy & Misra 1982): nodes hold tentative distances, improving
 //! messages propagate along links, and a diffusing-computation
 //! (Dijkstra–Scholten) layer lets the source detect global termination.
-//! Acknowledgements travel the reverse channel of each fibre — WAN fibres
-//! are deployed in pairs, so the control network is bidirectional even
-//! when data links are modelled as directed.
+//!
+//! On a network with a single wavelength the Theorem-3 protocol of
+//! [`crate::semilightpath`] is exactly this algorithm: each embedded
+//! gadget holds one state, nothing converts, and what remains is the
+//! relaxation wave with its acknowledgements. So [`chandy_misra_sssp`]
+//! embeds the weighted graph as a one-wavelength [`WdmNetwork`] (link `e`
+//! carries λ0 at `weights[e]`, or nothing when that weight is infinite)
+//! and runs that protocol; the distances, parents, message counts,
+//! makespan and termination flag are its own.
 
-use crate::sim::{Context, Process, ProcessId, SimError, SimStats, Simulator};
-use wdm_core::Cost;
-use wdm_graph::{DiGraph, NodeId};
+use crate::semilightpath::run_tree;
+use crate::sim::{SimError, SimStats};
+use wdm_core::{Cost, Wavelength, WdmNetwork};
+use wdm_graph::{DiGraph, LinkId, NodeId};
 use wdm_obs::MetricsRegistry;
-
-/// Messages of the protocol.
-#[derive(Debug, Clone)]
-enum Msg {
-    /// A candidate distance for the recipient (link weight already added).
-    Relax(Cost),
-    /// Dijkstra–Scholten acknowledgement.
-    Ack,
-}
-
-/// Per-node process state.
-#[derive(Debug)]
-struct SsspProcess {
-    id: ProcessId,
-    is_root: bool,
-    /// `(neighbour, weight)` per outgoing link.
-    out: Vec<(ProcessId, Cost)>,
-    dist: Cost,
-    parent: Option<ProcessId>,
-    // Dijkstra–Scholten bookkeeping.
-    engaged: bool,
-    ds_parent: Option<ProcessId>,
-    deficit: u64,
-    terminated: bool,
-    sent_data: u64,
-    sent_acks: u64,
-}
-
-impl SsspProcess {
-    fn relax_neighbours(&mut self, ctx: &mut Context<Msg>) {
-        let d = self.dist;
-        for &(nbr, w) in &self.out {
-            let candidate = d + w;
-            if candidate.is_finite() {
-                ctx.send(nbr, Msg::Relax(candidate));
-                self.deficit += 1;
-                self.sent_data += 1;
-            }
-        }
-    }
-
-    fn maybe_release(&mut self, ctx: &mut Context<Msg>) {
-        if self.deficit == 0 {
-            if self.is_root {
-                self.terminated = true;
-            } else if self.engaged {
-                let Some(parent) = self.ds_parent.take() else {
-                    unreachable!("engaged ⇒ parent")
-                };
-                ctx.send(parent, Msg::Ack);
-                self.sent_acks += 1;
-                self.engaged = false;
-            }
-        }
-    }
-}
-
-impl Process for SsspProcess {
-    type Message = Msg;
-
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        if self.is_root {
-            self.dist = Cost::ZERO;
-            self.relax_neighbours(ctx);
-            self.maybe_release(ctx);
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, message: Msg, ctx: &mut Context<Msg>) {
-        match message {
-            Msg::Relax(candidate) => {
-                let engagement = !self.is_root && !self.engaged;
-                if engagement {
-                    self.engaged = true;
-                    self.ds_parent = Some(from);
-                }
-                if candidate < self.dist {
-                    self.dist = candidate;
-                    self.parent = Some(from);
-                    self.relax_neighbours(ctx);
-                }
-                if engagement {
-                    // The engagement message is acknowledged when the
-                    // whole subtree quiesces.
-                    self.maybe_release(ctx);
-                } else {
-                    ctx.send(from, Msg::Ack);
-                    self.sent_acks += 1;
-                }
-            }
-            Msg::Ack => {
-                self.deficit -= 1;
-                self.maybe_release(ctx);
-            }
-        }
-    }
-}
 
 /// Result of a distributed SSSP run.
 #[derive(Debug, Clone)]
@@ -160,7 +70,7 @@ pub fn chandy_misra_sssp(
     weights: &[Cost],
     source: NodeId,
 ) -> Result<DistributedSsspOutcome, SimError> {
-    chandy_misra_sssp_inner(graph, weights, source, None)
+    sssp_on_one_wavelength(graph, weights, source, None)
 }
 
 /// [`chandy_misra_sssp`] with the simulator reporting into `registry`
@@ -181,10 +91,10 @@ pub fn chandy_misra_sssp_with_metrics(
     source: NodeId,
     registry: &MetricsRegistry,
 ) -> Result<DistributedSsspOutcome, SimError> {
-    chandy_misra_sssp_inner(graph, weights, source, Some(registry))
+    sssp_on_one_wavelength(graph, weights, source, Some(registry))
 }
 
-fn chandy_misra_sssp_inner(
+fn sssp_on_one_wavelength(
     graph: &DiGraph,
     weights: &[Cost],
     source: NodeId,
@@ -196,72 +106,31 @@ fn chandy_misra_sssp_inner(
         "one weight per link required"
     );
     assert!(source.index() < graph.node_count(), "source out of range");
-    let n = graph.node_count();
-
-    let mut processes = Vec::with_capacity(n);
-    let mut topology: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
-    for v in graph.nodes() {
-        let out: Vec<(ProcessId, Cost)> = graph
-            .out_links(v)
-            .iter()
-            .map(|&e| (graph.link(e).head().index(), weights[e.index()]))
-            .collect();
-        // Control channels: forward for data, reverse for acks.
-        let mut adj: Vec<ProcessId> = out.iter().map(|&(nbr, _)| nbr).collect();
-        adj.extend(
-            graph
-                .in_links(v)
-                .iter()
-                .map(|&e| graph.link(e).tail().index()),
-        );
-        adj.sort_unstable();
-        adj.dedup();
-        topology[v.index()] = adj;
-        processes.push(SsspProcess {
-            id: v.index(),
-            is_root: v == source,
-            out,
-            dist: Cost::INFINITY,
-            parent: None,
-            engaged: false,
-            ds_parent: None,
-            deficit: 0,
-            terminated: false,
-            sent_data: 0,
-            sent_acks: 0,
-        });
-    }
-
-    let mut sim = Simulator::new(processes, topology);
-    if let Some(registry) = registry {
-        sim = sim.with_metrics(registry, "chandy_misra_sssp");
-    }
-    let stats = sim.run()?;
-
-    let mut dist = Vec::with_capacity(n);
-    let mut parent = Vec::with_capacity(n);
-    let mut data_messages = 0;
-    let mut ack_messages = 0;
-    let mut root_detected_termination = false;
-    for id in 0..n {
-        let p = sim.process(id);
-        dist.push(p.dist);
-        parent.push(p.parent.map(NodeId::new));
-        data_messages += p.sent_data;
-        ack_messages += p.sent_acks;
-        if p.is_root {
-            root_detected_termination = p.terminated;
+    let lambda = Wavelength::new(0);
+    let mut builder = WdmNetwork::builder(graph.clone(), 1);
+    for (e, &w) in weights.iter().enumerate() {
+        if w.is_finite() {
+            builder = builder.link_wavelengths_typed(LinkId::new(e), vec![(lambda, w)]);
         }
-        debug_assert_eq!(p.deficit, 0, "node {} has unacked messages", p.id);
-        debug_assert!(!p.engaged, "node {} still engaged", p.id);
     }
+    let Ok(network) = builder.build() else {
+        unreachable!("one wavelength, declared at most once per link")
+    };
+    let metrics = registry.map(|r| (r, "chandy_misra_sssp"));
+    let tree = run_tree(&network, source, |_, _| 1, metrics)?;
+    // A relaxation that returns to the source never improves it, so the
+    // source keeps no parent.
+    let parent = graph
+        .nodes()
+        .map(|v| (v != source).then(|| tree.predecessor(v, lambda)).flatten())
+        .collect();
     Ok(DistributedSsspOutcome {
-        dist,
+        dist: tree.costs,
         parent,
-        data_messages,
-        ack_messages,
-        stats,
-        root_detected_termination,
+        data_messages: tree.data_messages,
+        ack_messages: tree.ack_messages,
+        stats: tree.stats,
+        root_detected_termination: tree.root_detected_termination,
     })
 }
 

@@ -9,9 +9,11 @@
 //!   implementing the paper's distributed model (messages only along
 //!   physical links, unit latency, free local computation);
 //! * [`chandy_misra`] — the Chandy–Misra distributed SSSP primitive with
-//!   Dijkstra–Scholten termination detection, on plain weighted graphs;
+//!   Dijkstra–Scholten termination detection, on plain weighted graphs:
+//!   the Theorem-3 protocol run on the graph as a one-wavelength network;
 //! * [`semilightpath`] — the Theorem-3 protocol: embedded gadgets, `O(km)`
-//!   messages, `O(kn)` time, plus distributed path tracing;
+//!   messages, `O(kn)` time, plus distributed path tracing. It holds the
+//!   crate's one relaxation wave and Dijkstra–Scholten layer;
 //! * [`all_pairs`] — the Corollary-2 all-pairs computation within
 //!   `O(k²n²)` messages.
 //!

@@ -12,12 +12,15 @@
 //!
 //! One relaxation message carries `(link, wavelength, distance)` and
 //! travels the physical link it relaxes; acknowledgements travel the
-//! reverse control channel.
+//! reverse control channel. On a one-wavelength network this is plain
+//! Chandy–Misra SSSP, which [`crate::chandy_misra`] runs through the same
+//! driver.
 
 use crate::sim::{Context, Process, ProcessId, SimError, SimStats, SimTime, Simulator};
 use std::rc::Rc;
 use wdm_core::{Cost, Hop, Semilightpath, Wavelength, WdmError, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
+use wdm_obs::MetricsRegistry;
 
 /// Messages of the protocol.
 #[derive(Debug, Clone)]
@@ -82,20 +85,21 @@ impl NodeProcess {
     }
 
     /// Sends relaxations for `Y_v(λ')` over every outgoing link carrying
-    /// `λ'`.
+    /// `λ'`, skipping a candidate whose cost saturates to infinity (it
+    /// could improve nothing).
     fn flood_y(&mut self, lambda: Wavelength, d: Cost, ctx: &mut Context<Msg>) {
         let me = NodeId::new(self.id);
         let network = Rc::clone(&self.network);
         let g = network.graph();
         for &e in g.out_links(me) {
-            let w = network.link_cost(e, lambda);
-            if w.is_finite() {
+            let dist = d + network.link_cost(e, lambda);
+            if dist.is_finite() {
                 ctx.send(
                     g.link(e).head().index(),
                     Msg::Relax {
                         link: e,
                         wavelength: lambda,
-                        dist: d + w,
+                        dist,
                     },
                 );
                 self.deficit += 1;
@@ -198,6 +202,12 @@ struct PathTable {
 }
 
 impl DistributedTreeOutcome {
+    /// The physical node whose relaxation last improved `X_v(λ)` at `v`,
+    /// or `None` when no relaxation on `wavelength` reached `v`.
+    pub(crate) fn predecessor(&self, v: NodeId, wavelength: Wavelength) -> Option<NodeId> {
+        self.paths.x_parent[v.index()][wavelength.index()].map(|(pred, _)| NodeId::new(pred))
+    }
+
     /// Reconstructs the optimal semilightpath to `t` by walking the
     /// recorded parent pointers backwards (an `O(path length)` trace,
     /// the final phase of the Theorem-3 protocol).
@@ -485,7 +495,19 @@ pub fn distributed_tree(
 pub fn distributed_tree_with_latencies(
     network: &WdmNetwork,
     source: NodeId,
-    latency_of: impl Fn(ProcessId, ProcessId) -> crate::sim::SimTime,
+    latency_of: impl Fn(ProcessId, ProcessId) -> SimTime,
+) -> Result<DistributedTreeOutcome, SimError> {
+    run_tree(network, source, latency_of, None)
+}
+
+/// The Theorem-3 driver behind [`distributed_tree_with_latencies`]; with
+/// `metrics = Some((registry, protocol))` the simulator reports into
+/// `registry` under `protocol` (see [`Simulator::with_metrics`]).
+pub(crate) fn run_tree(
+    network: &WdmNetwork,
+    source: NodeId,
+    latency_of: impl Fn(ProcessId, ProcessId) -> SimTime,
+    metrics: Option<(&MetricsRegistry, &str)>,
 ) -> Result<DistributedTreeOutcome, SimError> {
     assert!(source.index() < network.node_count(), "source out of range");
     let n = network.node_count();
@@ -522,12 +544,15 @@ pub fn distributed_tree_with_latencies(
         });
     }
 
-    let latencies: Vec<Vec<(ProcessId, crate::sim::SimTime)>> = topology
+    let latencies: Vec<Vec<(ProcessId, SimTime)>> = topology
         .iter()
         .enumerate()
         .map(|(from, adj)| adj.iter().map(|&to| (to, latency_of(from, to))).collect())
         .collect();
     let mut sim = Simulator::new(processes, topology).with_latencies(latencies);
+    if let Some((registry, protocol)) = metrics {
+        sim = sim.with_metrics(registry, protocol);
+    }
     let stats = sim.run()?;
 
     let mut costs = Vec::with_capacity(n);

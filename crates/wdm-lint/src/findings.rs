@@ -1,7 +1,8 @@
 //! The shared finding model: what both analysis engines report.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
+use wdm_obs::json::escape_into;
 
 /// Which rule produced a finding.
 ///
@@ -257,58 +258,36 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Escapes `s` for a JSON string literal (same rules as
-/// `wdm_obs::json`).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let mut buf = String::new();
-                let _ = fmt::Write::write_fmt(&mut buf, format_args!("\\u{:04x}", u32::from(c)));
-                out.push_str(&buf);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders findings as a machine-readable JSON document:
 /// `{"findings": [...], "deny_count": N, "warning_count": N}`.
 pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let sep = if i + 1 == findings.len() { "" } else { "," };
-        let _ = fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "    {{\"rule\": \"{}\", \"code\": \"{}\", \"severity\": \"{}\", \
-                 \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
-                f.rule.slug(),
-                f.rule.code(),
-                f.severity.slug(),
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(&f.message),
-                sep
-            ),
+        let _ = write!(
+            out,
+            "    {{\"rule\": \"{}\", \"code\": \"{}\", \"severity\": \"{}\", \"file\": \"",
+            f.rule.slug(),
+            f.rule.code(),
+            f.severity.slug()
         );
+        escape_into(&mut out, &f.file);
+        let _ = write!(
+            out,
+            "\", \"line\": {}, \"col\": {}, \"message\": \"",
+            f.line, f.col
+        );
+        escape_into(&mut out, &f.message);
+        let _ = writeln!(out, "\"}}{sep}");
     }
     let deny = findings
         .iter()
         .filter(|f| f.severity == Severity::Deny)
         .count();
     let warn = findings.len() - deny;
-    let _ = fmt::Write::write_fmt(
-        &mut out,
-        format_args!("  ],\n  \"deny_count\": {deny},\n  \"warning_count\": {warn}\n}}\n"),
+    let _ = write!(
+        out,
+        "  ],\n  \"deny_count\": {deny},\n  \"warning_count\": {warn}\n}}\n"
     );
     out
 }
@@ -330,17 +309,14 @@ pub fn render_sarif(findings: &[Finding]) -> String {
     );
     for (i, rule) in rules_used.iter().enumerate() {
         let sep = if i + 1 == rules_used.len() { "" } else { "," };
-        let _ = fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "            {{\"id\": \"{}\", \"name\": \"{}\", \
-                 \"shortDescription\": {{\"text\": \"{}\"}}}}{}\n",
-                rule.code(),
-                rule.slug(),
-                json_escape(rule.description()),
-                sep
-            ),
+        let _ = write!(
+            out,
+            "            {{\"id\": \"{}\", \"name\": \"{}\", \"shortDescription\": {{\"text\": \"",
+            rule.code(),
+            rule.slug()
         );
+        escape_into(&mut out, rule.description());
+        let _ = writeln!(out, "\"}}}}{sep}");
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
@@ -349,21 +325,21 @@ pub fn render_sarif(findings: &[Finding]) -> String {
             Severity::Warning => "warning",
             Severity::Deny => "error",
         };
-        let _ = fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\
-                 \"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-                 \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}\n",
-                f.rule.code(),
-                level,
-                json_escape(&f.message),
-                json_escape(&f.file),
-                f.line.max(1),
-                f.col.max(1),
-                sep
-            ),
+        let _ = write!(
+            out,
+            "        {{\"ruleId\": \"{}\", \"level\": \"{level}\", \"message\": {{\"text\": \"",
+            f.rule.code()
+        );
+        escape_into(&mut out, &f.message);
+        out.push_str(
+            "\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"",
+        );
+        escape_into(&mut out, &f.file);
+        let _ = writeln!(
+            out,
+            "\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{sep}",
+            f.line.max(1),
+            f.col.max(1)
         );
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
@@ -375,19 +351,17 @@ pub fn render_sarif(findings: &[Finding]) -> String {
 pub fn render_text(findings: &[Finding], root: &Path) -> String {
     let mut out = String::new();
     for f in findings {
-        let _ = fmt::Write::write_fmt(&mut out, format_args!("{f}\n"));
+        let _ = writeln!(out, "{f}");
     }
     let deny = findings
         .iter()
         .filter(|f| f.severity == Severity::Deny)
         .count();
     let warn = findings.len() - deny;
-    let _ = fmt::Write::write_fmt(
-        &mut out,
-        format_args!(
-            "wdm-lint: {deny} deny, {warn} warning finding(s) under {}\n",
-            root.display()
-        ),
+    let _ = writeln!(
+        out,
+        "wdm-lint: {deny} deny, {warn} warning finding(s) under {}",
+        root.display()
     );
     out
 }

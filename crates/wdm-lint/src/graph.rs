@@ -25,7 +25,7 @@
 //!   shims) and treated as opaque leaves: the analysis closes over
 //!   `crates/` only, which is exactly the code these lints govern.
 
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{match_brace, next_code, prev_code, tokenize, Token, TokenKind};
 use crate::source::{compute_test_regions, scan_attribute, FileScope};
 use std::collections::HashMap;
 use std::path::Path;
@@ -759,7 +759,7 @@ impl<'a> FileParser<'a> {
                     if let Some(name_tok) = toks.get(i + 1) {
                         if name_tok.kind == TokenKind::Ident {
                             // `mod name;` declarations have no brace scope.
-                            if next_code_is(toks, i + 1, "{") {
+                            if next_code(toks, i + 1).is_some_and(|n| toks[n].is_punct('{')) {
                                 scopes.push(Scope {
                                     kind: ScopeKind::Mod(name_tok.text.clone()),
                                     depth: depth + 1,
@@ -1037,43 +1037,9 @@ fn parse_impl_header(toks: &[Token], impl_idx: usize) -> (Option<String>, usize)
     (result, j)
 }
 
-/// Whether the next non-comment token after `i` has text `want`.
-fn next_code_is(toks: &[Token], i: usize, want: &str) -> bool {
-    toks.iter()
-        .skip(i + 1)
-        .find(|t| !t.is_comment())
-        .is_some_and(|t| t.text == want)
-}
-
 /// Whether the previous token (comments skipped) has text `want`.
 fn prev_is(toks: &[Token], i: usize, want: &str) -> bool {
-    toks[..i]
-        .iter()
-        .rev()
-        .find(|t| !t.is_comment())
-        .is_some_and(|t| t.text == want)
-}
-
-/// Index of the matching `}` for the `{` at `open` (token index one past
-/// the matching brace's position is NOT returned — this returns the
-/// brace's own index; `toks.len()` when unbalanced).
-fn match_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len()
+    prev_code(toks, i).is_some_and(|p| toks[p].text == want)
 }
 
 /// Parses a parameter list starting at its `(`; returns the params and
@@ -1198,14 +1164,14 @@ fn collect_calls(toks: &[Token], start: usize, end: usize) -> Vec<CallSite> {
             i += 1;
             continue;
         }
-        let next = next_code_idx(toks, i, end);
+        let next = next_code(toks, i).filter(|&j| j < end);
         let Some(n) = next else {
             i += 1;
             continue;
         };
         // Macro invocation `name!(` / `name![` / `name!{`.
         if toks[n].is_punct('!') {
-            if let Some(n2) = next_code_idx(toks, n, end) {
+            if let Some(n2) = next_code(toks, n).filter(|&j| j < end) {
                 if toks[n2].is_punct('(') || toks[n2].is_punct('[') || toks[n2].is_punct('{') {
                     calls.push(CallSite {
                         name: t.text.clone(),
@@ -1224,17 +1190,17 @@ fn collect_calls(toks: &[Token], start: usize, end: usize) -> Vec<CallSite> {
             continue;
         }
         // A call. Classify by what precedes the name.
-        let prev = prev_code_idx(toks, i);
+        let prev = prev_code(toks, i);
         let kind = match prev {
             Some(p) if toks[p].is_punct('.') => CallKind::Method(receiver_of(toks, p)),
             Some(p)
                 if toks[p].is_punct(':')
                     && p > 0
-                    && prev_code_idx(toks, p).is_some_and(|pp| toks[pp].is_punct(':')) =>
+                    && prev_code(toks, p).is_some_and(|pp| toks[pp].is_punct(':')) =>
             {
                 // `Qual::name(` — the qualifier is the ident before `::`.
-                let pp = prev_code_idx(toks, p).unwrap_or(0);
-                match prev_code_idx(toks, pp) {
+                let pp = prev_code(toks, p).unwrap_or(0);
+                match prev_code(toks, pp) {
                     Some(q) if toks[q].kind == TokenKind::Ident => {
                         CallKind::Path(toks[q].text.clone())
                     }
@@ -1265,14 +1231,14 @@ fn collect_calls(toks: &[Token], start: usize, end: usize) -> Vec<CallSite> {
 fn receiver_of(toks: &[Token], dot_idx: usize) -> Receiver {
     // Walk back over `ident . ident . …` chains only; anything else
     // (a `)`, `]`, literal…) is opaque.
-    let Some(r1) = prev_code_idx(toks, dot_idx) else {
+    let Some(r1) = prev_code(toks, dot_idx) else {
         return Receiver::Opaque;
     };
     if toks[r1].kind != TokenKind::Ident {
         return Receiver::Opaque;
     }
     let first = &toks[r1].text;
-    let Some(d2) = prev_code_idx(toks, r1) else {
+    let Some(d2) = prev_code(toks, r1) else {
         return if first == "self" {
             Receiver::SelfValue
         } else {
@@ -1280,7 +1246,7 @@ fn receiver_of(toks: &[Token], dot_idx: usize) -> Receiver {
         };
     };
     if toks[d2].is_punct('.') {
-        if let Some(r2) = prev_code_idx(toks, d2) {
+        if let Some(r2) = prev_code(toks, d2) {
             if toks[r2].is_ident("self") {
                 // Make sure `self` isn't itself `x.self` (impossible in
                 // Rust, so this is the chain root).
@@ -1295,16 +1261,6 @@ fn receiver_of(toks: &[Token], dot_idx: usize) -> Receiver {
     } else {
         Receiver::Local(first.clone())
     }
-}
-
-/// Next non-comment token index after `i`, bounded by `end`.
-fn next_code_idx(toks: &[Token], i: usize, end: usize) -> Option<usize> {
-    ((i + 1)..end.min(toks.len())).find(|&j| !toks[j].is_comment())
-}
-
-/// Previous non-comment token index before `i`.
-fn prev_code_idx(toks: &[Token], i: usize) -> Option<usize> {
-    toks[..i].iter().rposition(|t| !t.is_comment())
 }
 
 #[cfg(test)]

@@ -377,6 +377,33 @@ pub fn tokenize(src: &str) -> Vec<Token> {
     tokens
 }
 
+/// Index of the next non-comment token after `i`.
+pub(crate) fn next_code(toks: &[Token], i: usize) -> Option<usize> {
+    ((i + 1)..toks.len()).find(|&j| !toks[j].is_comment())
+}
+
+/// Index of the previous non-comment token before `i`.
+pub(crate) fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
+    toks[..i].iter().rposition(|t| !t.is_comment())
+}
+
+/// Index of the `}` matching the `{` at `open`, or `toks.len()` when the
+/// braces never balance.
+pub(crate) fn match_brace(toks: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    toks.len()
+}
+
 /// Consumes a quoted literal starting at the opening `quote`, honoring
 /// backslash escapes, appending the raw text to `out`.
 fn scan_quoted(cur: &mut Cursor<'_>, quote: char, out: &mut String) {

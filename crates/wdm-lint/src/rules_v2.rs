@@ -25,7 +25,7 @@
 use crate::dataflow::{alloc_sinks, panic_sinks, reach_sinks, witness_chain, CallGraph};
 use crate::findings::{Finding, Rule, Severity};
 use crate::graph::{CallKind, FileIndex, FnDef, ItemIndex};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{next_code, prev_code, Token, TokenKind};
 
 /// Crates whose library code must be transitively panic-free (deny).
 pub const L6_DENY_CRATES: [&str; 5] = ["wdm-core", "wdm-rwa", "heaps", "wdm-serve", "wdm-campaign"];
@@ -287,7 +287,7 @@ fn rule_l8(index: &ItemIndex, out: &mut Vec<Finding>) {
             if !toks[i].is_ident("as") {
                 continue;
             }
-            let Some(tgt_idx) = next_code(toks, i, end) else {
+            let Some(tgt_idx) = next_code(toks, i).filter(|&j| j < end) else {
                 continue;
             };
             let Some(target) = numeric_type(&toks[tgt_idx].text) else {
@@ -398,7 +398,7 @@ fn cast_source(
     while k > body_start && steps < 8 {
         let Some(p) = prev_code(toks, k) else { break };
         if toks[p].is_punct('&') {
-            if let Some(n) = next_code(toks, p, as_idx) {
+            if let Some(n) = next_code(toks, p).filter(|&j| j < as_idx) {
                 if toks[n].kind == TokenKind::Literal {
                     if let Some(v) = literal_value(&toks[n].text) {
                         return CastSource::Masked(v);
@@ -778,7 +778,7 @@ fn vec_has_sorted_provenance(index: &ItemIndex, file: &FileIndex, vec_name: &str
         if !(toks[i].kind == TokenKind::Ident && toks[i].text == *vec_name) {
             continue;
         }
-        let Some(n) = next_code(toks, i, toks.len()) else {
+        let Some(n) = next_code(toks, i) else {
             continue;
         };
         if !toks[n].is_punct('=') || toks.get(n + 1).is_some_and(|t| t.is_punct('=')) {
@@ -790,7 +790,7 @@ fn vec_has_sorted_provenance(index: &ItemIndex, file: &FileIndex, vec_name: &str
             .unwrap_or(toks.len());
         for j in n + 1..semi {
             if toks[j].kind == TokenKind::Ident {
-                let is_call = next_code(toks, j, semi).is_some_and(|k| toks[k].is_punct('('));
+                let is_call = next_code(toks, j).is_some_and(|k| k < semi && toks[k].is_punct('('));
                 if !is_call {
                     continue;
                 }
@@ -1002,7 +1002,7 @@ fn call_args(toks: &[Token], open: usize) -> Vec<Vec<String>> {
 
 /// Whether a call site at `name_idx` is a publish — `.store(EXPR + 2, …)`.
 fn is_publish_store(toks: &[Token], name_idx: usize) -> bool {
-    let Some(open) = next_code(toks, name_idx, toks.len()) else {
+    let Some(open) = next_code(toks, name_idx) else {
         return false;
     };
     if !toks[open].is_punct('(') {
@@ -1015,7 +1015,7 @@ fn is_publish_store(toks: &[Token], name_idx: usize) -> bool {
 
 /// Whether a CAS at `name_idx` claims even→odd: second arg = first + 1.
 fn is_claim_cas(toks: &[Token], name_idx: usize) -> bool {
-    let Some(open) = next_code(toks, name_idx, toks.len()) else {
+    let Some(open) = next_code(toks, name_idx) else {
         return false;
     };
     if !toks[open].is_punct('(') {
@@ -1078,7 +1078,7 @@ fn check_reader_revalidates(f: &FnDef, file: &FileIndex, out: &mut Vec<Finding>)
     let Some(fence_idx) = fence else { return };
     let has_acquire_load = f.calls.iter().any(|c| {
         c.name == "load" && {
-            let open = next_code(toks, c.token_idx, toks.len());
+            let open = next_code(toks, c.token_idx);
             open.is_some_and(|o| {
                 toks[o].is_punct('(')
                     && call_args(toks, o)
@@ -1182,12 +1182,4 @@ fn adjacent_comparison(toks: &[Token], i: usize) -> bool {
         && (toks[i + 1].is_punct('=') || toks[i + 1].is_punct('!'))
         && toks[i + 2].is_punct('=');
     before || after
-}
-
-fn next_code(toks: &[Token], i: usize, end: usize) -> Option<usize> {
-    ((i + 1)..end.min(toks.len())).find(|&j| !toks[j].is_comment())
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    toks[..i].iter().rposition(|t| !t.is_comment())
 }

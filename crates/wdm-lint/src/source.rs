@@ -16,7 +16,7 @@
 //! `Ordering::` use in it is considered justified (L4).
 
 use crate::findings::{Finding, Rule, Severity};
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{match_brace, next_code, prev_code, tokenize, Token, TokenKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -183,27 +183,12 @@ impl<'a> FileContext<'a> {
         });
     }
 
-    /// Index of the next non-comment token after `i`.
-    fn next_code(&self, i: usize) -> Option<usize> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .find(|(_, t)| !t.is_comment())
-            .map(|(j, _)| j)
-    }
-
-    /// Index of the previous non-comment token before `i`.
-    fn prev_code(&self, i: usize) -> Option<usize> {
-        self.tokens[..i].iter().rposition(|t| !t.is_comment())
-    }
-
     /// True when the code tokens starting at `i` (comments skipped) spell
     /// out `pattern`, matching idents by text and puncts by text.
     fn code_seq_matches(&self, mut i: usize, pattern: &[&str]) -> bool {
         for (step, want) in pattern.iter().enumerate() {
             if step > 0 {
-                match self.next_code(i) {
+                match next_code(self.tokens, i) {
                     Some(j) => i = j,
                     None => return false,
                 }
@@ -233,12 +218,8 @@ impl<'a> FileContext<'a> {
                 continue;
             }
             if (t.text == "unwrap" || t.text == "expect")
-                && self
-                    .prev_code(i)
-                    .is_some_and(|p| self.tokens[p].is_punct('.'))
-                && self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('('))
+                && prev_code(self.tokens, i).is_some_and(|p| self.tokens[p].is_punct('.'))
+                && next_code(self.tokens, i).is_some_and(|n| self.tokens[n].is_punct('('))
             {
                 self.emit(
                     out,
@@ -253,9 +234,7 @@ impl<'a> FileContext<'a> {
                 );
             }
             if t.text == "panic"
-                && self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('!'))
+                && next_code(self.tokens, i).is_some_and(|n| self.tokens[n].is_punct('!'))
             {
                 self.emit(
                     out,
@@ -282,15 +261,12 @@ impl<'a> FileContext<'a> {
                 if t.kind != TokenKind::Ident {
                     continue;
                 }
-                let prev_dot = self
-                    .prev_code(i)
-                    .is_some_and(|p| self.tokens[p].is_punct('.'));
-                let next_paren = self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('('));
-                let next_bang = self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('!'));
+                let prev_dot =
+                    prev_code(self.tokens, i).is_some_and(|p| self.tokens[p].is_punct('.'));
+                let next_paren =
+                    next_code(self.tokens, i).is_some_and(|n| self.tokens[n].is_punct('('));
+                let next_bang =
+                    next_code(self.tokens, i).is_some_and(|n| self.tokens[n].is_punct('!'));
                 let hit = match t.text.as_str() {
                     "Vec" | "Box" => self.code_seq_matches(i, &[&t.text, ":", ":", "new"]),
                     "to_vec" | "clone" => prev_dot && next_paren,
@@ -411,13 +387,13 @@ impl<'a> FileContext<'a> {
             if !t.is_ident("Ordering") || self.in_test[i] {
                 continue;
             }
-            let Some(c1) = self.next_code(i) else {
+            let Some(c1) = next_code(self.tokens, i) else {
                 continue;
             };
-            let Some(c2) = self.next_code(c1) else {
+            let Some(c2) = next_code(self.tokens, c1) else {
                 continue;
             };
-            let Some(v) = self.next_code(c2) else {
+            let Some(v) = next_code(self.tokens, c2) else {
                 continue;
             };
             if !(self.tokens[c1].is_punct(':') && self.tokens[c2].is_punct(':')) {
@@ -461,7 +437,7 @@ impl<'a> FileContext<'a> {
             if !t.is_ident("pub") || self.in_test[i] {
                 continue;
             }
-            let Some(mut j) = self.next_code(i) else {
+            let Some(mut j) = next_code(self.tokens, i) else {
                 continue;
             };
             // `pub(crate)` / `pub(super)` / `pub(in …)` are not public API.
@@ -483,7 +459,7 @@ impl<'a> FileContext<'a> {
                 && item_keywords.contains(&follower.text.as_str())
             {
                 // Scan past modifiers to the item name.
-                while let Some(n) = self.next_code(j) {
+                while let Some(n) = next_code(self.tokens, j) {
                     j = n;
                     let tk = &self.tokens[j];
                     if tk.kind == TokenKind::Ident && !item_keywords.contains(&tk.text.as_str()) {
@@ -498,9 +474,7 @@ impl<'a> FileContext<'a> {
                 }
                 name = self.tokens[j].text.clone();
             } else if follower.kind == TokenKind::Ident
-                && self
-                    .next_code(j)
-                    .is_some_and(|n| self.tokens[n].is_punct(':'))
+                && next_code(self.tokens, j).is_some_and(|n| self.tokens[n].is_punct(':'))
             {
                 // `pub name: Type` — a named struct field.
                 name = follower.text.clone();
@@ -667,19 +641,8 @@ fn item_end_after(tokens: &[Token], mut i: usize) -> Option<usize> {
         }
         i += 1;
     }
-    let mut depth = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_punct('{') {
-            depth += 1;
-        } else if tokens[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i + 1);
-            }
-        }
-        i += 1;
-    }
-    None
+    let close = match_brace(tokens, i);
+    (close < tokens.len()).then_some(close + 1)
 }
 
 /// Finds `// wdm-lint: hot-path` annotations and the `[start, end)` token
@@ -716,20 +679,7 @@ fn compute_hot_regions(tokens: &[Token]) -> Vec<(usize, usize, String)> {
         while j < tokens.len() && !tokens[j].is_punct('{') {
             j += 1;
         }
-        let start = j;
-        let mut depth = 0usize;
-        while j < tokens.len() {
-            if tokens[j].is_punct('{') {
-                depth += 1;
-            } else if tokens[j].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        regions.push((start, j + 1, name));
+        regions.push((j, match_brace(tokens, j) + 1, name));
     }
     regions
 }
