@@ -264,8 +264,10 @@ impl Command for ServeWorkload {
 
         // The replay loop of `wdm_rwa::simulate`, stepped one offer at a
         // time so the fibre cut, the heal and the Prometheus dumps land
-        // between arrivals. The cut goes through the replay, so a torn
-        // connection restored under a new id still departs.
+        // between arrivals. The cut goes through the replay at the next
+        // arrival's time, so connections that left by then are released
+        // first, and a torn connection restored under a new id still
+        // departs.
         let mut replay = Replay::default();
         let (mut lost, mut restored) = (0u64, 0u64);
         let cut_at = fail_link.map(|_| requests / 2);
@@ -285,7 +287,7 @@ impl Command for ServeWorkload {
         for (i, req) in trace.iter().enumerate() {
             if let (Some(fl), true) = (fail_link, cut_at == Some(i)) {
                 let link = wdm_graph::LinkId::new(fl);
-                for (_, outcome) in replay.fail_link(&mut engine, link, policy) {
+                for (_, outcome) in replay.fail_link(&mut engine, link, req.arrival, policy) {
                     match outcome {
                         Some(_) => restored += 1,
                         None => lost += 1,

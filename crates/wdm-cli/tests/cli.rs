@@ -318,6 +318,38 @@ fn serve_workload_restored_connection_still_departs() {
 }
 
 #[test]
+fn serve_workload_cut_spares_connections_already_departed() {
+    // Request 0 (0 → 1 on link 0) departs at t = 1; the cut of link 0
+    // lands before request 1 at t = 2, so it finds nothing to tear down.
+    let dir = std::env::temp_dir().join("wdm-cli-test-serve-departed");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let net = dir.join("tri.wdm");
+    let trace = dir.join("tri.trace");
+    std::fs::write(
+        &net,
+        "wdm v1\nn 3\nk 1\nlink 0 1 0:1\nlink 0 2 0:5\nlink 2 1 0:5\nlink 1 0 0:1\n",
+    )
+    .expect("write instance");
+    std::fs::write(&trace, "0 1 0.0 1.0\n1 0 2.0 100\n").expect("write trace");
+    let (net_s, trace_s) = (net.to_str().expect("utf8"), trace.to_str().expect("utf8"));
+    let (code, out) = run_args(&[
+        "serve-workload",
+        net_s,
+        "--trace",
+        trace_s,
+        "--fail-link",
+        "0",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("(0 restored, 0 lost)"), "{out}");
+    for line in ["accepted   : 2", "released   : 1", "utilization: 0.5000"] {
+        assert!(out.lines().any(|l| l == line), "want `{line}` in:\n{out}");
+    }
+    std::fs::remove_file(&net).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
 fn serve_workload_usage_errors() {
     let (code, _) = run_args(&["serve-workload"]);
     assert_eq!(code, 2, "file required");

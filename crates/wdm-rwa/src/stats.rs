@@ -92,15 +92,16 @@ impl BlockingStats {
 /// instant, in `(time, id)` order; a connection with an infinite holding
 /// never departs, and a departure whose connection is no longer active
 /// is skipped. Cut fibres through [`fail_link`](Self::fail_link), so
-/// restored connections keep their departures.
+/// connections that left before the cut are not torn down and restored
+/// ones keep their departures.
 #[derive(Debug, Default)]
 pub struct Replay {
     /// Pending departures keyed by `(arrival + holding, id)`. Departure
     /// times are positive (arrivals are non-negative and holdings
     /// positive), so their bit patterns order like the times.
     departures: BinaryHeap<Reverse<(u64, ConnectionId)>>,
-    /// The latest arrival offered; arrivals start at time 0.
-    last_arrival: f64,
+    /// The time of the latest arrival or cut; events start at time 0.
+    now: f64,
     stats: BlockingStats,
 }
 
@@ -113,20 +114,9 @@ impl Replay {
     /// # Panics
     ///
     /// Panics if `request` arrives before time 0 or before the
-    /// previously offered one.
+    /// previously offered request or cut.
     pub fn offer(&mut self, engine: &mut ProvisioningEngine, request: &Request, policy: Policy) {
-        assert!(
-            request.arrival >= self.last_arrival,
-            "requests must be sorted by arrival, from time 0"
-        );
-        self.last_arrival = request.arrival;
-        while let Some(&Reverse((at, id))) = self.departures.peek() {
-            if f64::from_bits(at) > request.arrival {
-                break;
-            }
-            self.departures.pop();
-            let _ = engine.release(id);
-        }
+        self.advance_to(engine, request.arrival);
         self.stats.offered += 1;
         match engine.provision_outcome(request.s, request.t, policy) {
             Ok(ProvisionOutcome::Accepted {
@@ -156,20 +146,24 @@ impl Replay {
         }
     }
 
-    /// Cuts `link` on `engine` ([`ProvisioningEngine::fail_link`]) and
-    /// keeps the departure queue in step: a torn connection restored
-    /// under a new id departs under that id at its original time, and a
-    /// lost one leaves the queue. Returns the engine's outcomes.
+    /// Cuts `link` on `engine` ([`ProvisioningEngine::fail_link`]) at
+    /// time `at`, after releasing the connections due by then, and keeps
+    /// the departure queue in step: a torn connection restored under a
+    /// new id departs under that id at its original time, and a lost one
+    /// leaves the queue. Returns the engine's outcomes.
     ///
     /// # Panics
     ///
-    /// Panics if `link` is out of range.
+    /// Panics if `link` is out of range, or if `at` is before time 0 or
+    /// before the previously offered request or cut.
     pub fn fail_link(
         &mut self,
         engine: &mut ProvisioningEngine,
         link: LinkId,
+        at: f64,
         policy: Policy,
     ) -> Vec<(ConnectionId, Option<ConnectionId>)> {
+        self.advance_to(engine, at);
         let outcomes = engine.fail_link(link, policy);
         // Outcomes come in torn-id order, so each departure finds its
         // connection's outcome by binary search.
@@ -188,6 +182,23 @@ impl Replay {
     /// The counts so far.
     pub fn stats(&self) -> BlockingStats {
         self.stats
+    }
+
+    /// Moves the clock to `now` and releases every connection due at or
+    /// before it.
+    fn advance_to(&mut self, engine: &mut ProvisioningEngine, now: f64) {
+        assert!(
+            now >= self.now,
+            "requests and cuts must be sorted by arrival time, from time 0"
+        );
+        self.now = now;
+        while let Some(&Reverse((at, id))) = self.departures.peek() {
+            if f64::from_bits(at) > now {
+                break;
+            }
+            self.departures.pop();
+            let _ = engine.release(id);
+        }
     }
 }
 
@@ -444,7 +455,7 @@ mod tests {
         let mut engine = ProvisioningEngine::new(&net);
         let mut replay = Replay::default();
         replay.offer(&mut engine, &request(0.0, 1.0), Policy::Optimal);
-        let outcomes = replay.fail_link(&mut engine, LinkId::new(0), Policy::Optimal);
+        let outcomes = replay.fail_link(&mut engine, LinkId::new(0), 0.5, Policy::Optimal);
         assert!(matches!(outcomes[..], [(_, Some(_))]), "{outcomes:?}");
         // The restored connection departs at t = 1 and frees 0 → 2.
         let around = Request {
@@ -456,6 +467,37 @@ mod tests {
         replay.offer(&mut engine, &around, Policy::Optimal);
         assert_eq!(replay.stats().accepted, 2);
         assert_eq!(engine.totals(), (3, 0, 2));
+    }
+
+    #[test]
+    fn replay_cut_spares_connections_already_departed() {
+        // 0 → 1 direct, or around through 2; one wavelength each.
+        let g = wdm_graph::DiGraph::from_links(3, [(0, 1), (0, 2), (2, 1)]);
+        let net = WdmNetwork::builder(g, 1)
+            .link_wavelengths(0, [(0, 1)])
+            .link_wavelengths(1, [(0, 5)])
+            .link_wavelengths(2, [(0, 5)])
+            .build()
+            .expect("valid");
+        let mut engine = ProvisioningEngine::new(&net);
+        let mut replay = Replay::default();
+        replay.offer(&mut engine, &request(0.0, 1.0), Policy::Optimal);
+        // The connection left at t = 1, so the cut at t = 2 finds nothing
+        // to tear down.
+        let outcomes = replay.fail_link(&mut engine, LinkId::new(0), 2.0, Policy::Optimal);
+        assert!(outcomes.is_empty(), "{outcomes:?}");
+        assert_eq!(engine.totals(), (1, 0, 1));
+        assert_eq!(engine.active_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by arrival")]
+    fn replay_rejects_a_cut_before_the_last_arrival() {
+        let net = one_circuit();
+        let mut engine = ProvisioningEngine::new(&net);
+        let mut replay = Replay::default();
+        replay.offer(&mut engine, &request(2.0, 1.0), Policy::Optimal);
+        replay.fail_link(&mut engine, LinkId::new(0), 1.0, Policy::Optimal);
     }
 
     #[test]
