@@ -51,13 +51,6 @@ pub struct Placement {
     pub placed: BlockingStats,
 }
 
-impl Placement {
-    /// Absolute blocking-probability reduction achieved.
-    pub fn improvement(&self) -> f64 {
-        self.baseline.blocking_probability() - self.placed.blocking_probability()
-    }
-}
-
 /// Greedily places up to `cfg.budget` converters on `net` (which must
 /// have no converters of its own — the baseline *is* the bare network).
 ///

@@ -69,13 +69,6 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    /// Whether the history was proven linearizable.
-    pub fn is_linearizable(&self) -> bool {
-        matches!(self, Verdict::Linearizable { .. })
-    }
-}
-
 /// Searches for a linearization of `history` over `net`.
 pub fn check_history(net: &WdmNetwork, history: &History, cfg: &CheckConfig) -> Verdict {
     let records = &history.records;

@@ -193,11 +193,6 @@ impl SemilightpathTree {
         self.aux.extract_semilightpath(&self.tree, sink)
     }
 
-    /// Dijkstra operation counters for the tree computation.
-    pub fn dijkstra_stats(&self) -> SearchStats {
-        self.tree.stats
-    }
-
     /// Construction accounting of the underlying search graph.
     pub fn aux_stats(&self) -> AuxStats {
         self.aux.stats()

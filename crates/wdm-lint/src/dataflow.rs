@@ -24,7 +24,7 @@
 //! from the corresponding propagation, so the justification sits exactly
 //! where responsibility is being accepted.
 
-use crate::graph::{CallKind, FnDef, ItemIndex, Receiver};
+use crate::graph::{CallKind, FnDef, ItemIndex};
 use crate::lexer::{Token, TokenKind};
 
 /// One direct sink inside a function body.
@@ -396,13 +396,6 @@ pub fn alloc_sinks(index: &ItemIndex, f: &FnDef) -> Vec<Sink> {
         }
     }
     sinks
-}
-
-/// Call sites whose callee cannot be typed at all. Used by the L7/L6
-/// reporting layer to decide edge responsibility; re-exported mainly for
-/// tests.
-pub fn is_opaque_method(call_kind: &CallKind) -> bool {
-    matches!(call_kind, CallKind::Method(Receiver::Opaque))
 }
 
 #[cfg(test)]

@@ -70,88 +70,6 @@ pub fn poisson_requests<R: Rng + ?Sized>(
         .collect()
 }
 
-/// A Poisson workload whose endpoint distribution follows a *gravity
-/// model*: the probability of the pair `(s, t)` is proportional to
-/// `weight[s] · weight[t]` — the standard way to encode that big cities
-/// exchange more traffic.
-///
-/// # Panics
-///
-/// Panics if `weights.len() < 2`, any weight is negative, all weights are
-/// zero, or the rate parameters are non-positive.
-pub fn gravity_requests<R: Rng + ?Sized>(
-    weights: &[f64],
-    count: usize,
-    load: f64,
-    mean_holding: f64,
-    rng: &mut R,
-) -> Vec<Request> {
-    assert!(weights.len() >= 2, "need at least two nodes for requests");
-    assert!(
-        weights.iter().all(|&w| w >= 0.0),
-        "weights must be non-negative"
-    );
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "at least one weight must be positive");
-    assert!(load > 0.0 && mean_holding > 0.0, "rates must be positive");
-    let arrival_rate = load / mean_holding;
-    let pick = |rng: &mut R| -> usize {
-        let mut x = rng.gen::<f64>() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    };
-    let mut now = 0.0;
-    (0..count)
-        .map(|_| {
-            now += exponential(arrival_rate, rng);
-            let s = pick(rng);
-            let t = loop {
-                let t = pick(rng);
-                if t != s {
-                    break t;
-                }
-            };
-            Request {
-                s: NodeId::new(s),
-                t: NodeId::new(t),
-                arrival: now,
-                holding: exponential(1.0 / mean_holding, rng),
-            }
-        })
-        .collect()
-}
-
-/// A *permutation* batch: every node sends to exactly one distinct node
-/// (a random derangement-style matching), all arriving at once with
-/// infinite holding — the classic worst-ish-case static demand.
-///
-/// # Panics
-///
-/// Panics if `n_nodes < 2`.
-pub fn permutation_requests<R: Rng + ?Sized>(n_nodes: usize, rng: &mut R) -> Vec<Request> {
-    assert!(n_nodes >= 2, "need at least two nodes for requests");
-    // Random cyclic permutation: node order[i] sends to order[i+1], which
-    // guarantees s != t for every pair.
-    let mut order: Vec<usize> = (0..n_nodes).collect();
-    for i in (1..n_nodes).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
-    (0..n_nodes)
-        .map(|i| Request {
-            s: NodeId::new(order[i]),
-            t: NodeId::new(order[(i + 1) % n_nodes]),
-            arrival: 0.0,
-            holding: f64::INFINITY,
-        })
-        .collect()
-}
-
 /// Why a trace line could not be parsed by [`parse_trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
@@ -311,55 +229,6 @@ mod tests {
     fn single_node_workload_panics() {
         let mut rng = SmallRng::seed_from_u64(4);
         static_requests(1, 1, &mut rng);
-    }
-
-    #[test]
-    fn gravity_model_prefers_heavy_nodes() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        // Node 0 has 10× the weight of each other node.
-        let mut weights = vec![1.0; 8];
-        weights[0] = 10.0;
-        let reqs = gravity_requests(&weights, 3000, 5.0, 1.0, &mut rng);
-        let touching_0 = reqs
-            .iter()
-            .filter(|r| r.s.index() == 0 || r.t.index() == 0)
-            .count();
-        // Node 0 participates in far more than the uniform share
-        // (uniform would give ≈ 2/8 = 25%; gravity pushes it way up).
-        assert!(
-            touching_0 as f64 / reqs.len() as f64 > 0.5,
-            "only {touching_0} of {} touch the heavy node",
-            reqs.len()
-        );
-        for r in &reqs {
-            assert_ne!(r.s, r.t);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn gravity_rejects_zero_weights() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        gravity_requests(&[0.0, 0.0], 1, 1.0, 1.0, &mut rng);
-    }
-
-    #[test]
-    fn permutation_is_a_single_cycle() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        for n in [2usize, 5, 12] {
-            let reqs = permutation_requests(n, &mut rng);
-            assert_eq!(reqs.len(), n);
-            let mut sources: Vec<usize> = reqs.iter().map(|r| r.s.index()).collect();
-            let mut targets: Vec<usize> = reqs.iter().map(|r| r.t.index()).collect();
-            sources.sort_unstable();
-            targets.sort_unstable();
-            // Each node appears exactly once as source and once as target.
-            assert_eq!(sources, (0..n).collect::<Vec<_>>());
-            assert_eq!(targets, (0..n).collect::<Vec<_>>());
-            for r in &reqs {
-                assert_ne!(r.s, r.t);
-            }
-        }
     }
 
     #[test]

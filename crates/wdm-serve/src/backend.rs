@@ -161,17 +161,6 @@ impl EngineBackend {
         ExecCtx { handle: None }
     }
 
-    /// Executes one engine-touching request and renders its reply line
-    /// (without the trailing newline).
-    ///
-    /// `Drain` is a server-level operation, and `Trace` only reads
-    /// recorder counters; at this layer both are acknowledged without
-    /// touching the engine or consuming a `seq`, which keeps offline
-    /// replay of recorded sessions trivial.
-    pub fn execute(&self, ctx: &mut ExecCtx, req: &Request) -> String {
-        self.execute_wired(ctx, req, None)
-    }
-
     /// Executes one parsed [`Frame`]: the request runs with its wire
     /// `trace_id` labelling the recorded spans, and the reply echoes the
     /// id back as a final `"trace_id"` field — so the bytes a client
@@ -184,8 +173,15 @@ impl EngineBackend {
         }
     }
 
-    /// The shared execution path behind [`execute`](Self::execute) and
-    /// [`execute_frame`](Self::execute_frame).
+    /// Executes one request and renders its reply line (without the
+    /// trailing newline): the shared path behind
+    /// [`execute_frame`](Self::execute_frame) and
+    /// [`execute_line`](Self::execute_line).
+    ///
+    /// `Drain` is a server-level operation, and `Trace` only reads
+    /// recorder counters; at this layer both are acknowledged without
+    /// touching the engine or consuming a `seq`, which keeps offline
+    /// replay of recorded sessions trivial.
     fn execute_wired(&self, ctx: &mut ExecCtx, req: &Request, wire: Option<TraceId>) -> String {
         if matches!(req, Request::Drain) {
             return r#"{"ok":true,"op":"drain"}"#.to_string();
