@@ -160,17 +160,19 @@ pub fn to_text(network: &WdmNetwork) -> String {
 /// accepts.
 pub const SIZE_LIMIT: usize = 1 << 26;
 
-/// The most cells (`k × k`) a conversion matrix read by [`from_text`]
-/// may have: a `matrix` line builds its whole dense table at once, so a
-/// line of a few bytes must not ask for more than 32 MiB (`k` up to
-/// 2,048).
+/// The most cells (`k × k` per table) that all the conversion matrices
+/// read by [`from_text`] may have together: a `matrix` line builds its
+/// whole dense table at once and the parser keeps every table until the
+/// end of the file, so a few bytes of text must not ask for more than
+/// 32 MiB in all (one matrix with `k` up to 2,048, or 256 with `k` = 128).
 pub const MAX_MATRIX_CELLS: usize = 1 << 22;
 
 /// Parses a network from the text format.
 ///
 /// `n` and `k` are checked against [`SIZE_LIMIT`] on their own lines,
-/// and each may appear once; a `matrix` table of more than
-/// [`MAX_MATRIX_CELLS`] cells is rejected before it is built.
+/// and each may appear once; a `matrix` table that would take the
+/// file's tables past [`MAX_MATRIX_CELLS`] cells is rejected before it
+/// is built.
 ///
 /// # Errors
 ///
@@ -194,6 +196,7 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
     let mut k: Option<usize> = None;
     let mut links: Vec<RawLink> = Vec::new();
     let mut convs: Vec<(usize, ConversionPolicy)> = Vec::new();
+    let mut matrix_cells = 0usize;
 
     for (line_no, line) in lines {
         let err = |reason: &str| ParseError::Malformed {
@@ -268,15 +271,18 @@ pub fn from_text(text: &str) -> Result<WdmNetwork, ParseError> {
                     }
                     "matrix" => {
                         let k = k.ok_or_else(|| err("matrix before `k` line"))?;
-                        match k.checked_mul(k) {
-                            Some(cells) if cells <= MAX_MATRIX_CELLS => {}
+                        matrix_cells = match k
+                            .checked_mul(k)
+                            .and_then(|cells| cells.checked_add(matrix_cells))
+                        {
+                            Some(total) if total <= MAX_MATRIX_CELLS => total,
                             _ => {
                                 return Err(err(&format!(
-                                    "a {k} x {k} conversion matrix exceeds \
-                                     {MAX_MATRIX_CELLS} cells"
+                                    "a {k} x {k} conversion matrix takes the \
+                                     file's matrices past {MAX_MATRIX_CELLS} cells"
                                 )))
                             }
-                        }
+                        };
                         let mut m = ConversionMatrix::forbidden(k);
                         let body = parts.next().ok_or_else(|| err("missing matrix body"))?;
                         if body != "-" {
@@ -521,6 +527,23 @@ mod tests {
         let net = from_text("wdm v1\nn 1\nk 3\nconv 0 matrix 0>2:4\n").expect("parses");
         let cost = net.conversion_cost(0.into(), Wavelength::new(0), Wavelength::new(2));
         assert_eq!(cost, Cost::new(4));
+    }
+
+    #[test]
+    fn matrices_share_one_cell_budget() {
+        // One 2,048² table fills the budget exactly; a second one on
+        // another node would take the file past it.
+        let one = "wdm v1\nn 4\nk 2048\nconv 0 matrix -\n";
+        assert!(from_text(one).is_ok());
+        match from_text(&format!("{one}conv 1 matrix -\n")) {
+            Err(ParseError::Malformed { line: 5, reason }) => {
+                assert!(reason.contains("conversion matrix"), "{reason}");
+            }
+            other => panic!("expected a malformed second matrix line, got {other:?}"),
+        }
+        // Small tables still add up under the cap.
+        let many: String = (0..64).map(|v| format!("conv {v} matrix -\n")).collect();
+        assert!(from_text(&format!("wdm v1\nn 64\nk 256\n{many}")).is_ok());
     }
 
     #[test]
