@@ -14,6 +14,8 @@
 //! The scheduler records each operation's invocation and response step
 //! stamps plus its observed response into a [`History`] for the
 //! [`checker`](crate::checker).
+//!
+//! [`ConcurrentEngine::interleaved_handle`]: wdm_rwa::ConcurrentEngine::interleaved_handle
 
 use crate::history::{History, OpKind, OpRecord, OpResponse};
 use rand::prelude::*;

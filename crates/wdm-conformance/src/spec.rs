@@ -21,6 +21,12 @@
 //!   through a freshly built [`ResidualState`] and [`SearchScratch`]:
 //!   the wavelength scan of [`Policy::route`] and the reachability
 //!   probes, without a memo.
+//!
+//! [`AuxiliaryGraph::for_all_pairs`]: wdm_core::AuxiliaryGraph::for_all_pairs
+//! [`reference::guided_search`]: wdm_core::reference::guided_search
+//! [`ResidualState`]: wdm_core::ResidualState
+//! [`SearchScratch`]: wdm_core::SearchScratch
+//! [`Policy::route`]: wdm_rwa::Policy::route
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -16,6 +16,9 @@
 //! [`reference::guided_search`](crate::reference::guided_search): the
 //! path is the same with or without the potential, and the same as the
 //! oracle's through any heap.
+//!
+//! [`IndexedPriorityQueue`]: heaps::IndexedPriorityQueue
+//! [`DijkstraWorkspace::run_guided_to`]: crate::dijkstra::DijkstraWorkspace::run_guided_to
 
 use crate::csr::{CsrGraph, EdgeMask};
 use crate::Cost;

@@ -19,6 +19,9 @@
 //! but its independence makes it the arbiter in cross-validation tests
 //! (including the cases where the CFZ wavelength graph diverges from
 //! Equation (1) by chaining conversions — see [`crate::CfzRouter`] docs).
+//!
+//! [`guided_search`]: crate::reference::guided_search
+//! [`reference_route`]: crate::reference::reference_route
 
 use crate::csr::{CsrGraph, EdgeMask};
 use crate::dijkstra::{Potential, SearchStats, ShortestPathTree};

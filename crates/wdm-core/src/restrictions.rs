@@ -13,6 +13,8 @@
 //!
 //! [`theorem2_applies`] checks both; the E7 experiment and the
 //! `tests/theorem2.rs` property suite verify the implication empirically.
+//!
+//! [`theorem2_applies`]: crate::restrictions::theorem2_applies
 
 use crate::{Cost, WdmNetwork};
 

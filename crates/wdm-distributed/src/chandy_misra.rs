@@ -76,7 +76,7 @@ pub fn chandy_misra_sssp(
 /// [`chandy_misra_sssp`] with the simulator reporting into `registry`
 /// under `protocol="chandy_misra_sssp"`: total messages/deliveries, the
 /// per-round message histogram, round count, and final makespan (see
-/// [`Simulator::with_metrics`]).
+/// [`Simulator::with_metrics`](crate::sim::Simulator::with_metrics)).
 ///
 /// # Errors
 ///

@@ -23,6 +23,9 @@
 //! built structure — so tests can corrupt a view (drop a gadget edge,
 //! point a cross-index at the wrong edge) and assert the specific finding
 //! fires.
+//!
+//! [`AuxiliaryGraph::for_all_pairs`]: wdm_core::AuxiliaryGraph::for_all_pairs
+//! [`ResidualState`]: wdm_core::ResidualState
 
 use crate::findings::{Finding, Rule};
 use std::collections::{BTreeSet, HashMap, HashSet};

@@ -6,6 +6,10 @@
 //! async-signal-safe — and the accept loop polls
 //! [`termination_requested`] between accepts. On non-unix targets both
 //! functions are no-ops and the daemon drains only via the `drain` op.
+//!
+//! [`install`]: crate::signal::install
+//! [`AtomicBool`]: std::sync::atomic::AtomicBool
+//! [`termination_requested`]: crate::signal::termination_requested
 
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
