@@ -105,6 +105,15 @@ impl CsrGraph {
         )
     }
 
+    /// The hop a traversal edge stands for, or `None` for a conversion or
+    /// tap edge.
+    pub(crate) fn hop(&self, edge: usize) -> Option<Hop> {
+        match self.roles[edge] {
+            EdgeRole::Traversal { link, wavelength } => Some(Hop { link, wavelength }),
+            _ => None,
+        }
+    }
+
     /// Decodes a shortest-path tree over this graph, given as per-node
     /// `dist` and `parent` (`(predecessor, edge index)`) slices, into the
     /// semilightpath reaching `sink`, or `None` when `sink` is unreachable.
@@ -127,9 +136,7 @@ impl CsrGraph {
         let mut hops = Vec::with_capacity(8);
         let mut at = sink;
         while let Some((prev, edge)) = parent[at] {
-            if let EdgeRole::Traversal { link, wavelength } = self.roles[edge] {
-                hops.push(Hop { link, wavelength });
-            }
+            hops.extend(self.hop(edge));
             at = prev;
         }
         hops.reverse();

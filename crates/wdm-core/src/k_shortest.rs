@@ -52,15 +52,8 @@ impl AuxPath {
     }
 
     fn to_semilightpath(&self, aux: &AuxiliaryGraph) -> Semilightpath {
-        use crate::csr::EdgeRole;
-        let mut hops = Vec::new();
-        for &e in &self.edges {
-            let (_, edge) = aux.graph().edge(e);
-            if let EdgeRole::Traversal { link, wavelength } = edge.role {
-                hops.push(crate::Hop { link, wavelength });
-            }
-        }
-        Semilightpath::new(hops, self.cost)
+        let hops = self.edges.iter().filter_map(|&e| aux.graph().hop(e));
+        Semilightpath::new(hops.collect(), self.cost)
     }
 }
 

@@ -23,7 +23,7 @@
 use crate::auxiliary::AuxiliaryGraph;
 use crate::csr::EdgeRole;
 use crate::flow::MinCostFlow;
-use crate::{Cost, Hop, LiangShenRouter, Semilightpath, WdmError, WdmNetwork};
+use crate::{Cost, LiangShenRouter, Semilightpath, WdmError, WdmNetwork};
 use wdm_graph::{LinkId, NodeId};
 
 /// What the primary and backup paths must not share.
@@ -200,11 +200,8 @@ fn exact_link_wavelength_pair(network: &WdmNetwork, s: NodeId, t: NodeId) -> Opt
         let mut hops = Vec::new();
         let mut cost = Cost::ZERO;
         for &e in &walk_edges {
-            let (_, edge) = g.edge(e);
-            cost += edge.cost;
-            if let EdgeRole::Traversal { link, wavelength } = edge.role {
-                hops.push(Hop { link, wavelength });
-            }
+            cost += g.edge(e).1.cost;
+            hops.extend(g.hop(e));
         }
         paths.push(Semilightpath::new(hops, cost));
     }

@@ -17,6 +17,7 @@
 
 use crate::semilightpath::run_tree;
 use crate::sim::{SimError, SimStats};
+use std::rc::Rc;
 use wdm_core::{Cost, Wavelength, WdmNetwork};
 use wdm_graph::{DiGraph, LinkId, NodeId};
 use wdm_obs::MetricsRegistry;
@@ -117,7 +118,7 @@ fn sssp_on_one_wavelength(
         unreachable!("one wavelength, declared at most once per link")
     };
     let metrics = registry.map(|r| (r, "chandy_misra_sssp"));
-    let tree = run_tree(&network, source, |_, _| 1, metrics)?;
+    let tree = run_tree(Rc::new(network), source, |_, _| 1, metrics)?;
     // A relaxation that returns to the source never improves it, so the
     // source keeps no parent.
     let parent = graph

@@ -19,7 +19,7 @@
 use crate::sim::{Context, Process, ProcessId, SimError, SimStats, SimTime, Simulator};
 use std::rc::Rc;
 use wdm_core::{Cost, Hop, Semilightpath, Wavelength, WdmError, WdmNetwork};
-use wdm_graph::{LinkId, NodeId};
+use wdm_graph::{DiGraph, LinkId, NodeId};
 use wdm_obs::MetricsRegistry;
 
 /// Messages of the protocol.
@@ -304,19 +304,7 @@ impl DistributedTreeOutcome {
             unreachable!("finite cost ⇒ arrival state")
         };
 
-        let g = network.graph();
-        let mut topology: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
-        for v in g.nodes() {
-            let mut adj: Vec<ProcessId> = g
-                .out_links(v)
-                .iter()
-                .map(|&e| g.link(e).head().index())
-                .chain(g.in_links(v).iter().map(|&e| g.link(e).tail().index()))
-                .collect();
-            adj.sort_unstable();
-            adj.dedup();
-            topology[v.index()] = adj;
-        }
+        let topology = control_channels(network.graph());
         let processes: Vec<TraceProcess> = (0..n)
             .map(|id| TraceProcess {
                 id,
@@ -497,14 +485,32 @@ pub fn distributed_tree_with_latencies(
     source: NodeId,
     latency_of: impl Fn(ProcessId, ProcessId) -> SimTime,
 ) -> Result<DistributedTreeOutcome, SimError> {
-    run_tree(network, source, latency_of, None)
+    run_tree(Rc::new(network.clone()), source, latency_of, None)
+}
+
+/// Each physical node's control channels: its out-neighbours (relaxations)
+/// and in-neighbours (acknowledgements and traces), sorted, once each.
+fn control_channels(g: &DiGraph) -> Vec<Vec<ProcessId>> {
+    g.nodes()
+        .map(|v| {
+            let mut adj: Vec<ProcessId> = g
+                .out_links(v)
+                .iter()
+                .map(|&e| g.link(e).head().index())
+                .chain(g.in_links(v).iter().map(|&e| g.link(e).tail().index()))
+                .collect();
+            adj.sort_unstable();
+            adj.dedup();
+            adj
+        })
+        .collect()
 }
 
 /// The Theorem-3 driver behind [`distributed_tree_with_latencies`]; with
 /// `metrics = Some((registry, protocol))` the simulator reports into
 /// `registry` under `protocol` (see [`Simulator::with_metrics`]).
 pub(crate) fn run_tree(
-    network: &WdmNetwork,
+    network: Rc<WdmNetwork>,
     source: NodeId,
     latency_of: impl Fn(ProcessId, ProcessId) -> SimTime,
     metrics: Option<(&MetricsRegistry, &str)>,
@@ -512,25 +518,12 @@ pub(crate) fn run_tree(
     assert!(source.index() < network.node_count(), "source out of range");
     let n = network.node_count();
     let k = network.k();
-    let shared = Rc::new(network.clone());
-    let g = network.graph();
-
-    let mut processes = Vec::with_capacity(n);
-    let mut topology: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
-    for v in g.nodes() {
-        let mut adj: Vec<ProcessId> = g
-            .out_links(v)
-            .iter()
-            .map(|&e| g.link(e).head().index())
-            .chain(g.in_links(v).iter().map(|&e| g.link(e).tail().index()))
-            .collect();
-        adj.sort_unstable();
-        adj.dedup();
-        topology[v.index()] = adj;
-        processes.push(NodeProcess {
-            id: v.index(),
-            is_source: v == source,
-            network: Rc::clone(&shared),
+    let topology = control_channels(network.graph());
+    let processes: Vec<NodeProcess> = (0..n)
+        .map(|id| NodeProcess {
+            id,
+            is_source: id == source.index(),
+            network: Rc::clone(&network),
             x_dist: vec![Cost::INFINITY; k],
             x_parent: vec![None; k],
             y_dist: vec![Cost::INFINITY; k],
@@ -541,8 +534,8 @@ pub(crate) fn run_tree(
             terminated: false,
             sent_data: 0,
             sent_acks: 0,
-        });
-    }
+        })
+        .collect();
 
     let latencies: Vec<Vec<(ProcessId, SimTime)>> = topology
         .iter()
