@@ -119,8 +119,8 @@ fn sssp_on_one_wavelength(
     };
     let metrics = registry.map(|r| (r, "chandy_misra_sssp"));
     let tree = run_tree(Rc::new(network), source, |_, _| 1, metrics)?;
-    // A relaxation that returns to the source never improves it, so the
-    // source keeps no parent.
+    // A wave that comes back round can set the source's own `X` state,
+    // but the source sits at distance zero with no parent.
     let parent = graph
         .nodes()
         .map(|v| (v != source).then(|| tree.predecessor(v, lambda)).flatten())

@@ -13,8 +13,8 @@
 //! One relaxation message carries `(link, wavelength, distance)` and
 //! travels the physical link it relaxes; acknowledgements travel the
 //! reverse control channel. On a one-wavelength network this is plain
-//! Chandy–Misra SSSP, which [`crate::chandy_misra`] runs through the same
-//! driver.
+//! Chandy–Misra SSSP, which [`crate::chandy_misra`] runs through this
+//! same code.
 
 use crate::sim::{Context, Process, ProcessId, SimError, SimStats, SimTime, Simulator};
 use std::rc::Rc;
@@ -506,7 +506,7 @@ fn control_channels(g: &DiGraph) -> Vec<Vec<ProcessId>> {
         .collect()
 }
 
-/// The Theorem-3 driver behind [`distributed_tree_with_latencies`]; with
+/// The Theorem-3 run behind [`distributed_tree_with_latencies`]; with
 /// `metrics = Some((registry, protocol))` the simulator reports into
 /// `registry` under `protocol` (see [`Simulator::with_metrics`]).
 pub(crate) fn run_tree(

@@ -181,7 +181,7 @@ impl EngineBackend {
     /// `Drain` is a server-level operation, and `Trace` only reads
     /// recorder counters; at this layer both are acknowledged without
     /// touching the engine or consuming a `seq`, which keeps offline
-    /// replay of recorded sessions trivial.
+    /// replay of a recorded request stream trivial.
     fn execute_wired(&self, ctx: &mut ExecCtx, req: &Request, wire: Option<TraceId>) -> String {
         if matches!(req, Request::Drain) {
             return r#"{"ok":true,"op":"drain"}"#.to_string();
