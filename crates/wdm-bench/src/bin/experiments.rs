@@ -231,9 +231,9 @@ fn e20(quick: bool) -> Vec<String> {
             let g = aux.graph();
             // The unguided run's own mask, indexed by (link, λ).
             let mut edge_of = vec![vec![usize::MAX; k]; net.link_count()];
-            for i in 0..g.edge_count() {
-                if let EdgeRole::Traversal { link, wavelength } = g.edge(i).1.role {
-                    edge_of[link.index()][wavelength.index()] = i;
+            for (_, e) in g.edges() {
+                if let EdgeRole::Traversal { link, wavelength } = e.role {
+                    edge_of[link.index()][wavelength.index()] = e.index;
                 }
             }
             let mut mask = EdgeMask::all_clear(g.edge_count());

@@ -113,10 +113,10 @@ impl SpecEngine {
         let aux = AuxiliaryGraph::for_all_pairs(&self.base);
         let g = aux.graph();
         let mut mask = EdgeMask::all_clear(g.edge_count());
-        for i in 0..g.edge_count() {
-            if let EdgeRole::Traversal { link, wavelength } = g.edge(i).1.role {
+        for (_, e) in g.edges() {
+            if let EdgeRole::Traversal { link, wavelength } = e.role {
                 if self.busy[link.index()][wavelength.index()] {
-                    mask.set(i);
+                    mask.set(e.index);
                 }
             }
         }

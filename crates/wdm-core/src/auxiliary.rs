@@ -242,81 +242,95 @@ impl AuxiliaryGraph {
             }
         }
 
+        // Exact edge counts first, so the builder's columns are reserved
+        // once and the rows below are written in place.
+        let conversion_edges: usize = (0..n)
+            .map(|v| {
+                network
+                    .conversion_at(NodeId::new(v))
+                    .allowed_pairs(&in_wavelengths[v], &out_wavelengths[v])
+            })
+            .sum();
+        let multigraph_links = network.multigraph_link_count();
+        let tap_edges = match terminals {
+            Terminals::None => 0,
+            Terminals::Pair { s, t } => {
+                out_wavelengths[s.index()].len() + in_wavelengths[t.index()].len()
+            }
+            Terminals::All => core_nodes,
+        };
         let mut builder = CsrBuilder::new(core_nodes + terminal_nodes);
+        builder.reserve(conversion_edges + multigraph_links + tap_edges);
 
-        // E_v: conversion gadget edges.
-        let mut conversion_edges = 0usize;
+        // The rows in aux-node order, so every edge lands at the index the
+        // construction's stable order gives it: per node, each X_v row
+        // (its E_v conversions in Y_v order, then the sink tap), then each
+        // Y_v row (its traversals in link order); the source-terminal rows
+        // last.
+        let mut lanes = Vec::new();
         for v in 0..n {
             let node = NodeId::new(v);
             let policy = network.conversion_at(node);
+            let sink = match terminals {
+                Terminals::Pair { t, .. } if t == node => Some(terminal_base + 1),
+                Terminals::All => Some(terminal_base + 2 * v + 1),
+                _ => None,
+            };
             for (xi, &from) in in_wavelengths[v].iter().enumerate() {
+                let x = x_offset[v] + xi;
                 for (yi, &to) in out_wavelengths[v].iter().enumerate() {
                     let cost = policy.cost(from, to);
                     if cost.is_finite() {
-                        builder.add_edge(
-                            x_offset[v] + xi,
-                            y_offset[v] + yi,
-                            cost,
-                            EdgeRole::Conversion { node, from, to },
-                        );
-                        conversion_edges += 1;
+                        let role = EdgeRole::Conversion { node, from, to };
+                        builder.add_edge(x, y_offset[v] + yi, cost, role);
+                    }
+                }
+                if let Some(sink) = sink {
+                    builder.add_edge(x, sink, Cost::ZERO, EdgeRole::Tap);
+                }
+            }
+            // E_org: one traversal per (out-link, λ ∈ Λ(e)). Each link's
+            // entries are sorted like Y_v, so one cursor per link walks
+            // them in step with the rows.
+            lanes.clear();
+            lanes.extend(g.out_links(node).iter().map(|&link| {
+                let entries = network.wavelengths_on(link).as_slice();
+                (link, g.link(link).head(), entries)
+            }));
+            for (yi, &w) in out_wavelengths[v].iter().enumerate() {
+                for (link, head, entries) in &mut lanes {
+                    let Some((&(lw, cost), rest)) = entries.split_first() else {
+                        continue;
+                    };
+                    if lw == w {
+                        let h = head.index();
+                        let x = x_offset[h] + index_of(&in_wavelengths[h], w);
+                        let role = EdgeRole::Traversal {
+                            link: *link,
+                            wavelength: w,
+                        };
+                        builder.add_edge(y_offset[v] + yi, x, cost, role);
+                        *entries = rest;
                     }
                 }
             }
         }
-
-        // E_org: traversal edges, one per (link, available wavelength).
-        let mut multigraph_links = 0usize;
-        for (link, l) in g.links() {
-            let u = l.tail().index();
-            let v = l.head().index();
-            for (w, cost) in network.wavelengths_on(link).iter() {
-                let yi = index_of(&out_wavelengths[u], w);
-                let xi = index_of(&in_wavelengths[v], w);
-                builder.add_edge(
-                    y_offset[u] + yi,
-                    x_offset[v] + xi,
-                    cost,
-                    EdgeRole::Traversal {
-                        link,
-                        wavelength: w,
-                    },
-                );
-                multigraph_links += 1;
+        // Source-terminal rows: s' taps into Y_s, or each v' into Y_v.
+        let tap_row = |builder: &mut CsrBuilder, source: usize, v: usize| {
+            for yi in 0..out_wavelengths[v].len() {
+                builder.add_edge(source, y_offset[v] + yi, Cost::ZERO, EdgeRole::Tap);
             }
-        }
-
-        // Terminal taps.
-        let mut tap_edges = 0usize;
+        };
         match terminals {
             Terminals::None => {}
-            Terminals::Pair { s, t } => {
-                let s_id = terminal_base;
-                let t_id = terminal_base + 1;
-                for yi in 0..out_wavelengths[s.index()].len() {
-                    builder.add_edge(s_id, y_offset[s.index()] + yi, Cost::ZERO, EdgeRole::Tap);
-                    tap_edges += 1;
-                }
-                for xi in 0..in_wavelengths[t.index()].len() {
-                    builder.add_edge(x_offset[t.index()] + xi, t_id, Cost::ZERO, EdgeRole::Tap);
-                    tap_edges += 1;
-                }
-            }
-            Terminals::All => {
-                for v in 0..n {
-                    let v_src = terminal_base + 2 * v;
-                    let v_snk = terminal_base + 2 * v + 1;
-                    for yi in 0..out_wavelengths[v].len() {
-                        builder.add_edge(v_src, y_offset[v] + yi, Cost::ZERO, EdgeRole::Tap);
-                        tap_edges += 1;
-                    }
-                    for xi in 0..in_wavelengths[v].len() {
-                        builder.add_edge(x_offset[v] + xi, v_snk, Cost::ZERO, EdgeRole::Tap);
-                        tap_edges += 1;
-                    }
-                }
-            }
+            Terminals::Pair { s, .. } => tap_row(&mut builder, terminal_base, s.index()),
+            Terminals::All => (0..n).for_each(|v| tap_row(&mut builder, terminal_base + 2 * v, v)),
         }
+        debug_assert_eq!(
+            builder.edge_count(),
+            conversion_edges + multigraph_links + tap_edges,
+            "the reserved edge count is exact"
+        );
 
         let stats = AuxStats {
             n,

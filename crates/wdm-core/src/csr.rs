@@ -52,13 +52,19 @@ pub struct EdgeRef {
 
 /// A directed graph in compressed-sparse-row form with [`Cost`] weights and
 /// [`EdgeRole`] payloads.
+///
+/// Edge `i` lives at index `i` of three parallel columns (target, cost,
+/// role: 28 bytes per edge), and the edges of node `v` are the dense range
+/// `offsets[v]..offsets[v + 1]`. No per-edge source is stored: a row scan
+/// knows its source, [`edges`](Self::edges) yields it for whole-graph
+/// scans, and [`edge`](Self::edge) finds it by a binary search over the
+/// row starts.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     costs: Vec<Cost>,
     roles: Vec<EdgeRole>,
-    sources: Vec<u32>,
 }
 
 impl CsrGraph {
@@ -88,14 +94,27 @@ impl CsrGraph {
         })
     }
 
+    /// Every edge as `(source, EdgeRef)`, in dense index order: the
+    /// whole-graph scan, reading each row's source from the row starts.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, EdgeRef)> + '_ {
+        (0..self.node_count()).flat_map(move |s| self.out_edges(s).map(move |e| (s, e)))
+    }
+
     /// The edge with dense index `index`, as `(source, EdgeRef)`.
+    ///
+    /// The source is found by a binary search over the row starts
+    /// (`O(log n)`); scan a whole graph with [`edges`](Self::edges).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn edge(&self, index: usize) -> (usize, EdgeRef) {
+        assert!(index < self.edge_count(), "edge {index} out of range");
+        // The last row starting at or before `index`; empty rows share
+        // their start with the next row and are skipped.
+        let source = self.offsets.partition_point(|&start| start <= index) - 1;
         (
-            self.sources[index] as usize,
+            source,
             EdgeRef {
                 index,
                 target: self.targets[index] as usize,
@@ -305,10 +324,34 @@ impl EdgeMask {
 }
 
 /// Incremental builder producing a [`CsrGraph`].
+///
+/// The builder stores the graph's own columns, so [`build`](Self::build)
+/// has two paths:
+///
+/// - **In place.** When every edge arrives in nondecreasing source
+///   order, the rows are already laid out: `build` turns the per-source
+///   counts into row starts and moves the columns into the graph. Nothing
+///   is copied, and the build peaks at the size of the graph it returns.
+///   Reserve the exact edge count first ([`reserve`](Self::reserve)) so
+///   the columns never regrow.
+/// - **Counting sort.** After the first edge that arrives out of source
+///   order, the builder also records each edge's source, and `build`
+///   places the edges by a stable counting sort (`O(n + m)`), one new
+///   set of columns.
+///
+/// Either way the edges of one source keep their insertion order.
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
-    n: usize,
-    edges: Vec<(u32, u32, Cost, EdgeRole)>,
+    /// `offsets[s + 1]` counts the edges added from `s`.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    costs: Vec<Cost>,
+    roles: Vec<EdgeRole>,
+    /// Every edge's source, kept once an edge arrived out of source
+    /// order; `None` while the rows are in place.
+    sources: Option<Vec<u32>>,
+    /// The source of the last edge added.
+    last_source: usize,
 }
 
 impl CsrBuilder {
@@ -323,14 +366,23 @@ impl CsrBuilder {
             "CSR endpoints are u32-encoded; {n} nodes do not fit"
         );
         CsrBuilder {
-            n,
-            edges: Vec::new(),
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
+            costs: Vec::new(),
+            roles: Vec::new(),
+            sources: None,
+            last_source: 0,
         }
     }
 
     /// Pre-allocates room for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
-        self.edges.reserve(additional);
+        self.targets.reserve_exact(additional);
+        self.costs.reserve_exact(additional);
+        self.roles.reserve_exact(additional);
+        if let Some(sources) = &mut self.sources {
+            sources.reserve_exact(additional);
+        }
     }
 
     /// Adds the directed edge `source → target`.
@@ -339,53 +391,80 @@ impl CsrBuilder {
     ///
     /// Panics if an endpoint is out of range.
     pub fn add_edge(&mut self, source: usize, target: usize, cost: Cost, role: EdgeRole) {
-        assert!(source < self.n, "source {source} out of range");
-        assert!(target < self.n, "target {target} out of range");
+        let n = self.offsets.len() - 1;
+        assert!(source < n, "source {source} out of range");
+        assert!(target < n, "target {target} out of range");
+        if source < self.last_source && self.sources.is_none() {
+            self.sources = Some(self.sorted_sources());
+        }
+        self.last_source = source;
         // wdm-lint: cast-checked: endpoints < n, and new() asserts n fits u32
-        self.edges.push((source as u32, target as u32, cost, role));
+        let (source32, target32) = (source as u32, target as u32);
+        if let Some(sources) = &mut self.sources {
+            sources.push(source32);
+        }
+        self.offsets[source + 1] += 1;
+        self.targets.push(target32);
+        self.costs.push(cost);
+        self.roles.push(role);
+    }
+
+    /// The sources of the edges added so far, all in source order.
+    fn sorted_sources(&self) -> Vec<u32> {
+        let mut sources = Vec::with_capacity(self.targets.capacity());
+        for (s, &count) in self.offsets[1..].iter().enumerate() {
+            // wdm-lint: cast-checked: s < n, and new() asserts n fits u32
+            sources.extend(std::iter::repeat_n(s as u32, count));
+        }
+        sources
     }
 
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.targets.len()
     }
 
-    /// Finalizes into CSR form (counting sort by source: `O(n + m)`).
+    /// Finalizes into CSR form: in place when the edges arrived in source
+    /// order, by a stable counting sort otherwise (see the type docs).
     pub fn build(self) -> CsrGraph {
-        let mut offsets = vec![0usize; self.n + 1];
-        // `add_edge` bounds every endpoint below `n`, so `s + 1` indexes
-        // in range here and in the counting-sort scatter below.
-        debug_assert!(
-            offsets.len() == self.n + 1,
-            "one offset slot past each node"
-        );
-        for &(s, _, _, _) in &self.edges {
-            offsets[s as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let m = self.edges.len();
-        let mut targets = vec![0u32; m];
-        let mut costs = vec![Cost::ZERO; m];
-        let mut roles = vec![EdgeRole::Tap; m];
-        let mut sources = vec![0u32; m];
-        let mut cursor = offsets.clone();
-        for (s, t, c, r) in self.edges {
-            let at = cursor[s as usize];
-            cursor[s as usize] += 1;
-            targets[at] = t;
-            costs[at] = c;
-            roles[at] = r;
-            sources[at] = s;
-        }
-        CsrGraph {
-            offsets,
+        let CsrBuilder {
+            mut offsets,
             targets,
             costs,
             roles,
             sources,
+            ..
+        } = self;
+        // Counts to row starts: `offsets[s]` becomes the first edge of `s`.
+        let mut start = 0;
+        for slot in &mut offsets {
+            start += *slot;
+            *slot = start;
         }
+        let Some(sources) = sources else {
+            return CsrGraph {
+                offsets,
+                targets,
+                costs,
+                roles,
+            };
+        };
+        let m = targets.len();
+        let mut sorted = CsrGraph {
+            targets: vec![0u32; m],
+            costs: vec![Cost::ZERO; m],
+            roles: vec![EdgeRole::Tap; m],
+            offsets,
+        };
+        let mut cursor = sorted.offsets.clone();
+        for (i, &s) in sources.iter().enumerate() {
+            let at = cursor[s as usize];
+            cursor[s as usize] += 1;
+            sorted.targets[at] = targets[i];
+            sorted.costs[at] = costs[i];
+            sorted.roles[at] = roles[i];
+        }
+        sorted
     }
 }
 
@@ -434,6 +513,61 @@ mod tests {
         assert_eq!(g.out_edges(0).len(), 1);
         let out2: Vec<usize> = g.out_edges(2).map(|e| e.target).collect();
         assert_eq!(out2, vec![0, 1]);
+    }
+
+    /// Every edge as `(source, index, target, cost, role)`, by `edges()`.
+    fn dump(g: &CsrGraph) -> Vec<(usize, usize, usize, Cost, EdgeRole)> {
+        g.edges()
+            .map(|(s, e)| (s, e.index, e.target, e.cost, e.role))
+            .collect()
+    }
+
+    #[test]
+    fn sorted_and_shuffled_inputs_build_the_same_graph() {
+        // Rows 1 and 3 stay empty; rows 0 and 2 hold several edges whose
+        // order within the row must survive.
+        let edges = [
+            (0, 1, 1),
+            (0, 4, 2),
+            (2, 0, 3),
+            (2, 2, 4),
+            (2, 1, 5),
+            (4, 3, 6),
+        ];
+        let build = |order: &[usize]| {
+            let mut b = CsrBuilder::new(5);
+            for &i in order {
+                let (s, t, c) = edges[i];
+                b.add_edge(s, t, Cost::new(c), EdgeRole::Tap);
+            }
+            b.build()
+        };
+        let sorted = build(&[0, 1, 2, 3, 4, 5]);
+        // Rows interleaved, each row's own edges still in order.
+        let shuffled = build(&[5, 2, 0, 3, 1, 4]);
+        assert_eq!(dump(&sorted), dump(&shuffled));
+        let expected: Vec<_> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t, c))| (s, i, t, Cost::new(c), EdgeRole::Tap))
+            .collect();
+        assert_eq!(dump(&sorted), expected);
+        for g in [&sorted, &shuffled] {
+            assert_eq!(g.out_edges(1).len() + g.out_edges(3).len(), 0);
+            for (i, &(s, ..)) in expected.iter().enumerate() {
+                assert_eq!(g.edge(i).0, s, "source of edge {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 3 out of range")]
+    fn edge_out_of_range_panics() {
+        let mut b = CsrBuilder::new(2);
+        for _ in 0..3 {
+            b.add_edge(0, 1, Cost::ZERO, EdgeRole::Tap);
+        }
+        b.build().edge(3);
     }
 
     #[test]

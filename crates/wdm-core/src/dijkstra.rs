@@ -742,8 +742,7 @@ mod tests {
         let masked = masked_tree(&g, &mask);
         // Rebuild the same subgraph physically and compare dist values.
         let mut b = CsrBuilder::new(5);
-        for i in 1..g.edge_count() {
-            let (s, e) = g.edge(i);
+        for (s, e) in g.edges().skip(1) {
             b.add_edge(s, e.target, e.cost, e.role);
         }
         let rebuilt = dijkstra::<FibonacciHeap<Cost>>(&b.build(), 0);

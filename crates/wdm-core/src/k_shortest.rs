@@ -142,8 +142,8 @@ pub fn k_shortest_semilightpaths(
     let mut banned_list: Vec<usize> = Vec::new();
     // in_edges[v]: the edges entering v, masked to ban v.
     let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); graph.node_count()];
-    for i in 0..graph.edge_count() {
-        in_edges[graph.edge(i).1.target].push(i);
+    for (_, e) in graph.edges() {
+        in_edges[e.target].push(e.index);
     }
 
     ws.run(graph, source, &mut heap);

@@ -36,6 +36,11 @@ impl LinkWavelengths {
         self.entries.iter().copied()
     }
 
+    /// The `(λ, w(e, λ))` entries in increasing wavelength order.
+    pub(crate) fn as_slice(&self) -> &[(Wavelength, Cost)] {
+        &self.entries
+    }
+
     /// The traversal cost `w(e, λ)`, or [`Cost::INFINITY`] if `λ ∉ Λ(e)`.
     pub fn cost(&self, wavelength: Wavelength) -> Cost {
         match self.entries.binary_search_by_key(&wavelength, |&(w, _)| w) {

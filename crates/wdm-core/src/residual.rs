@@ -344,10 +344,15 @@ impl ResidualState {
     /// once-per-engine `O(k²n + km)` cost the per-request path no longer
     /// pays.
     ///
-    /// Memory: besides the graphs, the state holds the search's lower
-    /// bounds, a table of `4·n²` bytes for `n` physical nodes (1 MiB at
-    /// `n = 512`, 400 MB at `n = 10,000`). It is allocated here; its rows
-    /// are filled on first use, one per routed target.
+    /// Memory: most of the state is `G_all`, at 28 bytes per edge plus
+    /// its node tables. Under full conversion it has up to `k²n` gadget
+    /// edges: 494,290 edges, 14 MiB, for the 512-node, `k = 32`
+    /// benchmark instance `sparse512_k32`. The graph is built in place
+    /// (see [`CsrBuilder`]), so the build peaks at that size. The state
+    /// also holds the search's lower bounds, a table of `4·n²` bytes for
+    /// `n` physical nodes (1 MiB at `n = 512`, 400 MB at `n = 10,000`).
+    /// It is allocated here; its rows are filled on first use, one per
+    /// routed target.
     pub fn new(base: &WdmNetwork) -> Self {
         Self::with_bounds(base, LowerBounds::new(base))
     }
@@ -388,10 +393,9 @@ impl ResidualState {
 
         // Index the traversal edges by (link, λ) for O(log k0) flips.
         let mut aux_edge: Vec<Vec<(Wavelength, u32)>> = vec![Vec::new(); m];
-        for i in 0..g.edge_count() {
-            let (_, e) = g.edge(i);
+        for (_, e) in g.edges() {
             if let EdgeRole::Traversal { link, wavelength } = e.role {
-                let Ok(ei) = u32::try_from(i) else {
+                let Ok(ei) = u32::try_from(e.index) else {
                     unreachable!("aux edge count fits in u32 edge handles")
                 };
                 aux_edge[link.index()].push((wavelength, ei));
@@ -423,10 +427,9 @@ impl ResidualState {
             }
             let graph = b.build();
             let mut edge_of_link = vec![NO_EDGE; m];
-            for i in 0..graph.edge_count() {
-                let (_, e) = graph.edge(i);
+            for (_, e) in graph.edges() {
                 if let EdgeRole::Traversal { link, .. } = e.role {
-                    let Ok(ei) = u32::try_from(i) else {
+                    let Ok(ei) = u32::try_from(e.index) else {
                         unreachable!("aux edge count fits in u32 edge handles")
                     };
                     edge_of_link[link.index()] = ei;

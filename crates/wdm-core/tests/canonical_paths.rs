@@ -205,10 +205,10 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
         }
     }
     let mut mask = EdgeMask::all_clear(aux.graph().edge_count());
-    for i in 0..aux.graph().edge_count() {
-        if let EdgeRole::Traversal { link, wavelength } = aux.graph().edge(i).1.role {
+    for (_, e) in aux.graph().edges() {
+        if let EdgeRole::Traversal { link, wavelength } = e.role {
             if busy[link.index()][wavelength.index()] {
-                mask.set(i);
+                mask.set(e.index);
             }
         }
     }
@@ -320,10 +320,10 @@ fn lambda_graph(net: &WdmNetwork, busy: &[Vec<bool>], lambda: Wavelength) -> (Cs
     }
     let g = b.build();
     let mut mask = EdgeMask::all_clear(g.edge_count());
-    for i in 0..g.edge_count() {
-        if let EdgeRole::Traversal { link, .. } = g.edge(i).1.role {
+    for (_, e) in g.edges() {
+        if let EdgeRole::Traversal { link, .. } = e.role {
             if busy[link.index()][lambda.index()] {
-                mask.set(i);
+                mask.set(e.index);
             }
         }
     }

@@ -75,15 +75,13 @@ impl ModelView {
     pub fn capture(aux: &AuxiliaryGraph, network: &WdmNetwork) -> Self {
         let g = aux.graph();
         let nodes = (0..g.node_count()).map(|i| aux.kind(i)).collect();
-        let edges: Vec<ViewEdge> = (0..g.edge_count())
-            .map(|i| {
-                let (source, e) = g.edge(i);
-                ViewEdge {
-                    source,
-                    target: e.target,
-                    cost: e.cost,
-                    role: e.role,
-                }
+        let edges: Vec<ViewEdge> = g
+            .edges()
+            .map(|(source, e)| ViewEdge {
+                source,
+                target: e.target,
+                cost: e.cost,
+                role: e.role,
             })
             .collect();
         let cross_index = edges
