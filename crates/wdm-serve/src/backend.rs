@@ -365,12 +365,37 @@ fn render_link_out_of_range(op: &str, seq: u64, link: usize, links: usize) -> St
     )
 }
 
+/// The counts, then the ids the cut moved, in outcome order:
+/// `restored_ids` pairs each torn id with its restored id, `lost_ids`
+/// lists the torn ids that found no route.
 fn render_fail_link(seq: u64, link: usize, outcomes: &[RestorationOutcome]) -> String {
+    const DIGITS: usize = 20; // u64::MAX has 20 decimal digits
     let restored = outcomes.iter().filter(|o| o.restored.is_some()).count();
     let lost = outcomes.len() - restored;
-    format!(
-        r#"{{"ok":true,"op":"fail-link","seq":{seq},"link":{link},"restored":{restored},"lost":{lost}}}"#
-    )
+    // The whole reply fits: 95 bytes of keys and brackets, four numbers,
+    // `[a,b],` per restored pair and `a,` per lost id.
+    let capacity = 95 + 4 * DIGITS + restored * (2 * DIGITS + 4) + lost * (DIGITS + 1);
+    let mut s = String::with_capacity(capacity);
+    let _ = write!(
+        s,
+        r#"{{"ok":true,"op":"fail-link","seq":{seq},"link":{link},"restored":{restored},"lost":{lost},"restored_ids":["#
+    );
+    let moved = outcomes
+        .iter()
+        .filter_map(|o| Some((o.torn, o.restored.as_ref()?.0)));
+    for (i, (torn, new)) in moved.enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(s, "{sep}[{},{}]", torn.as_u64(), new.as_u64());
+    }
+    s.push_str(r#"],"lost_ids":["#);
+    let torn = outcomes.iter().filter(|o| o.restored.is_none());
+    for (i, o) in torn.enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(s, "{sep}{}", o.torn.as_u64());
+    }
+    s.push_str("]}");
+    debug_assert!(s.len() <= capacity, "the fail-link reply fits its capacity");
+    s
 }
 
 /// `restored` is false when the link was not cut — a reported no-op,

@@ -18,7 +18,8 @@
 //! ```text
 //! {"op":"provision","s":0,"t":3}            route + lock one request
 //! {"op":"release","id":7}                   free an active connection
-//! {"op":"fail-link","link":2}               fibre cut with restoration
+//! {"op":"fail-link","link":2}               fibre cut with restoration; the
+//!                                           reply names the ids it moved
 //! {"op":"restore-link","link":2}            repair a cut fibre (involution)
 //! {"op":"batch","pairs":[[0,3],[1,2]]}      provision each pair in order
 //! {"op":"stats"}                            engine totals + utilization
@@ -33,6 +34,12 @@
 //! tracing enabled (`--trace-buffer`) — labels the request's recorded
 //! spans with it, so a client can find its exact request in the
 //! exported Chrome trace. See [`protocol::Frame`].
+//!
+//! A cut restores each torn connection under a new id. The `fail-link`
+//! reply lists them after its `restored` and `lost` counts, in the
+//! order the engine handled them: `"restored_ids":[[old,new],…]` and
+//! `"lost_ids":[old,…]`. A client releases a restored connection by its
+//! new id.
 //!
 //! # Operational properties
 //!
@@ -51,10 +58,12 @@
 //! * **In-memory metrics** — `GET /metrics` renders from the live
 //!   [`wdm_obs::MetricsRegistry`]; the daemon never serves metrics from
 //!   (possibly torn) files.
-//! * **Memory** — besides its graphs, the engine's routing state holds
-//!   the search's lower-bound table, `4·n²` bytes for an `n`-node
-//!   instance, allocated at start-up: 1 MiB at `n = 512`, 400 MB at
-//!   `n = 10,000` (see `wdm_core::ResidualState::new`).
+//! * **Memory** — the engine's routing state is mostly `G_all`, 28
+//!   bytes per edge plus its node tables (14 MiB for the benchmark's
+//!   512-node, `k = 32` instance), and the search's lower-bound table,
+//!   `4·n²` bytes for an `n`-node instance: 1 MiB at `n = 512`, 400 MB
+//!   at `n = 10,000`. Both are allocated at start-up (see
+//!   `wdm_core::ResidualState::new`).
 
 #![warn(missing_docs)]
 

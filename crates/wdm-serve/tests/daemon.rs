@@ -566,6 +566,52 @@ fn sharded_traced_release_records_root_under_wire_id() {
     assert_eq!(roots[0].a, id);
 }
 
+/// 0→1 direct (cost 1) or around through node 2 (cost 10), on one
+/// wavelength.
+fn triangle() -> WdmNetwork {
+    let text = "wdm v1\nn 3\nk 1\nlink 0 1 0:1\nlink 0 2 0:5\nlink 2 1 0:5\nlink 1 0 0:1\n";
+    wdm_core::textfmt::from_text(text).expect("valid")
+}
+
+#[test]
+fn fail_link_reply_names_the_restored_ids() {
+    let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
+    let mut ctx = backend.new_ctx();
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"provision","s":0,"t":1}"#);
+    assert!(reply.contains(r#""id":0,"cost":1,"#), "{reply}");
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"fail-link","link":0,"trace_id":9}"#);
+    assert_eq!(
+        reply,
+        r#"{"ok":true,"op":"fail-link","seq":2,"link":0,"restored":1,"lost":0,"restored_ids":[[0,1]],"lost_ids":[],"trace_id":9}"#
+    );
+    // The reply's new id is the one to release.
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"release","id":1}"#);
+    assert!(reply.starts_with(r#"{"ok":true,"op":"release""#), "{reply}");
+    assert_eq!(backend.active_count(), 0);
+}
+
+#[test]
+fn fail_link_reply_names_the_lost_ids() {
+    let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
+    let mut ctx = backend.new_ctx();
+    // The second connection takes the detour, so the first has none left.
+    for (id, cost) in [(0, 1), (1, 10)] {
+        let reply = backend.execute_line(&mut ctx, r#"{"op":"provision","s":0,"t":1}"#);
+        assert!(
+            reply.contains(&format!(r#""id":{id},"cost":{cost},"#)),
+            "{reply}"
+        );
+    }
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"fail-link","link":0}"#);
+    assert_eq!(
+        reply,
+        r#"{"ok":true,"op":"fail-link","seq":3,"link":0,"restored":0,"lost":1,"restored_ids":[],"lost_ids":[0]}"#
+    );
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"release","id":0}"#);
+    assert!(reply.contains(r#""error":"unknown_connection""#), "{reply}");
+    assert_eq!(backend.active_count(), 1);
+}
+
 #[test]
 fn traced_fail_link_and_restore_link_record_roots_under_wire_ids() {
     let net = instance(35, 12, 3);
