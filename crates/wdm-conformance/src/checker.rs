@@ -136,9 +136,9 @@ impl<'a> Search<'a> {
         let Some(min_resp) = self
             .records
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !done[*i])
-            .map(|(_, r)| r.responded_at)
+            .zip(done.iter())
+            .filter(|(_, &d)| !d)
+            .map(|(r, _)| r.responded_at)
             .min()
         else {
             unreachable!("not all done")

@@ -9,15 +9,11 @@ use wdm_obs::json::escape_into;
 /// `L*` rules come from the source engine ([`crate::source`]), `M*` rules
 /// from the model verifier ([`crate::model`]). The slug (see
 /// [`Rule::slug`]) is what suppression comments name:
-/// `// wdm-lint: allow(no_unwrap) — reason`.
+/// `// wdm-lint: allow(panic_reach) — reason`. L1 and L2 retired into
+/// L6 and L7; their codes are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
-    /// L1 — no `unwrap()` / `expect()` / `panic!` in non-test library
-    /// code (typed errors or `assert!`/`unreachable!` invariants instead).
-    NoUnwrap,
-    /// L2 — no allocating calls inside `// wdm-lint: hot-path` functions.
-    HotPathAlloc,
     /// L3 — every `unsafe` token needs an immediately preceding
     /// `// SAFETY:` comment.
     UnsafeNeedsSafety,
@@ -26,13 +22,13 @@ pub enum Rule {
     OrderingJustification,
     /// L5 — public items need doc comments.
     MissingDocs,
-    /// L6 — library code in deny-tier crates must not *reach* a panic
-    /// primitive (`unwrap`/`expect`/`panic!`/bare `unreachable!()`/
-    /// unguarded arithmetic indexing) through any call chain in the
-    /// workspace call graph.
+    /// L6 — non-test library code in deny-tier crates must not contain
+    /// or *reach* a panic primitive (`unwrap`/`expect`/`panic!`/bare
+    /// `unreachable!()`/unguarded arithmetic indexing) through any call
+    /// chain in the workspace call graph.
     PanicReach,
-    /// L7 — `// wdm-lint: hot-path` functions must not reach an
-    /// allocating call through any call chain.
+    /// L7 — `// wdm-lint: hot-path` functions must not allocate, in
+    /// their own body or through any call chain.
     AllocReach,
     /// L8 — lossy `as` casts (integer narrowing, sign loss, float→int)
     /// outside `// wdm-lint: cast-checked: <reason>` sites.
@@ -66,9 +62,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 16] = [
-        Rule::NoUnwrap,
-        Rule::HotPathAlloc,
+    pub const ALL: [Rule; 14] = [
         Rule::UnsafeNeedsSafety,
         Rule::OrderingJustification,
         Rule::MissingDocs,
@@ -88,8 +82,6 @@ impl Rule {
     /// Stable machine name, used in JSON output and suppression comments.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no_unwrap",
-            Rule::HotPathAlloc => "hot_path_alloc",
             Rule::UnsafeNeedsSafety => "unsafe_needs_safety",
             Rule::OrderingJustification => "ordering_justification",
             Rule::MissingDocs => "missing_docs",
@@ -107,11 +99,9 @@ impl Rule {
         }
     }
 
-    /// Short display code (`L1`..`L5`, `M1`..`M7`).
+    /// Short display code (`L3`..`L9`, `M1`..`M7`).
     pub fn code(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "L1",
-            Rule::HotPathAlloc => "L2",
             Rule::UnsafeNeedsSafety => "L3",
             Rule::OrderingJustification => "L4",
             Rule::MissingDocs => "L5",
@@ -137,19 +127,15 @@ impl Rule {
     /// One-line rule description, used in the SARIF rules table.
     pub fn description(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no unwrap/expect/panic! in non-test library code",
-            Rule::HotPathAlloc => "no allocating calls inside hot-path functions",
             Rule::UnsafeNeedsSafety => "every `unsafe` needs a preceding // SAFETY: comment",
             Rule::OrderingJustification => {
                 "atomic Ordering uses need justification or an audited module"
             }
             Rule::MissingDocs => "public items need doc comments",
             Rule::PanicReach => {
-                "deny-tier library code must not reach a panic primitive through any call chain"
+                "deny-tier library code must not contain or reach a panic primitive"
             }
-            Rule::AllocReach => {
-                "hot-path functions must not reach an allocating call through any call chain"
-            }
+            Rule::AllocReach => "hot-path functions must not allocate, directly or via any call",
             Rule::LossyCast => "lossy `as` casts need try_from or a cast-checked justification",
             Rule::ProtocolOrder => "seqlock/shard-claim protocol order in protocol-marked files",
             Rule::Theorem1NodeCount => "Theorem 1 node-count closed form",
@@ -172,7 +158,7 @@ impl fmt::Display for Rule {
 /// How severe a finding is for the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Reported but never fails the run (report-only scopes, e.g. L1
+    /// Reported but never fails the run (report-only scopes, e.g. L6
     /// extended over `wdm-cli`).
     Warning,
     /// Fails the run under `--deny`.
@@ -256,6 +242,20 @@ impl fmt::Display for Finding {
             )
         }
     }
+}
+
+/// Sorts findings by file, line, column and rule code, dropping repeats
+/// of one rule at one span (a nested fn's sink is also its parent's).
+pub(crate) fn sort_findings(findings: &mut Vec<Finding>) {
+    findings.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.col, a.rule.code()).cmp(&(
+            b.file.as_str(),
+            b.line,
+            b.col,
+            b.rule.code(),
+        ))
+    });
+    findings.dedup_by(|a, b| (&a.file, a.line, a.col, a.rule) == (&b.file, b.line, b.col, b.rule));
 }
 
 /// Renders findings as a machine-readable JSON document:
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let findings = vec![
-            Finding::source(Rule::NoUnwrap, "a \"b\".rs", 3, 7, "uses\nunwrap".into()),
+            Finding::source(Rule::PanicReach, "a \"b\".rs", 3, 7, "uses\nunwrap".into()),
             Finding {
                 severity: Severity::Warning,
                 ..Finding::model(Rule::MaskIndex, "inst", "bad".into())
@@ -396,8 +396,8 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        let f = Finding::source(Rule::NoUnwrap, "x.rs", 3, 7, "m".into());
-        assert_eq!(f.to_string(), "deny: [L1] x.rs:3:7: m");
+        let f = Finding::source(Rule::PanicReach, "x.rs", 3, 7, "m".into());
+        assert_eq!(f.to_string(), "deny: [L6] x.rs:3:7: m");
         let m = Finding::model(Rule::GadgetShape, "chain", "bad".into());
         assert_eq!(m.to_string(), "deny: [M3] chain: bad");
     }

@@ -1,5 +1,5 @@
-//! `wdm-lint` — run the workspace source lints (token tier L1–L5 and
-//! call-graph tier L6–L9) and the Liang–Shen model verifier from the
+//! `wdm-lint` — run the workspace source lints (token rules L3–L5 and
+//! call-graph rules L6–L9) and the Liang–Shen model verifier from the
 //! command line.
 //!
 //! ```text
@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wdm_core::{paper_example, textfmt};
 use wdm_lint::{
-    findings::Severity, model, render_json, render_sarif, render_text, rules_v2, source, Baseline,
-    Finding, ItemIndex,
+    findings::Severity, model, render_json, render_sarif, render_text, source, Baseline, Finding,
+    ItemIndex,
 };
 
 struct Options {
@@ -126,13 +126,9 @@ fn verify_instance_file(path: &Path, out: &mut Vec<Finding>) -> Result<(), Strin
 fn run(opts: &Options) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     if opts.run_source {
-        findings.extend(
-            source::scan_workspace(&opts.root)
-                .map_err(|e| format!("scanning {}: {e}", opts.root.display()))?,
-        );
         let index = ItemIndex::build_workspace(&opts.root)
             .map_err(|e| format!("indexing {}: {e}", opts.root.display()))?;
-        findings.extend(rules_v2::scan_graph_rules(&index));
+        findings.extend(source::scan_sources(&index));
     }
     if opts.run_model {
         findings.extend(model::verify_network(
