@@ -40,15 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Campaign sweep parameters and validation.
 pub mod config;
-/// Closed-form Erlang-B loss formula used to anchor the estimator.
 pub mod erlang;
-/// Greedy sparse-converter placement under a budget.
 pub mod placer;
-/// The parallel sweep runner and BENCH record rendering.
 pub mod runner;
-/// One simulation replica: Poisson arrivals replayed through the engine.
 pub mod sim;
 
 pub use config::CampaignConfig;

@@ -48,11 +48,8 @@
 #![warn(missing_docs)]
 
 pub mod checker;
-/// Operation/response records and history collection.
 pub mod history;
-/// The deterministic concurrent-schedule driver.
 pub mod scheduler;
-/// The rebuild-per-request reference spec.
 pub mod spec;
 
 pub use checker::{check_history, CheckConfig, Verdict};

@@ -56,37 +56,25 @@
 #![warn(missing_docs)]
 
 mod all_pairs;
-/// Workload analytics (conversion placement, wavelength pressure) over
-/// optimal routes.
 pub mod analysis;
 mod auxiliary;
 mod cfz;
 mod conversion;
 mod cost;
-/// Compressed-sparse-row auxiliary-graph storage and edge masks.
 pub mod csr;
-/// Dijkstra over CSR graphs: heap-generic full trees and the targeted,
-/// goal-directed kernel, with reusable workspaces and edge masks.
 pub mod dijkstra;
 mod error;
-/// Successive-shortest-path min-cost flow on auxiliary graphs.
 pub mod flow;
-/// Random instance generation for tests and experiments.
 pub mod instance;
 mod k_shortest;
 mod liang_shen;
 mod network;
-/// The worked 7-node example instance from the paper (Fig. 1–2).
 pub mod paper_example;
-/// Test oracles: an independent state-space solver and the heap-generic
-/// targeted search loop.
 pub mod reference;
 mod residual;
-/// Restriction 1/2 predicates gating the paper's fast paths.
 pub mod restrictions;
 mod route;
 mod survivability;
-/// Plain-text `.wdm` instance serialization.
 pub mod textfmt;
 mod wavelength;
 

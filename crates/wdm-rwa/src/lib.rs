@@ -94,8 +94,6 @@ mod engine;
 mod metrics;
 mod policy;
 mod stats;
-/// Synthetic request/workload generators (Poisson arrivals, hotspots,
-/// failure scenarios).
 pub mod workload;
 
 pub use concurrent::{ConcurrentEngine, ConcurrentHandle, RaceInjection};

@@ -68,11 +68,8 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-/// Wire-protocol request parsing and JSON escaping.
 pub mod protocol;
-/// Listener, accept loop, and per-connection workers.
 pub mod server;
-/// SIGTERM/SIGINT latch for graceful drain.
 pub mod signal;
 
 pub use backend::{EngineBackend, ExecCtx};
