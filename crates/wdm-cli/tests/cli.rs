@@ -207,6 +207,29 @@ fn all_pairs_parallel_flags() {
 }
 
 #[test]
+fn all_pairs_on_an_empty_network_prints_the_same_table_with_threads() {
+    let dir = std::env::temp_dir().join("wdm-cli-test-empty-all-pairs");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let file = dir.join("empty.wdm");
+    std::fs::write(&file, "wdm v1\nn 0\nk 1\n").expect("write");
+    let file_s = file.to_str().expect("utf8");
+    let (code, plain) = run_args(&["all-pairs", file_s]);
+    assert_eq!(code, 0, "{plain}");
+    for extra in [
+        vec!["--threads", "1"],
+        vec!["--threads", "2"],
+        vec!["--parallel"],
+    ] {
+        let mut args = vec!["all-pairs", file_s];
+        args.extend(extra.iter().copied());
+        let (code, out) = run_args(&args);
+        assert_eq!(code, 0, "{extra:?}: {out}");
+        assert_eq!(out, plain, "{extra:?}");
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn serve_workload_reruns_byte_identical() {
     let dir = std::env::temp_dir().join("wdm-cli-test-serve");
     std::fs::create_dir_all(&dir).expect("mkdir");

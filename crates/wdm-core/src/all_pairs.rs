@@ -61,32 +61,11 @@ impl AllPairs {
         Self::solve_with(network, HeapKind::Fibonacci)
     }
 
-    /// Solves all pairs with a chosen heap.
+    /// Solves all pairs with a chosen heap on the calling thread, reusing
+    /// one search workspace and heap across sources: the one-thread
+    /// [`AllPairs::solve_parallel`].
     pub fn solve_with(network: &WdmNetwork, heap: HeapKind) -> Self {
-        let n = network.node_count();
-        let aux = AuxiliaryGraph::for_all_pairs(network);
-        let mut costs = vec![Cost::INFINITY; n * n];
-        debug_assert!(costs.len() == n * n, "cost matrix is n x n");
-        let mut total_settled = 0;
-        for s in 0..n {
-            let (source, _) = aux.all_pairs_terminals(NodeId::new(s));
-            let tree = dijkstra_with(heap, aux.graph(), source);
-            total_settled += tree.stats.settled;
-            for t in 0..n {
-                costs[s * n + t] = if s == t {
-                    Cost::ZERO
-                } else {
-                    let (_, sink) = aux.all_pairs_terminals(NodeId::new(t));
-                    tree.dist[sink]
-                };
-            }
-        }
-        AllPairs {
-            n,
-            costs,
-            aux_stats: aux.stats(),
-            total_settled,
-        }
+        Self::solve_parallel(network, heap, 1)
     }
 
     /// Solves all pairs across `threads` worker threads.
@@ -106,8 +85,8 @@ impl AllPairs {
     ///
     /// # Determinism
     ///
-    /// The result is **bit-identical** to [`AllPairs::solve_with`] with
-    /// the same heap, for every thread count: each matrix row is a pure
+    /// The result is **bit-identical** for every thread count, and so to
+    /// [`AllPairs::solve_with`] with the same heap: each matrix row is a pure
     /// function of (`G_all`, source, heap kind), the partition into
     /// chunks never changes what any single row computes, and the
     /// settled-count total is a sum of per-row counts, which is
@@ -241,7 +220,8 @@ fn solve_rows<Q: IndexedPriorityQueue<Cost>>(
     let mut workspace = DijkstraWorkspace::with_capacity(aux_nodes);
     let mut queue = Q::with_capacity(aux_nodes);
     let mut total_settled = 0;
-    for (i, row) in rows.chunks_mut(n).enumerate() {
+    // An empty network has no rows (and `chunks_mut` wants a non-zero size).
+    for (i, row) in rows.chunks_mut(n.max(1)).enumerate() {
         let s = first_row + i;
         let (source, _) = aux.all_pairs_terminals(NodeId::new(s));
         workspace.run(aux.graph(), source, &mut queue);
@@ -477,6 +457,25 @@ mod tests {
         let ap = AllPairs::solve_parallel(&net, HeapKind::Fibonacci, 2);
         assert_eq!(ap.cost(0.into(), 1.into()), Cost::INFINITY);
         assert_eq!(ap.cost(1.into(), 0.into()), Cost::INFINITY);
+    }
+
+    #[test]
+    fn empty_network_gives_an_empty_matrix() {
+        let net = WdmNetwork::builder(DiGraph::from_links(0, []), 1)
+            .build()
+            .expect("valid");
+        let solved = [
+            AllPairs::solve(&net),
+            AllPairs::solve_with(&net, HeapKind::Binary),
+            AllPairs::solve_parallel(&net, HeapKind::Fibonacci, 1),
+            AllPairs::solve_parallel(&net, HeapKind::Array, 4),
+            AllPairs::solve_parallel(&net, HeapKind::Fibonacci, 0),
+        ];
+        for ap in solved {
+            assert_eq!(ap.node_count(), 0);
+            assert!(ap.costs.is_empty());
+            assert_eq!(ap.total_settled(), 0);
+        }
     }
 
     #[test]
