@@ -304,7 +304,10 @@ fn unguarded_index_sinks(f: &FnDef, file: &crate::graph::FileIndex, toks: &[Toke
             match t.text.as_str() {
                 "[" | "(" => depth += 1,
                 "]" | ")" => depth -= 1,
-                "+" | "*" if depth == 1 => has_arith = true,
+                "+" if depth == 1 => has_arith = true,
+                // A `*` multiplies only between two operands; after `[`
+                // or an operator it dereferences (`v[*i]`).
+                "*" if depth == 1 && follows_operand(toks, j) => has_arith = true,
                 "-" if depth == 1 => {
                     // `..x - 1` style still derived arithmetic.
                     has_arith = true;
@@ -346,6 +349,19 @@ fn unguarded_index_sinks(f: &FnDef, file: &crate::graph::FileIndex, toks: &[Toke
         i += 1;
     }
     sinks
+}
+
+/// Whether the code token before `i` ends an operand (an ident, a
+/// literal, `)` or `]`), so that a binary operator at `i` has a left
+/// side.
+fn follows_operand(toks: &[Token], i: usize) -> bool {
+    prev_code(toks, i).is_some_and(|p| {
+        let t = &toks[p];
+        t.kind == TokenKind::Literal
+            || t.kind == TokenKind::Ident && !is_expr_breaker(&t.text)
+            || t.is_punct(')')
+            || t.is_punct(']')
+    })
 }
 
 /// Idents that end an expression before `[` (so the bracket starts an

@@ -1174,6 +1174,32 @@ fn is_keyword(name: &str) -> bool {
 }
 
 /// Extracts every call site in the token range `[start, end)`.
+/// When the tokens from `at` spell a turbofish `::<…>` (before `end`),
+/// the index of the code token after its closing `>`.
+fn turbofish_end(toks: &[Token], at: usize, end: usize) -> Option<usize> {
+    let next = |i: usize| next_code(toks, i).filter(|&j| j < end);
+    let colon = next(at).filter(|_| toks[at].is_punct(':'))?;
+    let mut i = next(colon).filter(|_| toks[colon].is_punct(':'))?;
+    if !toks[i].is_punct('<') {
+        return None;
+    }
+    let mut depth = 0usize;
+    loop {
+        if toks[i].is_punct('<') {
+            depth += 1;
+        } else if toks[i].is_punct('>')
+            && !prev_code(toks, i).is_some_and(|p| toks[p].is_punct('-'))
+        {
+            // `->` inside `Fn(…) -> T` closes nothing.
+            depth -= 1;
+            if depth == 0 {
+                return next(i);
+            }
+        }
+        i = next(i)?;
+    }
+}
+
 fn collect_calls(toks: &[Token], start: usize, end: usize) -> Vec<CallSite> {
     let mut calls = Vec::new();
     let end = end.min(toks.len());
@@ -1205,6 +1231,8 @@ fn collect_calls(toks: &[Token], start: usize, end: usize) -> Vec<CallSite> {
             i += 1;
             continue;
         }
+        // `name::<T>(` — a turbofish between the name and its arguments.
+        let n = turbofish_end(toks, n, end).unwrap_or(n);
         if !toks[n].is_punct('(') {
             i += 1;
             continue;

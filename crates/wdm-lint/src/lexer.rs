@@ -70,6 +70,13 @@ impl Token {
             _ => false,
         }
     }
+
+    /// True for outer doc comments (`///`, `/**`), which document the
+    /// item after them; inner `//!`/`/*!` docs document the enclosing
+    /// module or crate.
+    pub fn is_outer_doc_comment(&self) -> bool {
+        self.is_doc_comment() && !self.text.starts_with("//!") && !self.text.starts_with("/*!")
+    }
 }
 
 struct Cursor<'a> {

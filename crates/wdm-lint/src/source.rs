@@ -297,8 +297,10 @@ fn rule_l5(index: &ItemIndex, file: &FileIndex, out: &mut Vec<Finding>) {
     }
 }
 
-/// Whether the tokens before `pub` at `idx` include a doc comment
-/// (walking back over attributes and plain comments).
+/// Whether the tokens before `pub` at `idx` include an outer doc
+/// comment or `#[doc …]` attribute (walking back over attributes and
+/// other comments). Inner docs (`//!`, `#![doc …]`) document the
+/// enclosing module, not the item.
 fn has_preceding_doc_comment(tokens: &[Token], idx: usize) -> bool {
     let mut i = idx;
     loop {
@@ -307,7 +309,7 @@ fn has_preceding_doc_comment(tokens: &[Token], idx: usize) -> bool {
         };
         i = prev;
         let t = &tokens[i];
-        if t.is_doc_comment() {
+        if t.is_outer_doc_comment() {
             return true;
         }
         if t.is_comment() {
@@ -319,7 +321,8 @@ fn has_preceding_doc_comment(tokens: &[Token], idx: usize) -> bool {
         let Some(start) = attribute_start(tokens, i) else {
             return false;
         };
-        if tokens[start..i].iter().any(|t| t.is_ident("doc")) {
+        let inner = tokens.get(start + 1).is_some_and(|t| t.is_punct('!'));
+        if !inner && tokens[start..i].iter().any(|t| t.is_ident("doc")) {
             return true;
         }
         i = start;

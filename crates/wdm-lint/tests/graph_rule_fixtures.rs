@@ -108,6 +108,31 @@ pub fn pick(v: &[u32], i: usize) -> u32 {
     );
 }
 
+/// A dereference inside an index is plain indexing; a `*` between two
+/// operands is still arithmetic.
+#[test]
+fn l6_deref_in_an_index_is_not_arithmetic() {
+    let deref = "\
+/// Lookup through a borrowed index.
+pub fn pick(v: &[u32], i: &usize) -> u32 {
+    v[*i]
+}
+";
+    let findings = scan(&[("crates/wdm-core/src/l6_deref.rs", deref)]);
+    assert_eq!(spans_of(&findings, Rule::PanicReach), Vec::new());
+    let product = deref.replace("v[*i]", "v[*i * 2]");
+    let findings = scan(&[("crates/wdm-core/src/l6_deref.rs", &product)]);
+    assert_eq!(
+        spans_of(&findings, Rule::PanicReach),
+        vec![(
+            "crates/wdm-core/src/l6_deref.rs".to_string(),
+            3,
+            6,
+            Severity::Deny
+        )]
+    );
+}
+
 #[test]
 fn l6_single_line_allow_suppresses_the_edge() {
     let caller = "\
@@ -175,6 +200,40 @@ fn l7_alloc_in_hot_callee_fires_at_call_edge() {
         .message;
     assert!(msg.contains("hot_entry"), "names the hot fn: {msg}");
     assert!(msg.contains("Vec::new"), "witness reaches the sink: {msg}");
+}
+
+/// A method called through a turbofish is a call edge like any other.
+#[test]
+fn l7_alloc_through_a_turbofish_call_fires_at_call_edge() {
+    let src = "\
+/// A growable buffer.
+pub struct Buf {
+    bytes: Vec<u8>,
+}
+
+impl Buf {
+    /// Starts the buffer over (allocates).
+    fn grow<T>(&mut self) {
+        self.bytes = Vec::new();
+    }
+
+    /// Hot entry that allocates only through the turbofish call.
+    // wdm-lint: hot-path
+    pub fn hot(&mut self) {
+        self.grow::<u8>();
+    }
+}
+";
+    let findings = scan(&[("crates/wdm-core/src/l7_turbofish.rs", src)]);
+    assert_eq!(
+        spans_of(&findings, Rule::AllocReach),
+        vec![(
+            "crates/wdm-core/src/l7_turbofish.rs".to_string(),
+            15,
+            14,
+            Severity::Deny
+        )]
+    );
 }
 
 #[test]

@@ -166,6 +166,20 @@ fn l6_flags_panics_in_const_and_static_initializers() {
     assert!(findings[1].message.contains(".expect()"));
 }
 
+/// A file's `//!` docs document the file's module, not its first item.
+#[test]
+fn l5_inner_docs_do_not_document_the_next_item() {
+    let findings = lint_file(
+        "crates/wdm-core/src/l5_inner.rs",
+        "//! Crate docs.\npub fn f() {}\n",
+    );
+    assert_eq!(
+        spans(&findings),
+        vec![(Rule::MissingDocs, Severity::Deny, 2, 1)],
+        "{findings:?}"
+    );
+}
+
 #[test]
 fn l5_accepts_inner_module_docs_for_a_mod_declaration() {
     let lib = "//! Crate docs.\n\n/// Documented.\npub fn f() {}\n\npub mod m;\n";
