@@ -4,9 +4,10 @@
 //!
 //! The parser accepts the subset of JSON the registry emits (and, in
 //! fact, all of standard JSON except `\u` surrogate-pair pedantry is
-//! handled too). Numbers are parsed as `f64`, which is lossless for the
-//! counts the snapshot writer emits below 2^53 and good enough for
-//! assertions above it.
+//! handled too). Numbers are parsed as `f64`, except a non-negative
+//! integer literal up to `u64::MAX` that `f64` cannot hold exactly (some
+//! above 2^53), which keeps its exact value, so [`Value::as_u64`] reads
+//! every such literal exactly and refuses one past `u64::MAX`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,8 +19,11 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number, as `f64`.
+    /// A JSON number, as `f64`.
     Number(f64),
+    /// A non-negative integer literal that `f64` cannot hold exactly,
+    /// kept exact; every other number is a [`Value::Number`].
+    Integer(u64),
     /// A string (unescaped).
     String(String),
     /// An array.
@@ -53,18 +57,24 @@ impl Value {
         }
     }
 
-    /// The numeric value if this is a number.
+    /// The numeric value if this is a number (rounded to the nearest
+    /// `f64` for an [`Value::Integer`]).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
+            Value::Integer(i) => Some(*i as f64),
             _ => None,
         }
     }
 
-    /// The numeric value as `u64` if this is a non-negative integer.
+    /// The exact value if this is a non-negative integer up to
+    /// `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            // 2^64 is the first integer past the range; every `f64`
+            // below it that has no fraction converts exactly.
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
+            Value::Integer(i) => Some(*i),
             _ => None,
         }
     }
@@ -77,6 +87,9 @@ impl Value {
         }
     }
 }
+
+/// 2^64, the first integer [`Value::as_u64`] cannot return.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The parser
 /// recurses once per level, so the bound keeps a hostile document (a
@@ -360,9 +373,14 @@ impl<'a> Parser<'a> {
         let Ok(text) = std::str::from_utf8(&self.bytes[start..self.pos]) else {
             return Err(self.err("invalid number"));
         };
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
+        let Ok(n) = text.parse::<f64>() else {
+            return Err(self.err("invalid number"));
+        };
+        // An integer literal that `f64` would round keeps its exact value.
+        match text.parse::<u64>() {
+            Ok(i) if n as u128 != u128::from(i) => Ok(Value::Integer(i)),
+            _ => Ok(Value::Number(n)),
+        }
     }
 }
 
@@ -378,6 +396,25 @@ mod tests {
         assert_eq!(parse("42").unwrap(), Value::Number(42.0));
         assert_eq!(parse("-1.5e2").unwrap(), Value::Number(-150.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::String("hi".into()));
+    }
+
+    #[test]
+    fn integers_past_two_pow_53_stay_exact_up_to_u64_max() {
+        let exact = |text: &str| parse(text).ok().and_then(|v| v.as_u64());
+        assert_eq!(exact("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(exact("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(exact("18446744073709551616"), None);
+        assert_eq!(exact("1e300"), None);
+        assert_eq!(exact("9007199254740992"), Some(1 << 53));
+        assert_eq!(exact("4.5"), None);
+        assert_eq!(
+            parse("9007199254740993").unwrap(),
+            Value::Integer((1 << 53) + 1)
+        );
+        assert_eq!(
+            parse("9007199254740993").unwrap().as_f64(),
+            Some(9007199254740992.0)
+        );
     }
 
     #[test]

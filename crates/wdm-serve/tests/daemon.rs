@@ -573,6 +573,29 @@ fn triangle() -> WdmNetwork {
     wdm_core::textfmt::from_text(text).expect("valid")
 }
 
+/// Wire integers past 2^53 reach the engine and the echo exactly, and
+/// one past `u64::MAX` is malformed, not clamped.
+#[test]
+fn wire_integers_past_two_pow_53_stay_exact() {
+    let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
+    let mut ctx = backend.new_ctx();
+    for id in ["9007199254740993", "18446744073709551615"] {
+        let reply = backend.execute_line(&mut ctx, &format!(r#"{{"op":"stats","trace_id":{id}}}"#));
+        assert!(
+            reply.ends_with(&format!(r#","trace_id":{id}}}"#)),
+            "{reply}"
+        );
+    }
+    let reply = backend.execute_line(
+        &mut ctx,
+        r#"{"op":"stats","trace_id":18446744073709551616}"#,
+    );
+    assert!(reply.contains(r#""error":"malformed""#), "{reply}");
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"release","id":9007199254740993}"#);
+    assert!(reply.contains(r#""error":"unknown_connection""#), "{reply}");
+    assert!(reply.contains(r#""id":9007199254740993"#), "{reply}");
+}
+
 #[test]
 fn fail_link_reply_names_the_restored_ids() {
     let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
