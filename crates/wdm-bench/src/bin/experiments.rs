@@ -231,8 +231,8 @@ fn e20(quick: bool) -> Vec<String> {
             let g = aux.graph();
             // The unguided run's own mask, indexed by (link, λ).
             let mut edge_of = vec![vec![usize::MAX; k]; net.link_count()];
-            for (_, e) in g.edges() {
-                if let EdgeRole::Traversal { link, wavelength } = e.role {
+            for (tail, e) in g.edges() {
+                if let EdgeRole::Traversal { link, wavelength } = aux.edge_role(tail, e) {
                     edge_of[link.index()][wavelength.index()] = e.index;
                 }
             }

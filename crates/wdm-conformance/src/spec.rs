@@ -113,8 +113,8 @@ impl SpecEngine {
         let aux = AuxiliaryGraph::for_all_pairs(&self.base);
         let g = aux.graph();
         let mut mask = EdgeMask::all_clear(g.edge_count());
-        for (_, e) in g.edges() {
-            if let EdgeRole::Traversal { link, wavelength } = e.role {
+        for (tail, e) in g.edges() {
+            if let EdgeRole::Traversal { link, wavelength } = aux.edge_role(tail, e) {
                 if self.busy[link.index()][wavelength.index()] {
                     mask.set(e.index);
                 }

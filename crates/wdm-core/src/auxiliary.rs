@@ -24,10 +24,10 @@
 //! The size bounds the paper states as Observations 1–5 are exposed through
 //! [`AuxStats`] and asserted in this module's tests and the E8 experiment.
 
-use crate::csr::{CsrBuilder, CsrGraph, EdgeRole};
+use crate::csr::{decode_semilightpath, CsrBuilder, CsrGraph, EdgeRef, EdgeRole};
 use crate::dijkstra::ShortestPathTree;
-use crate::{Cost, Semilightpath, Wavelength, WdmNetwork};
-use wdm_graph::NodeId;
+use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
+use wdm_graph::{LinkId, NodeId};
 
 /// Which terminals the auxiliary graph is equipped with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +134,11 @@ impl AuxStats {
 
 /// The built search graph with its node-meaning table and terminals.
 ///
+/// The graph stores no meaning per edge: [`edge_role`](Self::edge_role)
+/// decodes it from the endpoints' [`AuxNodeKind`]s, plus one link per
+/// traversal edge for the parallel fibres the endpoints cannot tell
+/// apart.
+///
 /// # Examples
 ///
 /// ```
@@ -160,6 +165,12 @@ pub struct AuxiliaryGraph {
     in_wavelengths: Vec<Vec<Wavelength>>,
     /// Sorted outgoing wavelengths per node (`Λ_out(G_M, v)`).
     out_wavelengths: Vec<Vec<Wavelength>>,
+    /// The link of every traversal edge, in dense edge order.
+    links: Vec<LinkId>,
+    /// `link_shift[v]` — the dense index of `Y_v`'s first edge less its
+    /// slot in `links`: the traversal edge `i` leaving `Y_v` crosses
+    /// `links[i - link_shift[v]]`.
+    link_shift: Vec<usize>,
     terminals: Terminals,
     /// First terminal id (== core node count).
     terminal_base: usize,
@@ -261,12 +272,15 @@ impl AuxiliaryGraph {
         };
         let mut builder = CsrBuilder::new(core_nodes + terminal_nodes);
         builder.reserve(conversion_edges + multigraph_links + tap_edges);
+        let mut links = Vec::with_capacity(multigraph_links);
+        let mut link_shift = vec![0usize; n];
 
         // The rows in aux-node order, so every edge lands at the index the
         // construction's stable order gives it: per node, each X_v row
         // (its E_v conversions in Y_v order, then the sink tap), then each
         // Y_v row (its traversals in link order); the source-terminal rows
-        // last.
+        // last. The builder places them in place, so an edge's index is
+        // the number of edges added before it.
         let mut lanes = Vec::new();
         for v in 0..n {
             let node = NodeId::new(v);
@@ -281,17 +295,18 @@ impl AuxiliaryGraph {
                 for (yi, &to) in out_wavelengths[v].iter().enumerate() {
                     let cost = policy.cost(from, to);
                     if cost.is_finite() {
-                        let role = EdgeRole::Conversion { node, from, to };
-                        builder.add_edge(x, y_offset[v] + yi, cost, role);
+                        builder.add_edge(x, y_offset[v] + yi, cost);
                     }
                 }
                 if let Some(sink) = sink {
-                    builder.add_edge(x, sink, Cost::ZERO, EdgeRole::Tap);
+                    builder.add_edge(x, sink, Cost::ZERO);
                 }
             }
             // E_org: one traversal per (out-link, λ ∈ Λ(e)). Each link's
             // entries are sorted like Y_v, so one cursor per link walks
-            // them in step with the rows.
+            // them in step with the rows. Y_v's rows hold traversals
+            // only, so their links fill one run of `links`.
+            link_shift[v] = builder.edge_count() - links.len();
             lanes.clear();
             lanes.extend(g.out_links(node).iter().map(|&link| {
                 let entries = network.wavelengths_on(link).as_slice();
@@ -305,11 +320,8 @@ impl AuxiliaryGraph {
                     if lw == w {
                         let h = head.index();
                         let x = x_offset[h] + index_of(&in_wavelengths[h], w);
-                        let role = EdgeRole::Traversal {
-                            link: *link,
-                            wavelength: w,
-                        };
-                        builder.add_edge(y_offset[v] + yi, x, cost, role);
+                        builder.add_edge(y_offset[v] + yi, x, cost);
+                        links.push(*link);
                         *entries = rest;
                     }
                 }
@@ -318,7 +330,7 @@ impl AuxiliaryGraph {
         // Source-terminal rows: s' taps into Y_s, or each v' into Y_v.
         let tap_row = |builder: &mut CsrBuilder, source: usize, v: usize| {
             for yi in 0..out_wavelengths[v].len() {
-                builder.add_edge(source, y_offset[v] + yi, Cost::ZERO, EdgeRole::Tap);
+                builder.add_edge(source, y_offset[v] + yi, Cost::ZERO);
             }
         };
         match terminals {
@@ -351,6 +363,8 @@ impl AuxiliaryGraph {
             y_offset,
             in_wavelengths,
             out_wavelengths,
+            links,
+            link_shift,
             terminals,
             terminal_base,
             stats,
@@ -374,6 +388,57 @@ impl AuxiliaryGraph {
     /// Panics if `aux_id` is out of range.
     pub fn kind(&self, aux_id: usize) -> AuxNodeKind {
         self.kinds[aux_id]
+    }
+
+    /// What the edge `edge` leaving aux node `tail` means, decoded from
+    /// the kinds of its endpoints: an `X_v → Y_v` edge is a conversion at
+    /// `v`, an edge leaving `Y_v` is a traversal of the link its place in
+    /// `Y_v`'s rows names, and every other edge is a terminal tap.
+    ///
+    /// Row scans and parent walks know each edge's tail; for a bare edge
+    /// index, [`CsrGraph::edge`] finds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` or `edge.target` is out of range. Debug builds
+    /// also check that `edge` is the graph's edge leaving `tail`.
+    pub fn edge_role(&self, tail: usize, edge: EdgeRef) -> EdgeRole {
+        debug_assert_eq!(
+            self.graph.edge(edge.index),
+            (tail, edge),
+            "edge {} is not an edge of the graph leaving {tail}",
+            edge.index
+        );
+        if let Some(Hop { link, wavelength }) = self.hop(tail, edge.index) {
+            return EdgeRole::Traversal { link, wavelength };
+        }
+        match (self.kinds[tail], self.kinds[edge.target]) {
+            (
+                AuxNodeKind::In {
+                    node,
+                    wavelength: from,
+                },
+                AuxNodeKind::Out { wavelength: to, .. },
+            ) => EdgeRole::Conversion { node, from, to },
+            _ => EdgeRole::Tap,
+        }
+    }
+
+    /// The hop the edge with dense index `edge`, leaving aux node
+    /// `tail`, stands for, or `None` for a conversion or tap: the part of
+    /// [`edge_role`](Self::edge_role) a path walk needs, read from
+    /// `tail`'s kind alone. A traversal's link is `O(1)` from the edge's
+    /// place in `Y_v`'s rows.
+    pub(crate) fn hop(&self, tail: usize, edge: usize) -> Option<Hop> {
+        debug_assert_eq!(self.graph.edge(edge).0, tail, "edge {edge} leaves {tail}");
+        let AuxNodeKind::Out { node, wavelength } = self.kinds[tail] else {
+            return None;
+        };
+        let slot = edge.checked_sub(self.link_shift[node.index()]);
+        match slot.and_then(|slot| self.links.get(slot)) {
+            Some(&link) => Some(Hop { link, wavelength }),
+            None => unreachable!("every edge leaving Y_v has a traversal link"),
+        }
     }
 
     /// The super-source `s'` (for a [`AuxiliaryGraph::for_pair`] graph).
@@ -505,7 +570,7 @@ impl AuxiliaryGraph {
         parent: &[Option<(usize, usize)>],
         sink: usize,
     ) -> Option<Semilightpath> {
-        self.graph.decode_semilightpath(dist, parent, sink)
+        decode_semilightpath(dist, parent, sink, |tail, edge| self.hop(tail, edge))
     }
 }
 
@@ -639,7 +704,10 @@ mod tests {
         let e: Vec<_> = aux.graph().out_edges(x).collect();
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].cost, Cost::ZERO);
-        assert!(matches!(e[0].role, EdgeRole::Conversion { .. }));
+        assert!(matches!(
+            aux.edge_role(x, e[0]),
+            EdgeRole::Conversion { .. }
+        ));
     }
 
     #[test]

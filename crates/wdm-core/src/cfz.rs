@@ -34,10 +34,10 @@
 //! cross-validate against [`crate::reference::reference_route`] instead on
 //! chain-inconsistent instances.
 
-use crate::csr::{CsrBuilder, EdgeRole};
+use crate::csr::{decode_semilightpath, CsrBuilder, CsrGraph};
 use crate::dijkstra::dijkstra_with;
 use crate::liang_shen::RouteResult;
-use crate::{Cost, Semilightpath, Wavelength, WdmError, WdmNetwork};
+use crate::{Cost, Hop, Semilightpath, Wavelength, WdmError, WdmNetwork};
 use heaps::HeapKind;
 use wdm_graph::NodeId;
 
@@ -137,10 +137,6 @@ impl CfzRouter {
                     wg_node(l.tail().index(), w.index()),
                     wg_node(l.head().index(), w.index()),
                     cost,
-                    EdgeRole::Traversal {
-                        link,
-                        wavelength: w,
-                    },
                 );
             }
         }
@@ -155,15 +151,9 @@ impl CfzRouter {
                     if p == q {
                         continue;
                     }
-                    let (from, to) = (Wavelength::new(p), Wavelength::new(q));
-                    let cost = policy.cost(from, to);
+                    let cost = policy.cost(Wavelength::new(p), Wavelength::new(q));
                     if cost.is_finite() {
-                        builder.add_edge(
-                            wg_node(v, p),
-                            wg_node(v, q),
-                            cost,
-                            EdgeRole::Conversion { node, from, to },
-                        );
+                        builder.add_edge(wg_node(v, p), wg_node(v, q), cost);
                     }
                 }
             }
@@ -171,26 +161,58 @@ impl CfzRouter {
 
         // Terminal taps: s* → (s, λ) and (t, λ) → t* for all λ ∈ Λ.
         for lambda in 0..k {
-            builder.add_edge(
-                source,
-                wg_node(s.index(), lambda),
-                Cost::ZERO,
-                EdgeRole::Tap,
-            );
-            builder.add_edge(wg_node(t.index(), lambda), sink, Cost::ZERO, EdgeRole::Tap);
+            builder.add_edge(source, wg_node(s.index(), lambda), Cost::ZERO);
+            builder.add_edge(wg_node(t.index(), lambda), sink, Cost::ZERO);
         }
 
         let graph = builder.build();
         let tree = dijkstra_with(self.heap, &graph, source);
+        let hop = |tail, edge| wg_hop(network, &graph, tail, edge);
 
         Ok(RouteResult {
-            path: graph.decode_semilightpath(&tree.dist, &tree.parent, sink),
+            path: decode_semilightpath(&tree.dist, &tree.parent, sink, hop),
             search_nodes: graph.node_count(),
             search_edges: graph.edge_count(),
             dijkstra: tree.stats,
             aux_stats: None,
         })
     }
+}
+
+/// The hop that the `WG` edge with dense index `edge`, leaving `tail`,
+/// stands for, decoded from the `(v, λ)` numbering (`v·k + λ`, terminals
+/// after the `k·n` pairs): an edge between two nodes of one wavelength is
+/// a traversal, anything else a conversion or a tap. The traversals lead
+/// each `(u, λ)` row, one per out-link of `u` carrying `λ`, in link
+/// order, so the edge's place in its row names the link.
+fn wg_hop(network: &WdmNetwork, graph: &CsrGraph, tail: usize, edge: usize) -> Option<Hop> {
+    let k = network.k();
+    let pairs = network.node_count() * k;
+    if tail >= pairs {
+        return None;
+    }
+    let Some((rank, e)) = graph
+        .out_edges(tail)
+        .enumerate()
+        .find(|(_, e)| e.index == edge)
+    else {
+        unreachable!("a path edge lies in its tail's row")
+    };
+    if e.target >= pairs || e.target % k != tail % k {
+        return None;
+    }
+    let (u, wavelength) = (NodeId::new(tail / k), Wavelength::new(tail % k));
+    let link = network
+        .graph()
+        .out_links(u)
+        .iter()
+        .copied()
+        .filter(|&link| network.wavelengths_on(link).contains(wavelength))
+        .nth(rank);
+    let Some(link) = link else {
+        unreachable!("one traversal per out-link carrying λ leads the row")
+    };
+    Some(Hop { link, wavelength })
 }
 
 #[cfg(test)]

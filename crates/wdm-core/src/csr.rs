@@ -12,8 +12,12 @@ use wdm_obs::ordering::RELAXED;
 
 /// What a search-graph edge means in terms of the physical network.
 ///
-/// Carried as a parallel payload array so that a shortest path in the
-/// search graph can be decoded back into a [`crate::Semilightpath`].
+/// A [`CsrGraph`] stores no meaning per edge: each graph's owner decodes
+/// it from what it knows of the edge's endpoints, the
+/// [`crate::AuxiliaryGraph`] through
+/// [`edge_role`](crate::AuxiliaryGraph::edge_role). A shortest path in
+/// the search graph decodes back into a [`crate::Semilightpath`] the
+/// same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeRole {
     /// A wavelength conversion inside a physical node.
@@ -46,25 +50,22 @@ pub struct EdgeRef {
     pub target: usize,
     /// Edge weight.
     pub cost: Cost,
-    /// Physical meaning of the edge.
-    pub role: EdgeRole,
 }
 
-/// A directed graph in compressed-sparse-row form with [`Cost`] weights and
-/// [`EdgeRole`] payloads.
+/// A directed graph in compressed-sparse-row form with [`Cost`] weights.
 ///
-/// Edge `i` lives at index `i` of three parallel columns (target, cost,
-/// role: 28 bytes per edge), and the edges of node `v` are the dense range
+/// Edge `i` lives at index `i` of two parallel columns (target and cost:
+/// 12 bytes per edge), and the edges of node `v` are the dense range
 /// `offsets[v]..offsets[v + 1]`. No per-edge source is stored: a row scan
 /// knows its source, [`edges`](Self::edges) yields it for whole-graph
 /// scans, and [`edge`](Self::edge) finds it by a binary search over the
-/// row starts.
+/// row starts. No per-edge meaning is stored either: the graph's owner
+/// decodes an [`EdgeRole`] from the edge's endpoints.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     costs: Vec<Cost>,
-    roles: Vec<EdgeRole>,
 }
 
 impl CsrGraph {
@@ -90,7 +91,6 @@ impl CsrGraph {
             index: i,
             target: self.targets[i] as usize,
             cost: self.costs[i],
-            role: self.roles[i],
         })
     }
 
@@ -119,48 +119,39 @@ impl CsrGraph {
                 index,
                 target: self.targets[index] as usize,
                 cost: self.costs[index],
-                role: self.roles[index],
             },
         )
     }
+}
 
-    /// The hop a traversal edge stands for, or `None` for a conversion or
-    /// tap edge.
-    pub(crate) fn hop(&self, edge: usize) -> Option<Hop> {
-        match self.roles[edge] {
-            EdgeRole::Traversal { link, wavelength } => Some(Hop { link, wavelength }),
-            _ => None,
-        }
+/// Decodes a shortest-path tree, given as per-node `dist` and `parent`
+/// (`(predecessor, edge index)`) slices, into the semilightpath reaching
+/// `sink`, or `None` when `sink` is unreachable.
+///
+/// `hop` is the graph owner's decoder: given a path edge's tail and dense
+/// index, the hop it stands for, or `None` for an edge that crosses no
+/// link. The path records exactly those hops in travel order — the
+/// mapping of Theorem 1 — and carries `dist[sink]` as its cost.
+pub(crate) fn decode_semilightpath(
+    dist: &[Cost],
+    parent: &[Option<(usize, usize)>],
+    sink: usize,
+    hop: impl Fn(usize, usize) -> Option<Hop>,
+) -> Option<Semilightpath> {
+    let total = dist[sink];
+    if total.is_infinite() {
+        return None;
     }
-
-    /// Decodes a shortest-path tree over this graph, given as per-node
-    /// `dist` and `parent` (`(predecessor, edge index)`) slices, into the
-    /// semilightpath reaching `sink`, or `None` when `sink` is unreachable.
-    ///
-    /// The path records exactly the traversal edges (link, wavelength) in
-    /// travel order — the mapping of Theorem 1 — and carries `dist[sink]`
-    /// as its cost.
-    pub(crate) fn decode_semilightpath(
-        &self,
-        dist: &[Cost],
-        parent: &[Option<(usize, usize)>],
-        sink: usize,
-    ) -> Option<Semilightpath> {
-        let total = dist[sink];
-        if total.is_infinite() {
-            return None;
-        }
-        // One exact allocation for the returned path; growth doubling
-        // on the backward walk is what this avoids on the hot path.
-        let mut hops = Vec::with_capacity(8);
-        let mut at = sink;
-        while let Some((prev, edge)) = parent[at] {
-            hops.extend(self.hop(edge));
-            at = prev;
-        }
-        hops.reverse();
-        Some(Semilightpath::new(hops, total))
+    // One exact allocation for the returned path; growth doubling on the
+    // backward walk is what this avoids on the hot path.
+    let mut hops = Vec::with_capacity(8);
+    let mut at = sink;
+    while let Some((prev, edge)) = parent[at] {
+        hops.extend(hop(prev, edge));
+        at = prev;
     }
+    hops.reverse();
+    Some(Semilightpath::new(hops, total))
 }
 
 /// A bitmask over the dense edge indices of a [`CsrGraph`].
@@ -325,15 +316,17 @@ impl EdgeMask {
 
 /// Incremental builder producing a [`CsrGraph`].
 ///
-/// The builder stores the graph's own columns, so [`build`](Self::build)
-/// has two paths:
+/// The builder stores the graph's own columns (target and cost, 12 bytes
+/// per edge), so [`build`](Self::build) has two paths:
 ///
 /// - **In place.** When every edge arrives in nondecreasing source
 ///   order, the rows are already laid out: `build` turns the per-source
 ///   counts into row starts and moves the columns into the graph. Nothing
-///   is copied, and the build peaks at the size of the graph it returns.
-///   Reserve the exact edge count first ([`reserve`](Self::reserve)) so
-///   the columns never regrow.
+///   is copied, the build peaks at the size of the graph it returns, and
+///   the `i`-th edge added gets dense index `i`, so an owner can index
+///   what its edges mean while it emits them. Reserve the exact edge
+///   count first ([`reserve`](Self::reserve)) so the columns never
+///   regrow.
 /// - **Counting sort.** After the first edge that arrives out of source
 ///   order, the builder also records each edge's source, and `build`
 ///   places the edges by a stable counting sort (`O(n + m)`), one new
@@ -346,7 +339,6 @@ pub struct CsrBuilder {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     costs: Vec<Cost>,
-    roles: Vec<EdgeRole>,
     /// Every edge's source, kept once an edge arrived out of source
     /// order; `None` while the rows are in place.
     sources: Option<Vec<u32>>,
@@ -369,7 +361,6 @@ impl CsrBuilder {
             offsets: vec![0; n + 1],
             targets: Vec::new(),
             costs: Vec::new(),
-            roles: Vec::new(),
             sources: None,
             last_source: 0,
         }
@@ -379,7 +370,6 @@ impl CsrBuilder {
     pub fn reserve(&mut self, additional: usize) {
         self.targets.reserve_exact(additional);
         self.costs.reserve_exact(additional);
-        self.roles.reserve_exact(additional);
         if let Some(sources) = &mut self.sources {
             sources.reserve_exact(additional);
         }
@@ -390,7 +380,7 @@ impl CsrBuilder {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
-    pub fn add_edge(&mut self, source: usize, target: usize, cost: Cost, role: EdgeRole) {
+    pub fn add_edge(&mut self, source: usize, target: usize, cost: Cost) {
         let n = self.offsets.len() - 1;
         assert!(source < n, "source {source} out of range");
         assert!(target < n, "target {target} out of range");
@@ -406,7 +396,6 @@ impl CsrBuilder {
         self.offsets[source + 1] += 1;
         self.targets.push(target32);
         self.costs.push(cost);
-        self.roles.push(role);
     }
 
     /// The sources of the edges added so far, all in source order.
@@ -431,7 +420,6 @@ impl CsrBuilder {
             mut offsets,
             targets,
             costs,
-            roles,
             sources,
             ..
         } = self;
@@ -446,14 +434,12 @@ impl CsrBuilder {
                 offsets,
                 targets,
                 costs,
-                roles,
             };
         };
         let m = targets.len();
         let mut sorted = CsrGraph {
             targets: vec![0u32; m],
             costs: vec![Cost::ZERO; m],
-            roles: vec![EdgeRole::Tap; m],
             offsets,
         };
         let mut cursor = sorted.offsets.clone();
@@ -462,7 +448,6 @@ impl CsrBuilder {
             cursor[s as usize] += 1;
             sorted.targets[at] = targets[i];
             sorted.costs[at] = costs[i];
-            sorted.roles[at] = roles[i];
         }
         sorted
     }
@@ -475,9 +460,9 @@ mod tests {
     #[test]
     fn builds_and_iterates() {
         let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(5), EdgeRole::Tap);
-        b.add_edge(0, 2, Cost::new(7), EdgeRole::Tap);
-        b.add_edge(2, 1, Cost::new(1), EdgeRole::Tap);
+        b.add_edge(0, 1, Cost::new(5));
+        b.add_edge(0, 2, Cost::new(7));
+        b.add_edge(2, 1, Cost::new(1));
         assert_eq!(b.edge_count(), 3);
         let g = b.build();
         assert_eq!(g.node_count(), 3);
@@ -495,7 +480,7 @@ mod tests {
     fn insertion_order_within_source_is_preserved() {
         let mut b = CsrBuilder::new(2);
         for i in 0..5u64 {
-            b.add_edge(0, 1, Cost::new(i), EdgeRole::Tap);
+            b.add_edge(0, 1, Cost::new(i));
         }
         let g = b.build();
         let costs: Vec<Cost> = g.out_edges(0).map(|e| e.cost).collect();
@@ -505,9 +490,9 @@ mod tests {
     #[test]
     fn interleaved_sources_are_sorted_into_rows() {
         let mut b = CsrBuilder::new(3);
-        b.add_edge(2, 0, Cost::new(1), EdgeRole::Tap);
-        b.add_edge(0, 2, Cost::new(2), EdgeRole::Tap);
-        b.add_edge(2, 1, Cost::new(3), EdgeRole::Tap);
+        b.add_edge(2, 0, Cost::new(1));
+        b.add_edge(0, 2, Cost::new(2));
+        b.add_edge(2, 1, Cost::new(3));
         let g = b.build();
         assert_eq!(g.out_edges(2).len(), 2);
         assert_eq!(g.out_edges(0).len(), 1);
@@ -515,10 +500,10 @@ mod tests {
         assert_eq!(out2, vec![0, 1]);
     }
 
-    /// Every edge as `(source, index, target, cost, role)`, by `edges()`.
-    fn dump(g: &CsrGraph) -> Vec<(usize, usize, usize, Cost, EdgeRole)> {
+    /// Every edge as `(source, index, target, cost)`, by `edges()`.
+    fn dump(g: &CsrGraph) -> Vec<(usize, usize, usize, Cost)> {
         g.edges()
-            .map(|(s, e)| (s, e.index, e.target, e.cost, e.role))
+            .map(|(s, e)| (s, e.index, e.target, e.cost))
             .collect()
     }
 
@@ -538,7 +523,7 @@ mod tests {
             let mut b = CsrBuilder::new(5);
             for &i in order {
                 let (s, t, c) = edges[i];
-                b.add_edge(s, t, Cost::new(c), EdgeRole::Tap);
+                b.add_edge(s, t, Cost::new(c));
             }
             b.build()
         };
@@ -549,7 +534,7 @@ mod tests {
         let expected: Vec<_> = edges
             .iter()
             .enumerate()
-            .map(|(i, &(s, t, c))| (s, i, t, Cost::new(c), EdgeRole::Tap))
+            .map(|(i, &(s, t, c))| (s, i, t, Cost::new(c)))
             .collect();
         assert_eq!(dump(&sorted), expected);
         for g in [&sorted, &shuffled] {
@@ -565,7 +550,7 @@ mod tests {
     fn edge_out_of_range_panics() {
         let mut b = CsrBuilder::new(2);
         for _ in 0..3 {
-            b.add_edge(0, 1, Cost::ZERO, EdgeRole::Tap);
+            b.add_edge(0, 1, Cost::ZERO);
         }
         b.build().edge(3);
     }
@@ -574,7 +559,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_endpoint_panics() {
         let mut b = CsrBuilder::new(1);
-        b.add_edge(0, 1, Cost::ZERO, EdgeRole::Tap);
+        b.add_edge(0, 1, Cost::ZERO);
     }
 
     #[test]

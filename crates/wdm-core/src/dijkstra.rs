@@ -609,7 +609,7 @@ pub fn dijkstra_with(kind: HeapKind, graph: &CsrGraph, source: usize) -> Shortes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{CsrBuilder, EdgeRole};
+    use crate::csr::CsrBuilder;
 
     /// Small weighted digraph with a known shortest-path structure.
     fn diamond() -> CsrGraph {
@@ -619,13 +619,12 @@ mod tests {
         //   \     /
         //      2
         let mut b = CsrBuilder::new(5);
-        let t = EdgeRole::Tap;
-        b.add_edge(0, 1, Cost::new(1), t);
-        b.add_edge(0, 2, Cost::new(4), t);
-        b.add_edge(1, 3, Cost::new(10), t);
-        b.add_edge(2, 3, Cost::new(2), t);
-        b.add_edge(3, 4, Cost::new(3), t);
-        b.add_edge(1, 2, Cost::new(1), t);
+        b.add_edge(0, 1, Cost::new(1));
+        b.add_edge(0, 2, Cost::new(4));
+        b.add_edge(1, 3, Cost::new(10));
+        b.add_edge(2, 3, Cost::new(2));
+        b.add_edge(3, 4, Cost::new(3));
+        b.add_edge(1, 2, Cost::new(1));
         b.build()
     }
 
@@ -658,7 +657,7 @@ mod tests {
     #[test]
     fn unreachable_nodes_stay_infinite() {
         let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(1), EdgeRole::Tap);
+        b.add_edge(0, 1, Cost::new(1));
         let g = b.build();
         let tree = dijkstra::<FibonacciHeap<Cost>>(&g, 0);
         assert_eq!(tree.dist[2], Cost::INFINITY);
@@ -669,10 +668,9 @@ mod tests {
     #[test]
     fn zero_cost_cycles_terminate() {
         let mut b = CsrBuilder::new(3);
-        let t = EdgeRole::Tap;
-        b.add_edge(0, 1, Cost::ZERO, t);
-        b.add_edge(1, 2, Cost::ZERO, t);
-        b.add_edge(2, 0, Cost::ZERO, t);
+        b.add_edge(0, 1, Cost::ZERO);
+        b.add_edge(1, 2, Cost::ZERO);
+        b.add_edge(2, 0, Cost::ZERO);
         let g = b.build();
         let tree = dijkstra::<BinaryHeap<Cost>>(&g, 0);
         assert_eq!(tree.dist, vec![Cost::ZERO; 3]);
@@ -682,10 +680,9 @@ mod tests {
     #[test]
     fn parallel_edges_pick_cheapest() {
         let mut b = CsrBuilder::new(2);
-        let t = EdgeRole::Tap;
-        b.add_edge(0, 1, Cost::new(9), t);
-        b.add_edge(0, 1, Cost::new(2), t);
-        b.add_edge(0, 1, Cost::new(5), t);
+        b.add_edge(0, 1, Cost::new(9));
+        b.add_edge(0, 1, Cost::new(2));
+        b.add_edge(0, 1, Cost::new(5));
         let g = b.build();
         let tree = dijkstra::<BinaryHeap<Cost>>(&g, 0);
         assert_eq!(tree.dist[1], Cost::new(2));
@@ -743,7 +740,7 @@ mod tests {
         // Rebuild the same subgraph physically and compare dist values.
         let mut b = CsrBuilder::new(5);
         for (s, e) in g.edges().skip(1) {
-            b.add_edge(s, e.target, e.cost, e.role);
+            b.add_edge(s, e.target, e.cost);
         }
         let rebuilt = dijkstra::<FibonacciHeap<Cost>>(&b.build(), 0);
         assert_eq!(masked.dist, rebuilt.dist);
@@ -860,8 +857,8 @@ mod tests {
         // one wrote, and must still read exactly like a fresh run.
         let big = diamond();
         let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(5), EdgeRole::Tap);
-        b.add_edge(2, 0, Cost::new(1), EdgeRole::Tap);
+        b.add_edge(0, 1, Cost::new(5));
+        b.add_edge(2, 0, Cost::new(1));
         let small = b.build();
         let mut ws = DijkstraWorkspace::new();
         let mut cost_heap: BinaryHeap<Cost> = BinaryHeap::with_capacity(big.node_count());
@@ -886,8 +883,8 @@ mod tests {
         // target's key and hops and a smaller id) stops the run; the
         // decrease-key loop settles 1 and then 2 as well.
         let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(1), EdgeRole::Tap);
-        b.add_edge(0, 2, Cost::new(1), EdgeRole::Tap);
+        b.add_edge(0, 1, Cost::new(1));
+        b.add_edge(0, 2, Cost::new(1));
         let g = b.build();
         let mut ws = DijkstraWorkspace::new();
         ws.run_guided_to(&g, 0, None, 2, &Unguided);
@@ -908,11 +905,10 @@ mod tests {
         // before the target's entry, and must not settle it again.
         // The target's own pop stops the run.
         let mut b = CsrBuilder::new(4);
-        let t = EdgeRole::Tap;
-        b.add_edge(0, 1, Cost::new(2), t);
-        b.add_edge(0, 2, Cost::ZERO, t);
-        b.add_edge(2, 1, Cost::new(1), t);
-        b.add_edge(1, 3, Cost::new(5), t);
+        b.add_edge(0, 1, Cost::new(2));
+        b.add_edge(0, 2, Cost::ZERO);
+        b.add_edge(2, 1, Cost::new(1));
+        b.add_edge(1, 3, Cost::new(5));
         let g = b.build();
         let mut ws = DijkstraWorkspace::new();
         ws.run_guided_to(&g, 0, None, 3, &Unguided);

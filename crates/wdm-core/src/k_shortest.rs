@@ -52,7 +52,11 @@ impl AuxPath {
     }
 
     fn to_semilightpath(&self, aux: &AuxiliaryGraph) -> Semilightpath {
-        let hops = self.edges.iter().filter_map(|&e| aux.graph().hop(e));
+        let hops = self
+            .nodes
+            .iter()
+            .zip(&self.edges)
+            .filter_map(|(&tail, &e)| aux.hop(tail, e));
         Semilightpath::new(hops.collect(), self.cost)
     }
 }

@@ -60,9 +60,9 @@
 //! thread its own scratch.
 
 use crate::auxiliary::{AuxNodeKind, AuxiliaryGraph};
-use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
+use crate::csr::{decode_semilightpath, CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
 use crate::dijkstra::{DijkstraWorkspace, Potential};
-use crate::{Cost, Semilightpath, Wavelength, WdmNetwork};
+use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
 use heaps::{BinaryHeap, IndexedPriorityQueue};
 use std::sync::atomic::{AtomicBool, AtomicU32};
 use wdm_graph::{LinkId, NodeId};
@@ -77,6 +77,9 @@ struct LambdaGraph {
     mask: EdgeMask,
     /// Dense edge index per link (`u32::MAX` when the link lacks this λ).
     edge_of_link: Vec<u32>,
+    /// The link of each edge, by dense index: what the edge means, since
+    /// every edge of a per-λ graph crosses one link on λ.
+    link_of_edge: Vec<LinkId>,
 }
 
 const NO_EDGE: u32 = u32::MAX;
@@ -116,20 +119,8 @@ impl LowerBounds {
         let n = base.node_count();
         let mut b = CsrBuilder::new(n);
         for (e, l) in base.graph().links() {
-            let cheapest = base
-                .wavelengths_on(e)
-                .iter()
-                .min_by_key(|&(w, cost)| (cost, w));
-            if let Some((wavelength, cost)) = cheapest {
-                b.add_edge(
-                    l.head().index(),
-                    l.tail().index(),
-                    cost,
-                    EdgeRole::Traversal {
-                        link: e,
-                        wavelength,
-                    },
-                );
+            if let Some(cost) = base.wavelengths_on(e).iter().map(|(_, cost)| cost).min() {
+                b.add_edge(l.head().index(), l.tail().index(), cost);
             }
         }
         let mut table = Vec::new();
@@ -193,6 +184,14 @@ impl Default for LowerBounds {
             table: Vec::new(),
             ready: Vec::new(),
         }
+    }
+}
+
+/// Dense edge index `index` as a `u32` edge handle.
+fn edge_handle(index: usize) -> u32 {
+    match u32::try_from(index) {
+        Ok(handle) => handle,
+        Err(_) => unreachable!("edge counts fit in u32 edge handles"),
     }
 }
 
@@ -344,9 +343,10 @@ impl ResidualState {
     /// once-per-engine `O(k²n + km)` cost the per-request path no longer
     /// pays.
     ///
-    /// Memory: most of the state is `G_all`, at 28 bytes per edge plus
-    /// its node tables. Under full conversion it has up to `k²n` gadget
-    /// edges: 494,290 edges, 14 MiB, for the 512-node, `k = 32`
+    /// Memory: most of the state is `G_all`, at 12 bytes per edge
+    /// (target and cost) plus its node tables and a 4-byte link per
+    /// traversal edge. Under full conversion it has up to `k²n` gadget
+    /// edges: 494,290 edges, 6.5 MiB, for the 512-node, `k = 32`
     /// benchmark instance `sparse512_k32`. The graph is built in place
     /// (see [`CsrBuilder`]), so the build peaks at that size. The state
     /// also holds the search's lower bounds, a table of `4·n²` bytes for
@@ -391,55 +391,52 @@ impl ResidualState {
         let m = base.link_count();
         let n = base.node_count();
 
-        // Index the traversal edges by (link, λ) for O(log k0) flips.
+        // Index the traversal edges by (link, λ) for O(log k0) flips,
+        // through the graph's own decoder.
         let mut aux_edge: Vec<Vec<(Wavelength, u32)>> = vec![Vec::new(); m];
-        for (_, e) in g.edges() {
-            if let EdgeRole::Traversal { link, wavelength } = e.role {
-                let Ok(ei) = u32::try_from(e.index) else {
-                    unreachable!("aux edge count fits in u32 edge handles")
-                };
-                aux_edge[link.index()].push((wavelength, ei));
+        for (tail, e) in g.edges() {
+            if let EdgeRole::Traversal { link, wavelength } = aux.edge_role(tail, e) {
+                aux_edge[link.index()].push((wavelength, edge_handle(e.index)));
             }
         }
         for per_link in &mut aux_edge {
             per_link.sort_by_key(|&(w, _)| w);
         }
 
-        // One physical-topology subgraph per wavelength, mirroring the
-        // legacy per-λ rebuild's edge order (link order).
+        // One physical-topology subgraph per wavelength: its rows in node
+        // order, each row's links in link order (the order of the legacy
+        // per-λ rebuild). The rows arrive in place, so each edge's link
+        // is indexed as it is added.
+        let mut per_lambda = vec![0usize; base.k()];
+        for (e, _) in base.graph().links() {
+            for (w, _) in base.wavelengths_on(e).iter() {
+                per_lambda[w.index()] += 1;
+            }
+        }
         let mut lambda = Vec::with_capacity(base.k());
-        for li in 0..base.k() {
+        for (li, &edges) in per_lambda.iter().enumerate() {
             let lam = Wavelength::new(li);
             let mut b = CsrBuilder::new(n);
-            for (e, l) in base.graph().links() {
-                let w = base.link_cost(e, lam);
-                if w.is_finite() {
-                    b.add_edge(
-                        l.tail().index(),
-                        l.head().index(),
-                        w,
-                        EdgeRole::Traversal {
-                            link: e,
-                            wavelength: lam,
-                        },
-                    );
+            b.reserve(edges);
+            let mut edge_of_link = vec![NO_EDGE; m];
+            let mut link_of_edge = Vec::with_capacity(edges);
+            for u in base.graph().nodes() {
+                for &e in base.graph().out_links(u) {
+                    let w = base.link_cost(e, lam);
+                    if w.is_finite() {
+                        edge_of_link[e.index()] = edge_handle(b.edge_count());
+                        link_of_edge.push(e);
+                        b.add_edge(u.index(), base.graph().link(e).head().index(), w);
+                    }
                 }
             }
             let graph = b.build();
-            let mut edge_of_link = vec![NO_EDGE; m];
-            for (_, e) in graph.edges() {
-                if let EdgeRole::Traversal { link, .. } = e.role {
-                    let Ok(ei) = u32::try_from(e.index) else {
-                        unreachable!("aux edge count fits in u32 edge handles")
-                    };
-                    edge_of_link[link.index()] = ei;
-                }
-            }
             let mask = EdgeMask::all_clear(graph.edge_count());
             lambda.push(LambdaGraph {
                 graph,
                 mask,
                 edge_of_link,
+                link_of_edge,
             });
         }
 
@@ -721,8 +718,12 @@ impl ResidualState {
         scratch
             .ws
             .run_guided_to(&lg.graph, s.index(), Some(&lg.mask), t.index(), &h);
-        lg.graph
-            .decode_semilightpath(scratch.ws.dist(), scratch.ws.parent(), t.index())
+        decode_semilightpath(scratch.ws.dist(), scratch.ws.parent(), t.index(), |_, e| {
+            Some(Hop {
+                link: lg.link_of_edge[e],
+                wavelength: lambda,
+            })
+        })
     }
 }
 

@@ -141,7 +141,7 @@ fn exact_link_wavelength_pair(network: &WdmNetwork, s: NodeId, t: NodeId) -> Opt
     let mut handles: Vec<(usize, usize)> = Vec::new(); // (flow handle, aux edge idx)
     for u in 0..g.node_count() {
         for edge in g.out_edges(u) {
-            let cap = match edge.role {
+            let cap = match aux.edge_role(u, edge) {
                 // One connection per (link, wavelength).
                 EdgeRole::Traversal { .. } => 1,
                 // Gadget and tap edges carry both connections if needed.
@@ -200,8 +200,9 @@ fn exact_link_wavelength_pair(network: &WdmNetwork, s: NodeId, t: NodeId) -> Opt
         let mut hops = Vec::new();
         let mut cost = Cost::ZERO;
         for &e in &walk_edges {
-            cost += g.edge(e).1.cost;
-            hops.extend(g.hop(e));
+            let (tail, edge) = g.edge(e);
+            cost += edge.cost;
+            hops.extend(aux.hop(tail, e));
         }
         paths.push(Semilightpath::new(hops, cost));
     }

@@ -3,7 +3,8 @@
 //! construction must be structurally sound (every edge connects the node
 //! kinds the paper prescribes). The in-place, row-order build must put
 //! every edge where a builder fed in the construction's insertion order,
-//! or in any interleaving of its rows, puts it.
+//! or in any interleaving of its rows, puts it, and every edge must
+//! decode to the role the construction gave it.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -50,7 +51,8 @@ fn conversion_spec(which: usize) -> ConversionSpec {
     }
 }
 
-/// A directed edge as the builder takes it.
+/// A directed edge as the builder takes it, with the role the
+/// construction gives it.
 type Edge = (usize, usize, Cost, EdgeRole);
 
 /// The construction's edges in its stable insertion order: every E_v
@@ -129,21 +131,30 @@ fn interleaved(edges: &[Edge], rng: &mut SmallRng) -> Vec<Edge> {
 
 fn build(nodes: usize, edges: &[Edge]) -> CsrGraph {
     let mut b = CsrBuilder::new(nodes);
-    for &(s, t, c, r) in edges {
-        b.add_edge(s, t, c, r);
+    for &(s, t, c, _) in edges {
+        b.add_edge(s, t, c);
     }
     b.build()
 }
 
-/// Every edge as `(source, index, target, cost, role)`.
-fn dump(g: &CsrGraph) -> Vec<(usize, usize, usize, Cost, EdgeRole)> {
+/// Every edge as `(source, index, target, cost)`.
+fn dump(g: &CsrGraph) -> Vec<(usize, usize, usize, Cost)> {
     g.edges()
-        .map(|(s, e)| (s, e.index, e.target, e.cost, e.role))
+        .map(|(s, e)| (s, e.index, e.target, e.cost))
         .collect()
 }
 
+/// `edges` in dense-index order: a built graph's rows keep each source's
+/// insertion order, so this is a stable sort by source.
+fn in_rows(edges: &[Edge]) -> Vec<Edge> {
+    let mut rows = edges.to_vec();
+    rows.sort_by_key(|e| e.0);
+    rows
+}
+
 /// `G'`, `G_{s,t}` and `G_all` of `net` each equal the graph built from
-/// the reference insertion order and from an interleaving of its rows.
+/// the reference insertion order and from an interleaving of its rows,
+/// and each edge decodes to the role the reference gave it.
 fn assert_row_order_build_matches(net: &WdmNetwork, s: NodeId, t: NodeId, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     for aux in [
@@ -167,9 +178,14 @@ fn assert_row_order_build_matches(net: &WdmNetwork, s: NodeId, t: NodeId, seed: 
             .count();
         assert_eq!(aux.stats().conversion_edges, conversions);
         assert_eq!(aux.stats().total_edges(), g.edge_count());
+        let rows = in_rows(&edges);
+        assert_eq!(rows.len(), g.edge_count());
         for (i, edge) in got.iter().enumerate() {
             let (source, e) = g.edge(i);
-            assert_eq!((source, e.index, e.target, e.cost, e.role), *edge);
+            assert_eq!((source, e.index, e.target, e.cost), *edge);
+            let (s, t, c, role) = rows[i];
+            assert_eq!((source, e.target, e.cost), (s, t, c), "edge {i}");
+            assert_eq!(aux.edge_role(source, e), role, "role of edge {i}");
         }
     }
 }
@@ -271,7 +287,7 @@ proptest! {
             for edge in g.out_edges(u) {
                 let from = aux.kind(u);
                 let to = aux.kind(edge.target);
-                match edge.role {
+                match aux.edge_role(u, edge) {
                     EdgeRole::Conversion { node, from: fw, to: tw } => {
                         // X_v(λp) → Y_v(λq), same physical node.
                         let from_ok = matches!(

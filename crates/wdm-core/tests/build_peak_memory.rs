@@ -1,6 +1,7 @@
 //! The auxiliary graph is built in place: building `G_all`, and the
 //! residual state around it, allocates at its peak little more than it
-//! keeps.
+//! keeps. What `G_all` keeps is 12 bytes per edge (target and cost; no
+//! per-edge role) plus its node tables.
 //!
 //! A counting global allocator tracks the live heap bytes and their high
 //! mark. The file holds one test, so no other test allocates beside it.
@@ -70,14 +71,14 @@ unsafe impl GlobalAlloc for Tracking {
 static GLOBAL: Tracking = Tracking;
 
 /// Runs `build` and returns its value with the ratio of the bytes live
-/// at the build's peak to the bytes it left live.
-fn peak_over_kept<T>(build: impl FnOnce() -> T) -> (T, f64) {
+/// at the build's peak to the bytes it left live, and those kept bytes.
+fn peak_over_kept<T>(build: impl FnOnce() -> T) -> (T, f64, usize) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let value = build();
     let peak = PEAK.load(Ordering::Relaxed) - before;
     let kept = LIVE.load(Ordering::Relaxed) - before;
-    (value, peak as f64 / kept as f64)
+    (value, peak as f64 / kept as f64, kept)
 }
 
 #[test]
@@ -92,18 +93,20 @@ fn building_g_all_peaks_at_the_size_it_keeps() {
     };
     let net = random_network(graph, &config, &mut rng).expect("valid");
 
-    let (aux, ratio) = peak_over_kept(|| AuxiliaryGraph::for_all_pairs(&net));
-    assert!(
-        aux.graph().edge_count() > 50_000,
-        "a G_all large enough to show"
-    );
+    let (aux, ratio, kept) = peak_over_kept(|| AuxiliaryGraph::for_all_pairs(&net));
+    let (edges, nodes) = (aux.graph().edge_count(), aux.graph().node_count());
+    assert!(edges > 50_000, "a G_all large enough to show");
     assert!(
         ratio <= 1.1,
         "for_all_pairs peaked at {ratio:.2}x what it kept"
     );
+    assert!(
+        kept <= 12 * edges + 40 * nodes,
+        "for_all_pairs kept {kept} B for {edges} edges and {nodes} aux nodes"
+    );
     drop(aux);
 
-    let (state, ratio) = peak_over_kept(|| ResidualState::new(&net));
+    let (state, ratio, _) = peak_over_kept(|| ResidualState::new(&net));
     assert!(
         ratio <= 1.1,
         "ResidualState::new peaked at {ratio:.2}x what it kept"

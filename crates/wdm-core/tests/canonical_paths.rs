@@ -89,7 +89,7 @@ impl TestPotential {
         let mut b = CsrBuilder::new(net.node_count());
         for (e, l) in net.graph().links() {
             if let Some(w) = net.wavelengths_on(e).iter().map(|(_, c)| c).min() {
-                b.add_edge(l.head().index(), l.tail().index(), w, EdgeRole::Tap);
+                b.add_edge(l.head().index(), l.tail().index(), w);
             }
         }
         let h = dijkstra::<BinaryHeap<Cost>>(&b.build(), t.index()).dist;
@@ -205,8 +205,8 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
         }
     }
     let mut mask = EdgeMask::all_clear(aux.graph().edge_count());
-    for (_, e) in aux.graph().edges() {
-        if let EdgeRole::Traversal { link, wavelength } = e.role {
+    for (tail, e) in aux.graph().edges() {
+        if let EdgeRole::Traversal { link, wavelength } = aux.edge_role(tail, e) {
             if busy[link.index()][wavelength.index()] {
                 mask.set(e.index);
             }
@@ -256,7 +256,7 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
             for lambda in 0..net.k() {
                 let lambda = Wavelength::new(lambda);
                 let guided = engine.route_single_wavelength(&mut scratch, s, t, lambda);
-                let (g, mask) = lambda_graph(&net, &busy, lambda);
+                let (g, mask, links) = lambda_graph(&net, &busy, lambda);
                 let fibonacci = reference::guided_search::<FibonacciHeap<_>, _>(
                     &g,
                     s.index(),
@@ -276,15 +276,15 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
                 for (label, other) in [
                     (
                         "reference fibonacci",
-                        decode_lambda(&g, &fibonacci.dist, &fibonacci.parent, t),
+                        decode_lambda(&links, lambda, &fibonacci.dist, &fibonacci.parent, t),
                     ),
                     (
                         "reference binary",
-                        decode_lambda(&g, &binary.dist, &binary.parent, t),
+                        decode_lambda(&links, lambda, &binary.dist, &binary.parent, t),
                     ),
                     (
                         "kernel unguided",
-                        decode_lambda(&g, ws.dist(), ws.parent(), t),
+                        decode_lambda(&links, lambda, ws.dist(), ws.parent(), t),
                     ),
                 ] {
                     prop_assert_eq!(
@@ -305,34 +305,40 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
 }
 
 /// A rebuilt single-wavelength graph (links in link order, as the
-/// engine lays its per-λ graphs out) and its busy mask.
-fn lambda_graph(net: &WdmNetwork, busy: &[Vec<bool>], lambda: Wavelength) -> (CsrGraph, EdgeMask) {
+/// engine lays its per-λ graphs out), its busy mask, and the link of
+/// each edge by dense index.
+fn lambda_graph(
+    net: &WdmNetwork,
+    busy: &[Vec<bool>],
+    lambda: Wavelength,
+) -> (CsrGraph, EdgeMask, Vec<LinkId>) {
     let mut b = CsrBuilder::new(net.node_count());
+    // Each row keeps its insertion order, so the rows' link lists, in
+    // node order, are the links by dense index.
+    let mut rows = vec![Vec::new(); net.node_count()];
     for (e, l) in net.graph().links() {
         let w = net.link_cost(e, lambda);
         if w.is_finite() {
-            let role = EdgeRole::Traversal {
-                link: e,
-                wavelength: lambda,
-            };
-            b.add_edge(l.tail().index(), l.head().index(), w, role);
+            b.add_edge(l.tail().index(), l.head().index(), w);
+            rows[l.tail().index()].push(e);
         }
     }
     let g = b.build();
+    let links: Vec<LinkId> = rows.concat();
     let mut mask = EdgeMask::all_clear(g.edge_count());
-    for (_, e) in g.edges() {
-        if let EdgeRole::Traversal { link, .. } = e.role {
-            if busy[link.index()][lambda.index()] {
-                mask.set(e.index);
-            }
+    for (index, link) in links.iter().enumerate() {
+        if busy[link.index()][lambda.index()] {
+            mask.set(index);
         }
     }
-    (g, mask)
+    (g, mask, links)
 }
 
-/// The path to `t` of a search on a single-wavelength graph, decoded.
+/// The path to `t` of a search on a single-wavelength graph, decoded
+/// through its link table.
 fn decode_lambda(
-    g: &CsrGraph,
+    links: &[LinkId],
+    wavelength: Wavelength,
     dist: &[Cost],
     parent: &[Option<(usize, usize)>],
     t: NodeId,
@@ -344,9 +350,10 @@ fn decode_lambda(
     let mut hops = Vec::new();
     let mut at = t.index();
     while let Some((prev, edge)) = parent[at] {
-        if let EdgeRole::Traversal { link, wavelength } = g.edge(edge).1.role {
-            hops.push(wdm_core::Hop { link, wavelength });
-        }
+        hops.push(wdm_core::Hop {
+            link: links[edge],
+            wavelength,
+        });
         at = prev;
     }
     hops.reverse();

@@ -45,7 +45,7 @@ pub struct ViewEdge {
     pub target: usize,
     /// Edge weight.
     pub cost: Cost,
-    /// Physical meaning.
+    /// Physical meaning, as [`AuxiliaryGraph::edge_role`] decodes it.
     pub role: EdgeRole,
 }
 
@@ -81,7 +81,7 @@ impl ModelView {
                 source,
                 target: e.target,
                 cost: e.cost,
-                role: e.role,
+                role: aux.edge_role(source, e),
             })
             .collect();
         let cross_index = edges

@@ -58,11 +58,11 @@
 //! * **In-memory metrics** — `GET /metrics` renders from the live
 //!   [`wdm_obs::MetricsRegistry`]; the daemon never serves metrics from
 //!   (possibly torn) files.
-//! * **Memory** — the engine's routing state is mostly `G_all`, 28
-//!   bytes per edge plus its node tables (14 MiB for the benchmark's
-//!   512-node, `k = 32` instance), and the search's lower-bound table,
-//!   `4·n²` bytes for an `n`-node instance: 1 MiB at `n = 512`, 400 MB
-//!   at `n = 10,000`. Both are allocated at start-up (see
+//! * **Memory** — the engine's routing state is mostly `G_all`, 12
+//!   bytes per edge plus its node tables and a link per traversal edge
+//!   (6.5 MiB for the benchmark's 512-node, `k = 32` instance), and the
+//!   search's lower-bound table, `4·n²` bytes for an `n`-node instance:
+//!   1 MiB at `n = 512`, 400 MB at `n = 10,000`. Both are allocated at start-up (see
 //!   `wdm_core::ResidualState::new`).
 
 #![warn(missing_docs)]

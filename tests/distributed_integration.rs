@@ -69,7 +69,7 @@ fn message_and_time_complexity_track_paper_bounds() {
 
 #[test]
 fn chandy_misra_agrees_with_fibonacci_dijkstra_on_wans() {
-    use wdm::core::csr::{CsrBuilder, EdgeRole};
+    use wdm::core::csr::CsrBuilder;
     for topo in ReferenceTopology::ALL {
         let g = topo.build();
         let weights: Vec<Cost> = (0..g.link_count())
@@ -79,12 +79,7 @@ fn chandy_misra_agrees_with_fibonacci_dijkstra_on_wans() {
         // Centralized oracle via the shared Dijkstra.
         let mut b = CsrBuilder::new(g.node_count());
         for (e, l) in g.links() {
-            b.add_edge(
-                l.tail().index(),
-                l.head().index(),
-                weights[e.index()],
-                EdgeRole::Tap,
-            );
+            b.add_edge(l.tail().index(), l.head().index(), weights[e.index()]);
         }
         let csr = b.build();
         let tree = wdm::core::dijkstra_with(HeapKind::Fibonacci, &csr, 0);
