@@ -194,9 +194,12 @@ fn provenance() -> String {
 
 /// E20 — how big is one request's search? Settled nodes and relaxed
 /// edges per provision of the engine's goal-directed search against the
-/// same production kernel run with the `Unguided` potential on the same
-/// residual states, so the columns differ by goal direction alone, on
-/// E6's Section-IV instances (`k0` fixed, `k` grown 16×, `n` grown 8×).
+/// same production kernel run with the `Unguided` potential and the
+/// no-op gadget layout (`NoGadgets`, edge by edge) on the same residual
+/// states, on E6's Section-IV instances (`k0` fixed, `k` grown 16×, `n`
+/// grown 8×). The settled columns differ by goal direction alone; the
+/// relaxed columns also by the engine reading uniform conversion
+/// gadgets as blocks.
 ///
 /// A seeded churn provisions random pairs and releases the oldest
 /// connection beyond 64 live ones; every provision runs both searches,
@@ -207,7 +210,7 @@ fn e20(quick: bool) -> Vec<String> {
     use std::collections::VecDeque;
     use wdm_core::csr::{EdgeMask, EdgeRole};
     use wdm_core::dijkstra::DijkstraWorkspace;
-    use wdm_core::{ResidualState, SearchScratch, Unguided};
+    use wdm_core::{NoGadgets, ResidualState, SearchScratch, Unguided};
     const LIVE_CAP: usize = 64;
     println!("\n## E20 — search size against n and k (goal-directed vs unguided)\n");
     println!("| n | k | aux nodes | settled guided | settled unguided | relaxed guided | relaxed unguided | links/path |");
@@ -253,7 +256,7 @@ fn e20(quick: bool) -> Vec<String> {
                 fills += totals.potential_fills;
                 let (source, _) = aux.all_pairs_terminals(s);
                 let (_, sink) = aux.all_pairs_terminals(t);
-                ws.run_guided_to(g, source, Some(&mask), sink, &Unguided);
+                ws.run_guided_to(g, source, Some(&mask), sink, &Unguided, &NoGadgets);
                 unguided[0] += ws.stats().settled;
                 unguided[1] += ws.stats().relaxed;
                 assert_eq!(

@@ -90,6 +90,18 @@ impl ConversionPolicy {
         self.cost(from, to).is_finite()
     }
 
+    /// The one cost of every conversion `λ → λ' ≠ λ` when the node has
+    /// a full-range converter with a single finite cost (`Free` or a
+    /// finite `Uniform(c)`), else `None`: the policies whose gadget the
+    /// targeted search reads as one block.
+    pub(crate) fn uniform_cost(&self) -> Option<Cost> {
+        match self {
+            ConversionPolicy::Free => Some(Cost::ZERO),
+            ConversionPolicy::Uniform(c) if c.is_finite() => Some(*c),
+            _ => None,
+        }
+    }
+
     /// The number of pairs in `from × to` that [`allows`](Self::allows):
     /// a node's conversion-gadget edge count, with `from` and `to` its
     /// sorted `Λ_in` and `Λ_out`. Only `Banded` and `Matrix` look at each

@@ -94,6 +94,24 @@ impl CsrGraph {
         })
     }
 
+    /// The edge in place `slot` of `node`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or its row has no place `slot`.
+    pub(crate) fn out_edge(&self, node: usize, slot: usize) -> EdgeRef {
+        let index = self.offsets[node] + slot;
+        assert!(
+            index < self.offsets[node + 1],
+            "node {node} has no edge {slot}"
+        );
+        EdgeRef {
+            index,
+            target: self.targets[index] as usize,
+            cost: self.costs[index],
+        }
+    }
+
     /// Every edge as `(source, EdgeRef)`, in dense index order: the
     /// whole-graph scan, reading each row's source from the row starts.
     pub fn edges(&self) -> impl Iterator<Item = (usize, EdgeRef)> + '_ {

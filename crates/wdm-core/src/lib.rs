@@ -83,7 +83,10 @@ pub use auxiliary::{AuxNodeKind, AuxStats, AuxiliaryGraph};
 pub use cfz::CfzRouter;
 pub use conversion::{ConversionMatrix, ConversionPolicy};
 pub use cost::Cost;
-pub use dijkstra::{dijkstra, dijkstra_with, Potential, SearchStats, ShortestPathTree, Unguided};
+pub use dijkstra::{
+    dijkstra, dijkstra_with, GadgetLayout, NoGadgets, Potential, SearchStats, ShortestPathTree,
+    Unguided,
+};
 pub use error::{RouteError, WdmError};
 pub use k_shortest::k_shortest_semilightpaths;
 pub use liang_shen::{find_optimal_semilightpath, LiangShenRouter, RouteResult, SemilightpathTree};

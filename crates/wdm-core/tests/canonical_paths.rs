@@ -15,8 +15,13 @@
 //!   and Array heaps, whose settle orders differ, guided by a test-built
 //!   potential and unguided;
 //! * the goal-directed engine route, the production kernel with the
-//!   test-built potential, and the production kernel unguided all
-//!   return that very path;
+//!   test-built potential, and the production kernel unguided, each
+//!   with `G_all`'s gadget layout and with none, all return that very
+//!   path;
+//! * the engine's search (which reads each uniform conversion gadget as
+//!   a block) settles, pushes and decreases exactly as often as the
+//!   kernel searching edge by edge with the same potential, and relaxes
+//!   no more edges;
 //! * cost and blocked verdict match the independent state-space solver
 //!   [`reference::reference_route`];
 //! * each single-wavelength route matches the reference loop and the
@@ -33,14 +38,17 @@ use rand::{Rng, SeedableRng};
 use wdm_core::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
 use wdm_core::dijkstra::{dijkstra, DijkstraWorkspace, Potential};
 use wdm_core::{
-    reference, AuxiliaryGraph, ConversionPolicy, Cost, ResidualState, SearchScratch, Semilightpath,
-    Unguided, Wavelength, WdmNetwork,
+    reference, AuxiliaryGraph, ConversionMatrix, ConversionPolicy, Cost, GadgetLayout, NoGadgets,
+    ResidualState, SearchScratch, SearchStats, Semilightpath, Unguided, Wavelength, WdmNetwork,
 };
 use wdm_graph::{DiGraph, LinkId, NodeId};
 
 /// A random network on 2–7 nodes: parallel and antiparallel links,
 /// link costs in 0..=3 (zero about a quarter of the time), and per-node
-/// converters that are absent, free or cheap.
+/// converters that are absent, free, cheap and uniform, infinitely
+/// dear, limited-range or given by a matrix, so that gadgets the search
+/// reads as blocks and gadgets it searches edge by edge meet in one
+/// network.
 fn network(rng: &mut SmallRng) -> WdmNetwork {
     let n = rng.gen_range(2..=7usize);
     let k = rng.gen_range(1..=3usize);
@@ -66,9 +74,27 @@ fn network(rng: &mut SmallRng) -> WdmNetwork {
         b = b.link_wavelengths(link, entries);
     }
     for v in 0..n {
-        let policy = match rng.gen_range(0..4u32) {
+        let policy = match rng.gen_range(0..8u32) {
             0 => ConversionPolicy::Forbidden,
             1 => ConversionPolicy::Free,
+            2 => ConversionPolicy::Uniform(Cost::INFINITY),
+            3 => ConversionPolicy::Banded {
+                radius: rng.gen_range(0..k),
+                base: Cost::new(rng.gen_range(0..=2u64)),
+                slope: Cost::new(rng.gen_range(0..=1u64)),
+            },
+            4 => {
+                let mut m = ConversionMatrix::forbidden(k);
+                for from in 0..k {
+                    for to in 0..k {
+                        if from != to && rng.gen_bool(0.6) {
+                            let cost = Cost::new(rng.gen_range(0..=2u64));
+                            m.set(Wavelength::new(from), Wavelength::new(to), cost);
+                        }
+                    }
+                }
+                ConversionPolicy::Matrix(m)
+            }
             _ => ConversionPolicy::Uniform(Cost::new(rng.gen_range(0..=2u64))),
         };
         b = b.conversion(v, policy);
@@ -111,20 +137,35 @@ impl Potential for TestPotential {
     }
 }
 
-/// The production kernel on `G_all`, decoded.
-fn kernel_route<P: Potential>(
+/// The production kernel on `G_all` with gadget layout `layout`,
+/// decoded.
+fn kernel_route<P: Potential, L: GadgetLayout>(
     aux: &AuxiliaryGraph,
     mask: &EdgeMask,
     s: NodeId,
     t: NodeId,
     potential: &P,
+    layout: &L,
 ) -> Option<Semilightpath> {
+    kernel_run(aux, mask, s, t, potential, layout).0
+}
+
+/// [`kernel_route`] with the run's counters.
+fn kernel_run<P: Potential, L: GadgetLayout>(
+    aux: &AuxiliaryGraph,
+    mask: &EdgeMask,
+    s: NodeId,
+    t: NodeId,
+    potential: &P,
+    layout: &L,
+) -> (Option<Semilightpath>, SearchStats) {
     let g = aux.graph();
     let (source, _) = aux.all_pairs_terminals(s);
     let (_, sink) = aux.all_pairs_terminals(t);
     let mut ws = DijkstraWorkspace::new();
-    ws.run_guided_to(g, source, Some(mask), sink, potential);
-    aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink)
+    ws.run_guided_to(g, source, Some(mask), sink, potential, layout);
+    let path = aux.extract_semilightpath_from(ws.dist(), ws.parent(), sink);
+    (path, ws.stats())
 }
 
 /// The reference loop on `G_all` through heap `Q`, decoded.
@@ -224,12 +265,50 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
             let h = TestPotential::new(&net, &aux, t);
             let expected = reference_path(&aux, &mask, s, t, &h)
                 .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
+            // The engine's search against the edge-by-edge kernel on the
+            // same mask and potential: the same search, fewer relaxations.
+            scratch.take_search_totals();
+            let engine_path = engine.route_optimal(&mut scratch, s, t);
+            let gadgets = scratch.take_search_totals();
+            let (_, edge_by_edge) = kernel_run(&aux, &mask, s, t, &h, &NoGadgets);
+            prop_assert_eq!(
+                (gadgets.settled, gadgets.pushes, gadgets.decrease_keys),
+                (
+                    edge_by_edge.settled,
+                    edge_by_edge.pushes,
+                    edge_by_edge.decrease_keys
+                ),
+                "seed {} {:?}->{:?}: search counters",
+                seed,
+                s,
+                t
+            );
+            prop_assert!(
+                gadgets.relaxed <= edge_by_edge.relaxed,
+                "seed {} {:?}->{:?}: {:?} relaxed more than {:?}",
+                seed,
+                s,
+                t,
+                gadgets,
+                edge_by_edge
+            );
             let routes = [
-                ("engine", engine.route_optimal(&mut scratch, s, t)),
-                ("kernel guided", kernel_route(&aux, &mask, s, t, &h)),
+                ("engine", engine_path),
+                (
+                    "kernel guided",
+                    kernel_route(&aux, &mask, s, t, &h, &NoGadgets),
+                ),
                 (
                     "kernel unguided",
-                    kernel_route(&aux, &mask, s, t, &Unguided),
+                    kernel_route(&aux, &mask, s, t, &Unguided, &NoGadgets),
+                ),
+                (
+                    "kernel guided, gadgets",
+                    kernel_route(&aux, &mask, s, t, &h, &aux),
+                ),
+                (
+                    "kernel unguided, gadgets",
+                    kernel_route(&aux, &mask, s, t, &Unguided, &aux),
                 ),
             ];
             for (label, path) in &routes {
@@ -272,7 +351,7 @@ fn check_case(seed: u64) -> Result<usize, TestCaseError> {
                     &Unguided,
                 );
                 let mut ws = DijkstraWorkspace::new();
-                ws.run_guided_to(&g, s.index(), Some(&mask), t.index(), &Unguided);
+                ws.run_guided_to(&g, s.index(), Some(&mask), t.index(), &Unguided, &NoGadgets);
                 for (label, other) in [
                     (
                         "reference fibonacci",
@@ -413,7 +492,8 @@ fn zero_cost_cycle_on_a_shortest_path_terminates() {
         // The label order prefers fewer hops, so the loop is never taken.
         assert!(path.len() <= 2, "{path:?}");
         for unguided in [
-            kernel_route(&aux, &mask, s, t, &Unguided),
+            kernel_route(&aux, &mask, s, t, &Unguided, &NoGadgets),
+            kernel_route(&aux, &mask, s, t, &Unguided, &aux),
             reference_loop::<BinaryHeap<_>, _>(&aux, &mask, s, t, &Unguided),
             reference_loop::<FibonacciHeap<_>, _>(&aux, &mask, s, t, &Unguided),
             reference_loop::<ArrayHeap<_>, _>(&aux, &mask, s, t, &Unguided),

@@ -4,25 +4,28 @@
 //!
 //! The parser accepts the subset of JSON the registry emits (and, in
 //! fact, all of standard JSON except `\u` surrogate-pair pedantry is
-//! handled too). Numbers are parsed as `f64`, except a non-negative
-//! integer literal up to `u64::MAX` that `f64` cannot hold exactly (some
-//! above 2^53), which keeps its exact value, so [`Value::as_u64`] reads
-//! every such literal exactly and refuses one past `u64::MAX`.
+//! handled too). A non-negative integer literal up to `u64::MAX` (digits
+//! only: no sign, fraction or exponent) keeps its exact value, so
+//! [`Value::as_u64`] reads every such literal exactly and refuses any
+//! other number, `5.0`, `1e3` and one past `u64::MAX` among them; every
+//! other number is parsed as `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Values compare as JSON: a [`Value::Integer`] equals the
+/// [`Value::Number`] of the same value (`2` and `2.0` are one number).
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A JSON number, as `f64`.
+    /// A JSON number other than a [`Value::Integer`], as `f64`.
     Number(f64),
-    /// A non-negative integer literal that `f64` cannot hold exactly,
-    /// kept exact; every other number is a [`Value::Number`].
+    /// A non-negative integer literal up to `u64::MAX`, kept exact.
     Integer(u64),
     /// A string (unescaped).
     String(String),
@@ -67,13 +70,11 @@ impl Value {
         }
     }
 
-    /// The exact value if this is a non-negative integer up to
-    /// `u64::MAX`.
+    /// The exact value if this was written as a non-negative integer
+    /// literal up to `u64::MAX`: digits only, so `5.0` and `1e3` are
+    /// refused.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // 2^64 is the first integer past the range; every `f64`
-            // below it that has no fraction converts exactly.
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
             Value::Integer(i) => Some(*i),
             _ => None,
         }
@@ -88,7 +89,27 @@ impl Value {
     }
 }
 
-/// 2^64, the first integer [`Value::as_u64`] cannot return.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Number(a), Value::Number(b)) => a == b,
+            (Value::Integer(a), Value::Integer(b)) => a == b,
+            // One number written two ways. 2^64 is the first integer past
+            // `u64`; every `f64` below it with no fraction converts exactly.
+            (Value::Integer(i), Value::Number(n)) | (Value::Number(n), Value::Integer(i)) => {
+                *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 && *n as u64 == *i
+            }
+            (Value::String(a), Value::String(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::Object(a), Value::Object(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// 2^64, the first integer past `u64::MAX`.
 const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The parser
@@ -376,10 +397,11 @@ impl<'a> Parser<'a> {
         let Ok(n) = text.parse::<f64>() else {
             return Err(self.err("invalid number"));
         };
-        // An integer literal that `f64` would round keeps its exact value.
+        // A non-negative integer literal keeps its exact value. The scan
+        // above admits no `+`, so `u64`'s parse takes digits only.
         match text.parse::<u64>() {
-            Ok(i) if n as u128 != u128::from(i) => Ok(Value::Integer(i)),
-            _ => Ok(Value::Number(n)),
+            Ok(i) => Ok(Value::Integer(i)),
+            Err(_) => Ok(Value::Number(n)),
         }
     }
 }
@@ -414,6 +436,25 @@ mod tests {
         assert_eq!(
             parse("9007199254740993").unwrap().as_f64(),
             Some(9007199254740992.0)
+        );
+    }
+
+    #[test]
+    fn only_integer_literals_read_as_wire_integers() {
+        let exact = |text: &str| parse(text).ok().and_then(|v| v.as_u64());
+        for text in ["5.0", "1e3", "1E3", "5.5", "-0", "-5", "0.0", "1e0"] {
+            assert_eq!(exact(text), None, "{text}");
+            assert!(parse(text).unwrap().as_f64().is_some(), "{text}");
+        }
+        assert_eq!(exact("5"), Some(5));
+        assert_eq!(exact("0"), Some(0));
+        // A float and an integer of one value are one JSON number.
+        assert_eq!(parse("5.0").unwrap(), parse("5").unwrap());
+        assert_eq!(parse("[1e3]").unwrap(), parse("[1000]").unwrap());
+        assert_ne!(parse("5.5").unwrap(), parse("5").unwrap());
+        assert_ne!(
+            Value::Number(9007199254740992.0),
+            Value::Integer((1 << 53) + 1)
         );
     }
 

@@ -274,6 +274,33 @@ mod tests {
     }
 
     #[test]
+    fn wire_integers_must_be_integer_literals() {
+        // A value written with a fraction or an exponent is malformed,
+        // not read as the integer it equals: the reply could not echo it
+        // verbatim.
+        for bad in [
+            r#"{"op":"stats","trace_id":5.0}"#,
+            r#"{"op":"stats","trace_id":1e3}"#,
+            r#"{"op":"release","id":7.0}"#,
+            r#"{"op":"fail-link","link":2e0}"#,
+            r#"{"op":"restore-link","link":2.0}"#,
+            r#"{"op":"provision","s":0.0,"t":3}"#,
+            r#"{"op":"provision","s":0,"t":3E0}"#,
+            r#"{"op":"batch","pairs":[[0,3],[1.0,2]]}"#,
+            r#"{"op":"batch","pairs":[[0,3e0]]}"#,
+        ] {
+            assert!(parse_frame(bad).is_err(), "{bad} should be malformed");
+        }
+        assert_eq!(
+            parse_frame(r#"{"op":"release","id":7,"trace_id":1000}"#),
+            Ok(Frame {
+                req: Request::Release { id: 7 },
+                trace_id: Some(1000)
+            })
+        );
+    }
+
+    #[test]
     fn ignores_unknown_keys() {
         assert_eq!(
             parse_request(r#"{"op":"stats","tag":"client-42"}"#),

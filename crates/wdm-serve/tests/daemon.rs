@@ -597,6 +597,29 @@ fn wire_integers_past_two_pow_53_stay_exact() {
 }
 
 #[test]
+fn wire_integers_written_as_floats_are_malformed() {
+    let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
+    let mut ctx = backend.new_ctx();
+    for frame in [
+        r#"{"op":"stats","trace_id":5.0}"#,
+        r#"{"op":"stats","trace_id":1e3}"#,
+        r#"{"op":"provision","s":0,"t":1.0}"#,
+        r#"{"op":"release","id":0e0}"#,
+        r#"{"op":"fail-link","link":0.0}"#,
+        r#"{"op":"batch","pairs":[[0,1],[1e0,2]]}"#,
+    ] {
+        let reply = backend.execute_line(&mut ctx, frame);
+        assert!(reply.contains(r#""error":"malformed""#), "{frame}: {reply}");
+        assert!(!reply.contains(r#""trace_id""#), "{frame}: {reply}");
+    }
+    // Nothing was provisioned or cut, and an integer id still echoes
+    // verbatim.
+    assert_eq!(backend.active_count(), 0);
+    let reply = backend.execute_line(&mut ctx, r#"{"op":"stats","trace_id":1000}"#);
+    assert!(reply.ends_with(r#","trace_id":1000}"#), "{reply}");
+}
+
+#[test]
 fn fail_link_reply_names_the_restored_ids() {
     let backend = EngineBackend::single(&triangle(), RoutingMode::Masked, Policy::Optimal);
     let mut ctx = backend.new_ctx();
